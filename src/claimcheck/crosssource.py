@@ -9,6 +9,7 @@ consistency-weighted consensus score in [-1, 1].
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .config import CrossSourceConfig
@@ -271,6 +272,12 @@ class CorpusView:
     competitor_pairs: set[frozenset[str]] = field(default_factory=set)
     doc_orgs: dict[str, set[str]] = field(default_factory=dict)
 
+    @cached_property
+    def references(self) -> dict[str, set[str]]:
+        """Forward-reference adjacency of `citations`, built on first use;
+        the view is a snapshot, so its citations do not change after."""
+        return _reference_index(self.citations)
+
 
 def _author_names(meta: DocumentMetadata) -> set[str]:
     return {name.strip().lower() for name, _ in meta.authors if name.strip()}
@@ -280,13 +287,18 @@ def _affiliations(meta: DocumentMetadata) -> set[str]:
     return {aff.strip().lower() for _, aff in meta.authors if aff.strip()}
 
 
-def _reference_closure(citations: set[tuple[str, str]], start: str,
-                       blocked: str) -> dict[str, int]:
-    """Hop counts to every document reachable by following references
-    forward from `start`, never passing through `blocked`."""
+def _reference_index(citations: set[tuple[str, str]]) -> dict[str, set[str]]:
+    """Each citing document mapped to the documents it cites."""
     refs: dict[str, set[str]] = {}
     for x, y in citations:
         refs.setdefault(x, set()).add(y)
+    return refs
+
+
+def _reference_closure(refs: dict[str, set[str]], start: str,
+                       blocked: str) -> dict[str, int]:
+    """Hop counts to every document reachable by following references
+    forward from `start`, never passing through `blocked`."""
     hops: dict[str, int] = {}
     frontier = {start}
     depth = 0
@@ -308,10 +320,16 @@ def intermediary_citation_distance(citations: set[tuple[str, str]], a: str,
     the work it evaluates is not shared lineage, so paths through the pair
     itself never count (that edge still counts for discovery).
     """
+    return _lineage_distance(_reference_index(citations), a, b)
+
+
+def _lineage_distance(refs: dict[str, set[str]], a: str,
+                      b: str) -> int | None:
+    """`intermediary_citation_distance` over a prebuilt `_reference_index`."""
     if a == b:
         return 0
-    closure_a = _reference_closure(citations, a, blocked=b)
-    closure_b = _reference_closure(citations, b, blocked=a)
+    closure_a = _reference_closure(refs, a, blocked=b)
+    closure_b = _reference_closure(refs, b, blocked=a)
     common = set(closure_a) & set(closure_b)
     if not common:
         return None
@@ -341,7 +359,7 @@ def assess_independence(a: str, b: str, corpus: CorpusView,
     union = authors_a | authors_b
     jaccard = len(authors_a & authors_b) / len(union) if union else 0.0
     shared_affiliation = bool(_affiliations(meta_a) & _affiliations(meta_b))
-    distance = intermediary_citation_distance(corpus.citations, first, second)
+    distance = _lineage_distance(corpus.references, first, second)
     orgs_a = corpus.doc_orgs.get(first, set())
     orgs_b = corpus.doc_orgs.get(second, set())
     competitor = any(frozenset((x, y)) in corpus.competitor_pairs

@@ -73,6 +73,16 @@ class RelationSet:
         return [r for r in self.rows if r["relation"] == "cites"]
 
 
+def _row_key(value: Any) -> Any:
+    """Hashable form of a JSON value: two values get equal keys exactly when
+    they compare equal with `==`."""
+    if isinstance(value, dict):
+        return frozenset((k, _row_key(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return tuple(_row_key(v) for v in value)
+    return value
+
+
 def load_corpus_dir(corpus_dir: Path) -> tuple[list[tuple[str, bytes, str,
                                                           DocumentMetadata | None]],
                                                RelationSet]:
@@ -80,6 +90,7 @@ def load_corpus_dir(corpus_dir: Path) -> tuple[list[tuple[str, bytes, str,
     relation records. Deterministic: files sorted by name."""
     documents = []
     relations = RelationSet()
+    seen_rows: set[Any] = set()
     format_map = {".txt": "plain", ".html": "html", ".json": "json-manifest"}
     for path in sorted(corpus_dir.iterdir()):
         if not path.is_file() or path.name.endswith(".meta.json"):
@@ -92,7 +103,9 @@ def load_corpus_dir(corpus_dir: Path) -> tuple[list[tuple[str, bytes, str,
             data = read_json(path)
             if data.get("manifest_kind") == "relations":
                 for row in data.get("records", []):
-                    if row not in relations.rows:
+                    key = _row_key(row)
+                    if key not in seen_rows:
+                        seen_rows.add(key)
                         relations.rows.append(row)
                 continue
         hints = None
@@ -182,10 +195,12 @@ class Run:
         self.verdicts: dict[str, intra.ClaimVerdict] = {}
         self.consistency: dict[str, intra.ConsistencyReport] = {}
         self.alignments: list[cross.ClaimAlignment] = []
+        self.alignment_by_pair: dict[frozenset[str], cross.ClaimAlignment] = {}
         self.agreements: list[cross.AgreementRecord] = []
         self.ratings: dict[tuple[str, str], cross.IndependenceRating] = {}
         self.consensus: dict[str, cross.ConsensusScore] = {}
         self.fidelity: list[cross.CitationFidelityFinding] = []
+        self.fidelity_by_claim: dict[str, cross.CitationFidelityFinding] = {}
         self.rubrics: list[cross.RubricAssessment] = []
         self.financial: dict[str, sig.FinancialProfile] = {}
         self.coi_flags: list[sig.COIFlag] = []
@@ -569,13 +584,14 @@ class Run:
         return out
 
     def _align_pair(self, a: ClaimTriple, b: ClaimTriple) -> cross.ClaimAlignment:
-        for alignment in self.alignments:
-            if {alignment.claim_a, alignment.claim_b} == {a.claim_id, b.claim_id}:
-                return alignment
-        alignment = cross.align_claims(a, b, self.router,
-                                       self.slug_of(a.doc_id),
-                                       self.slug_of(b.doc_id))
-        self.alignments.append(alignment)
+        key = frozenset((a.claim_id, b.claim_id))
+        alignment = self.alignment_by_pair.get(key)
+        if alignment is None:
+            alignment = cross.align_claims(a, b, self.router,
+                                           self.slug_of(a.doc_id),
+                                           self.slug_of(b.doc_id))
+            self.alignments.append(alignment)
+            self.alignment_by_pair[key] = alignment
         return alignment
 
     def _fidelity_of(self, citing: ClaimTriple) -> cross.CitationFidelityFinding | None:
@@ -584,9 +600,9 @@ class Run:
         if citing.provenance is None or citing.provenance.level != 4 \
                 or not citing.cited_refs:
             return None
-        for finding in self.fidelity:
-            if finding.citing_claim == citing.claim_id:
-                return finding
+        finding = self.fidelity_by_claim.get(citing.claim_id)
+        if finding is not None:
+            return finding
         cited_slug = citing.cited_refs[0].removeprefix("doc:")
         cited = self.doc_by_slug(cited_slug)
         try:
@@ -602,6 +618,7 @@ class Run:
             self.citation_gaps.append(f"{citing.claim_id} -> {cited_slug}")
             return None
         self.fidelity.append(finding)
+        self.fidelity_by_claim[citing.claim_id] = finding
         return finding
 
     def _compare_claims(self, focus_claims: list[ClaimTriple]) -> None:
@@ -1122,6 +1139,9 @@ def _reload_state(state: Run) -> None:
             state.consensus[score.claim_id] = score
         state.fidelity = [cross.CitationFidelityFinding(**r)
                           for r in read_all(store / "fidelity.jsonl")]
+        state.alignment_by_pair = {frozenset((a.claim_a, a.claim_b)): a
+                                   for a in state.alignments}
+        state.fidelity_by_claim = {f.citing_claim: f for f in state.fidelity}
         state.rubrics = [
             cross.RubricAssessment(
                 claim_id=r["claim_id"], rubric_source=r["rubric_source"],

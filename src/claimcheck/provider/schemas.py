@@ -3,13 +3,32 @@
 Responses are validated before any caller sees them; a malformed provider
 output is a SchemaViolation, never a silent pass-through. Schemas are the
 contract that keeps differently-styled inference backends interchangeable.
+
+Each schema is compiled into a validator once, at import. The draft is
+2020-12, the one `jsonschema.validate` picks for a schema without
+`$schema`, and a violation is reported through the same `best_match`, so
+messages are the ones `jsonschema.validate` gives. Unlike that function,
+nothing here re-checks the schemas against the meta-schema on every call:
+they are constants of this module, and a test checks each of them once.
+
+The compiled validators replace the `items` keyword with one that first
+tries a single pass over the array when the item schema is exactly
+`{"type": <one type name>}` and there is no `prefixItems`. The stock
+keyword applies to each item that same schema, whose only check is
+`validator.is_type(item, name)`, so "every item passes `is_type`" is the
+stock keyword's accept condition, and the pass cannot accept an array the
+stock keyword rejects. Any array that fails the pass, and every other item
+schema, goes to the stock keyword, so rejections and their messages are
+unchanged. This matters for 256-number embedding vectors, which the stock
+keyword checks one descent per element.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
-import jsonschema
+from jsonschema import Draft202012Validator, ValidationError, validators
+from jsonschema.exceptions import best_match
 
 from ..errors import SchemaViolation
 from .tasks import SCHEMA_VERSION
@@ -126,14 +145,36 @@ OUTPUT_SCHEMAS: dict[str, dict[str, Any]] = {
 }
 
 
+_stock_items = Draft202012Validator.VALIDATORS["items"]
+
+
+def _items(validator: Any, items: Any, instance: Any,
+           schema: dict[str, Any]) -> Iterator[ValidationError]:
+    """`items` that accepts a flat array of one plain type in one pass."""
+    if (isinstance(items, dict) and items.keys() == {"type"}
+            and isinstance(items["type"], str)
+            and "prefixItems" not in schema
+            and validator.is_type(instance, "array")):
+        name = items["type"]
+        is_type = validator.is_type
+        if all(is_type(item, name) for item in instance):
+            return
+    yield from _stock_items(validator, items, instance, schema)
+
+
+_OutputValidator = validators.extend(Draft202012Validator, {"items": _items})
+
+_VALIDATORS = {kind: _OutputValidator(schema)
+               for kind, schema in OUTPUT_SCHEMAS.items()}
+
+
 def validate_output(kind: str, output: Any) -> None:
-    schema = OUTPUT_SCHEMAS.get(kind)
-    if schema is None:
+    validator = _VALIDATORS.get(kind)
+    if validator is None:
         raise SchemaViolation(f"no output schema for task kind {kind!r} "
                               f"(schema set {SCHEMA_VERSION})")
-    try:
-        jsonschema.validate(output, schema)
-    except jsonschema.ValidationError as exc:
+    error = best_match(validator.iter_errors(output))
+    if error is not None:
         raise SchemaViolation(
-            f"{kind} output failed schema {SCHEMA_VERSION}: {exc.message}"
-        ) from exc
+            f"{kind} output failed schema {SCHEMA_VERSION}: {error.message}"
+        ) from error

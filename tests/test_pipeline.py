@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck.cli import main
 from claimcheck.config import PipelineConfig
 from claimcheck.errors import (BudgetExceeded, ConfigDrift, CorruptManifest,
                                EmptyCorpus, ProviderFailure)
 from claimcheck.jsonl import read_json
-from claimcheck.pipeline import LAYERS, ProviderSpec, resume, run
+from claimcheck.pipeline import (LAYERS, ProviderSpec, load_corpus_dir,
+                                 resume, run)
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, TRANSCRIPT,
                       dir_digest, run_golden, scripted_spec)
@@ -163,3 +170,30 @@ def test_manifest_records_config_snapshot(tmp_path):
     assert manifest["config_hash"] == PipelineConfig().snapshot_hash()
     assert manifest["corpus_hash"] == state.corpus_hash
     assert manifest["run_id"].startswith("run-")
+
+
+_ROW_VALUES = st.sampled_from(["a", "a  b", "a b", 1, 1.0, True, None,
+                               {"value": 1, "currency": "EUR"},
+                               {"value": 1.0, "currency": "EUR"}, [1, "a"]])
+_ROWS = st.lists(st.dictionaries(st.sampled_from(["subject", "object",
+                                                  "amount"]), _ROW_VALUES),
+                 max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ROWS, _ROWS)
+def test_relation_rows_deduplicated_by_equality_in_first_seen_order(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp)
+        for name, rows in (("rel-a.json", a), ("rel-b.json", b)):
+            (corpus / name).write_text(json.dumps(
+                {"manifest_kind": "relations", "records": rows}),
+                encoding="utf-8")
+        _, relations = load_corpus_dir(corpus)
+    expected: list = []
+    for row in a + b:
+        if row not in expected:
+            expected.append(row)
+    assert relations.rows == expected
+    assert [type(v) for r in relations.rows for v in r.values()] == \
+        [type(v) for r in expected for v in r.values()]

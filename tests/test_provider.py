@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import json
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from claimcheck.errors import AllSlotsFailed, ProviderFailure, SchemaViolation
 from claimcheck.provider import (InferenceResponse, InferenceTask,
                                  ReplayProvider, ScriptedProvider, Transcript,
                                  fan_out)
 from claimcheck.provider.embedder import embed_text
+from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
+from claimcheck.provider.tasks import SCHEMA_VERSION
 
 from conftest import PLAYBOOK, StubProvider, make_router
 
@@ -176,3 +182,139 @@ def test_embedder_deterministic_and_normalized():
     assert a == b
     norm = sum(x * x for x in a) ** 0.5
     assert abs(norm - 1.0) < 1e-6
+
+
+# --- output schema validation against jsonschema.validate as the oracle ------
+
+def _reference_message(kind, output):
+    """The SchemaViolation message jsonschema.validate implies, or None."""
+    try:
+        jsonschema.validate(output, OUTPUT_SCHEMAS[kind])
+    except jsonschema.ValidationError as exc:
+        return f"{kind} output failed schema {SCHEMA_VERSION}: {exc.message}"
+    return None
+
+
+def _message(kind, output):
+    try:
+        validate_output(kind, output)
+    except SchemaViolation as exc:
+        return str(exc)
+    return None
+
+
+def _valid(schema):
+    """Outputs that satisfy `schema` (the subset of keywords it uses)."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if isinstance(kind, list):
+        return st.one_of([_valid({**schema, "type": k}) for k in kind])
+    if kind == "object":
+        props, required = schema["properties"], schema["required"]
+        return st.fixed_dictionaries(
+            {k: _valid(props[k]) for k in required},
+            optional={k: _valid(v) for k, v in props.items()
+                      if k not in required})
+    if kind == "array":
+        return st.lists(_valid(schema["items"]),
+                        min_size=schema.get("minItems", 0),
+                        max_size=schema.get("maxItems", 5))
+    return {
+        "string": st.text(min_size=schema.get("minLength", 0), max_size=5),
+        "integer": st.integers(schema.get("minimum"), schema.get("maximum")),
+        "number": st.one_of(st.integers(), st.floats(allow_nan=False)),
+        "boolean": st.booleans(),
+        "null": st.none(),
+    }[kind]
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.just(1.0),
+    st.floats(allow_nan=False), st.text(max_size=3), st.just("not-a-label"),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+@st.composite
+def _mutated(draw, kind):
+    """A valid output with one node replaced, dropped, grown or emptied."""
+    output = draw(_valid(OUTPUT_SCHEMAS[kind]))
+    path = draw(st.sampled_from(list(_paths(output))))
+    op = draw(st.sampled_from(["replace", "drop", "grow", "clear"]))
+    if not path:
+        return draw(_JUNK)
+    parent = output
+    for step in path[:-1]:
+        parent = parent[step]
+    target = parent[path[-1]]
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "grow" and isinstance(target, list):
+        target.append(draw(st.sampled_from(target) if target else _JUNK))
+    elif op == "clear" and isinstance(target, (list, dict)):
+        target.clear()
+    else:
+        parent[path[-1]] = draw(_JUNK)
+    return output
+
+
+_KINDS = sorted(OUTPUT_SCHEMAS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.one_of(_valid(OUTPUT_SCHEMAS[kind]), _mutated(kind)))))
+def test_validate_output_agrees_with_jsonschema_validate(case):
+    kind, output = case
+    assert _message(kind, output) == _reference_message(kind, output)
+
+
+_CLAIM = {"subject": "X", "predicate": "p", "object": "o",
+          "passages": [[0, 1]]}
+
+
+@pytest.mark.parametrize("kind,output", [
+    ("embed", {"vector": [0.5, -1, 2.0], "model_tag": "t"}),
+    ("embed", {"vector": [0.5, True], "model_tag": "t"}),
+    ("embed", {"vector": [0.5, "0.5"], "model_tag": "t"}),
+    ("embed", {"vector": [], "model_tag": "t"}),
+    ("embed", {"vector": [0.5]}),
+    ("embed", {"vector": "0.5", "model_tag": "t"}),
+    ("extract-claims", {"claims": [_CLAIM]}),
+    ("extract-claims", {"claims": [{**_CLAIM, "passages": [[0, 1.0]]}]}),
+    ("extract-claims", {"claims": [{**_CLAIM, "passages": [[True, 1]]}]}),
+    ("extract-claims", {"claims": [{**_CLAIM, "passages": [[0]]}]}),
+    ("extract-claims", {"claims": [{**_CLAIM, "passages": [[0, 1, 2]]}]}),
+    ("extract-claims", {"claims": [{**_CLAIM, "cited_refs": ["a", 3]}]}),
+    ("extract-claims", {"claims": [{k: v for k, v in _CLAIM.items()
+                                    if k != "subject"}]}),
+    ("nli-verdict", {"label": "perhaps"}),
+    ("align-claims", {"relation": "matched", "stance": "maybe"}),
+    ("describe-asset", {"description": "d", "trends": ["up", None]}),
+])
+def test_validate_output_named_mutations(kind, output):
+    assert _message(kind, output) == _reference_message(kind, output)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_output_schemas_are_valid_2020_12(kind):
+    schema = OUTPUT_SCHEMAS[kind]
+    Draft202012Validator.check_schema(schema)
+    # the draft jsonschema.validate would pick for this schema
+    assert jsonschema.validators.validator_for(schema) is Draft202012Validator
+
+
+def test_unknown_kind_raises_schema_violation():
+    with pytest.raises(SchemaViolation, match="no output schema"):
+        validate_output("divination", {})
