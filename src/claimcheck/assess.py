@@ -10,7 +10,7 @@ alpha-signal assessments.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from .config import AssessConfig
@@ -20,6 +20,7 @@ from .ids import make_id
 from .intradoc import ClaimVerdict, CoherenceFlag
 from .knowledge.model import ClaimTriple
 from .provider import InferenceRouter, InferenceTask, fan_out
+from .records import decode_fields, encode_fields
 from .signals import COIFlag, StrategicEvent
 
 CROSS_SOURCE_LABELS = ("supported", "contradicted", "consensus", "mixed")
@@ -42,17 +43,17 @@ class EvidenceProfile:
         return self.claim.provenance.level
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim.claim_id,
-            "claim": self.claim.to_record(),
-            "provenance": self.claim.provenance.level,
-            "verdict": self.verdict.to_record(),
-            "consensus": self.consensus.to_record(),
-            "coherence_flags": [f.to_record() for f in self.coherence_flags],
-            "coi_context": [f.to_record() for f in self.coi_context],
-            "rubric_summary": self.rubric_summary,
-            "source_slug": self.source_slug,
-        }
+        """The fields plus the claim's id and provenance level as top-level
+        keys, for readers of `profiles.jsonl`."""
+        record = encode_fields(self)
+        record["claim_id"] = self.claim.claim_id
+        record["provenance"] = self.provenance_level
+        return record
+
+    @classmethod
+    def from_record(cls, data: dict[str, Any]) -> "EvidenceProfile":
+        return decode_fields(cls, {k: v for k, v in data.items()
+                                   if k not in ("claim_id", "provenance")})
 
 
 @dataclass
@@ -62,9 +63,6 @@ class Hypothesis:
     supporting_refs: list[str] = field(default_factory=list)
     is_counter: bool = False
     parent: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -79,16 +77,9 @@ class HypothesisRow:
     status: str
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "hypothesis": self.hypothesis.to_record(),
-            "evidence_refs": list(self.evidence_refs),
-            "cross_source": self.cross_source,
-            "entropy": round(self.entropy, 6),
-            "model_agreement": list(self.model_agreement),
-            "confidence": self.confidence,
-            "alternatives": [a.to_record() for a in self.alternatives],
-            "status": self.status,
-        }
+        record = encode_fields(self)
+        record["entropy"] = round(self.entropy, 6)
+        return record
 
 
 @dataclass
@@ -97,18 +88,12 @@ class MaturityAssessment:
     trl_high: int
     rationale: str
 
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class AlphaSignal:
     claim_id: str
     dimensions_converging: list[str]
     note: str
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 def build_evidence_profile(claim: ClaimTriple,

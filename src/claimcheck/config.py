@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ClaimcheckError
-from .ids import canonical_json, content_hash
+from .ids import content_hash
 from .jsonl import read_json
 
 
@@ -146,9 +146,6 @@ class PipelineConfig:
 
     def snapshot_hash(self) -> str:
         return content_hash(self.to_dict(), length=16)
-
-    def canonical(self) -> str:
-        return canonical_json(self.to_dict())
 
     def validate(self) -> None:
         checks = [

@@ -4,16 +4,23 @@ Accepts pre-extracted text (pdf-text, plain), HTML, or a structured JSON
 manifest. Section boundaries come from heading heuristics for flat text and
 from explicit structure for manifests. The doc_id is a pure function of the
 raw input bytes, so re-ingesting an unchanged corpus is byte-identical.
+`load_corpus_dir` reads a corpus directory: document files, their
+`.meta.json` metadata sidecars, and the relation manifest.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from pathlib import Path
+from typing import Any
 
 from ..errors import EmptyInput, UnsupportedFormat
-from ..ids import hash_bytes, make_id, normalize_text
+from ..ids import content_hash, hash_bytes, make_id, normalize_text
+from ..jsonl import read_json
+from ..records import from_record
 from .model import (SOURCE_TYPES, DocumentMetadata, Section, SourceDocument,
                     VisualAsset)
 
@@ -195,3 +202,74 @@ def _from_html(doc_id: str, raw: bytes) -> SourceDocument:
         (h for h, _, ps in collector.blocks if ps), "")
     return SourceDocument(doc_id=doc_id, source_type="paper", title=title,
                           body=sections)
+
+
+# --- corpus directories ----------------------------------------------------
+
+@dataclass
+class RelationSet:
+    """Structured relation records loaded from the corpus directory."""
+
+    rows: list[dict[str, Any]] = field(default_factory=list)
+
+    def triples(self) -> list[tuple[str, str, str]]:
+        return [(r["subject"], r["relation"], r["object"]) for r in self.rows]
+
+    def entity_rows(self) -> list[dict[str, Any]]:
+        return [r for r in self.rows
+                if not r["subject"].startswith("doc:")
+                and not r["object"].startswith("doc:")]
+
+    def citation_rows(self) -> list[dict[str, Any]]:
+        return [r for r in self.rows if r["relation"] == "cites"]
+
+
+def _row_key(value: Any) -> Any:
+    """Hashable form of a JSON value: two values get equal keys exactly when
+    they compare equal with `==`."""
+    if isinstance(value, dict):
+        return frozenset((k, _row_key(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return tuple(_row_key(v) for v in value)
+    return value
+
+
+def load_corpus_dir(corpus_dir: Path) -> tuple[list[tuple[str, bytes, str,
+                                                          DocumentMetadata | None]],
+                                               RelationSet]:
+    """Collect (name, raw, format, hints) for every document file plus the
+    relation records. Deterministic: files sorted by name."""
+    documents = []
+    relations = RelationSet()
+    seen_rows: set[Any] = set()
+    format_map = {".txt": "plain", ".html": "html", ".json": "json-manifest"}
+    for path in sorted(corpus_dir.iterdir()):
+        if not path.is_file() or path.name.endswith(".meta.json"):
+            continue
+        fmt = format_map.get(path.suffix)
+        if fmt is None:
+            continue
+        raw = path.read_bytes()
+        if fmt == "json-manifest":
+            data = read_json(path)
+            if data.get("manifest_kind") == "relations":
+                for row in data.get("records", []):
+                    key = _row_key(row)
+                    if key not in seen_rows:
+                        seen_rows.add(key)
+                        relations.rows.append(row)
+                continue
+        hints = None
+        sidecar = path.with_name(path.stem + ".meta.json")
+        if sidecar.exists():
+            hints = from_record(DocumentMetadata, read_json(sidecar))
+        documents.append((path.name, raw, fmt, hints))
+    return documents, relations
+
+
+def corpus_fingerprint(corpus_dir: Path) -> str:
+    parts = []
+    for path in sorted(corpus_dir.iterdir()):
+        if path.is_file():
+            parts.append([path.name, hash_bytes(path.read_bytes())])
+    return content_hash(parts)

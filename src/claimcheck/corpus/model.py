@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
+
+from ..records import decode_fields, encode_fields
 
 SOURCE_TYPES = ("paper", "patent", "rebuttal", "benchmark",
                 "evaluation-framework", "press", "filing", "profile")
@@ -17,17 +19,6 @@ class DocumentMetadata:
     citation_count: int | None = None
     external_ids: dict[str, str] = field(default_factory=dict)
     disclosures: list[str] = field(default_factory=list)
-
-    def to_record(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["authors"] = [list(a) for a in self.authors]
-        return data
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "DocumentMetadata":
-        meta = cls(**{k: v for k, v in data.items() if k != "authors"})
-        meta.authors = [(a[0], a[1]) for a in data.get("authors", [])]
-        return meta
 
     def merged_with(self, hints: "DocumentMetadata | None") -> "DocumentMetadata":
         """Overlay hint fields on extracted fields; hints win on conflict."""
@@ -116,45 +107,16 @@ class SourceDocument:
         return None
 
     def to_record(self) -> dict[str, Any]:
-        return {
-            "doc_id": self.doc_id,
-            "source_type": self.source_type,
-            "title": self.title,
-            "metadata": self.metadata.to_record(),
-            "sections": [
-                {"section_id": s.section_id, "heading": s.heading,
-                 "level": s.level,
-                 "passages": [[pid, text] for pid, text in s.passages]}
-                for s in self.body],
-            "assets": [
-                {"asset_id": a.asset_id, "kind": a.kind, "caption": a.caption,
-                 "inline_refs": a.inline_refs, "description": a.description,
-                 "extracted_trends": a.extracted_trends,
-                 "section_id": a.section_id}
-                for a in self.assets],
-            "quality": (None if self.quality is None else asdict(self.quality)),
-        }
+        """The fields, with `body` stored under the key `sections`."""
+        record = encode_fields(self)
+        record["sections"] = record.pop("body")
+        return record
 
     @classmethod
     def from_record(cls, data: dict[str, Any]) -> "SourceDocument":
-        body = [Section(section_id=s["section_id"], heading=s["heading"],
-                        level=s["level"],
-                        passages=[(p[0], p[1]) for p in s["passages"]])
-                for s in data["sections"]]
-        assets = [VisualAsset(asset_id=a["asset_id"], kind=a["kind"],
-                              caption=a["caption"],
-                              inline_refs=a.get("inline_refs", []),
-                              description=a.get("description"),
-                              extracted_trends=a.get("extracted_trends", []),
-                              section_id=a.get("section_id"))
-                  for a in data.get("assets", [])]
-        quality = data.get("quality")
-        return cls(
-            doc_id=data["doc_id"], source_type=data["source_type"],
-            title=data["title"], body=body, assets=assets,
-            metadata=DocumentMetadata.from_record(data["metadata"]),
-            quality=None if quality is None else SourceScore(**quality),
-        )
+        data = dict(data)
+        data["body"] = data.pop("sections")
+        return decode_fields(cls, data)
 
 
 @dataclass(frozen=True)
@@ -162,7 +124,3 @@ class EmbeddingRecord:
     owner: str  # passage_id or asset_id
     vector: tuple[float, ...]
     model_tag: str
-
-    def to_record(self) -> dict[str, Any]:
-        return {"owner": self.owner, "vector": list(self.vector),
-                "model_tag": self.model_tag}

@@ -8,7 +8,7 @@ consistency-weighted consensus score in [-1, 1].
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
@@ -36,17 +36,11 @@ class ClaimAlignment:
     stance: str = "not-applicable"  # agrees | disagrees | not-applicable
     rationale: str = ""
 
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class RootCause:
     category: str
     explanation: str
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -55,9 +49,6 @@ class CitationFidelityFinding:
     cited_doc: str
     faithful: bool
     distortion_note: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -68,24 +59,6 @@ class AgreementRecord:
     counter_claim: str | None = None
     root_cause: RootCause | None = None
     fidelity: CitationFidelityFinding | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim_id, "counter_doc": self.counter_doc,
-            "label": self.label, "counter_claim": self.counter_claim,
-            "root_cause": None if self.root_cause is None else self.root_cause.to_record(),
-            "fidelity": None if self.fidelity is None else self.fidelity.to_record(),
-        }
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "AgreementRecord":
-        root = data.get("root_cause")
-        fidelity = data.get("fidelity")
-        return cls(claim_id=data["claim_id"], counter_doc=data["counter_doc"],
-                   label=data["label"], counter_claim=data.get("counter_claim"),
-                   root_cause=None if root is None else RootCause(**root),
-                   fidelity=None if fidelity is None
-                   else CitationFidelityFinding(**fidelity))
 
 
 @dataclass
@@ -99,11 +72,6 @@ class IndependenceRating:
     weight: float
     caveat: str | None = None
 
-    def to_record(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["pair"] = list(self.pair)
-        return data
-
 
 @dataclass
 class ConsensusScore:
@@ -113,13 +81,6 @@ class ConsensusScore:
     fidelity_flags: list[str] = field(default_factory=list)
     uncorroborated: bool = False
 
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "ConsensusScore":
-        return cls(**data)
-
 
 @dataclass
 class RubricAssessment:
@@ -127,11 +88,6 @@ class RubricAssessment:
     rubric_source: str
     criteria: list[tuple[str, str, str]]  # (name, met, note)
     summary: str
-
-    def to_record(self) -> dict[str, Any]:
-        return {"claim_id": self.claim_id, "rubric_source": self.rubric_source,
-                "criteria": [list(c) for c in self.criteria],
-                "summary": self.summary}
 
 
 # --- related-work discovery -------------------------------------------------
@@ -195,15 +151,10 @@ def discover_related(claim: ClaimTriple, graph: KnowledgeGraph,
 
 # --- pairwise alignment and agreement ----------------------------------------
 
-def _claim_payload(claim: ClaimTriple, slug: str) -> dict[str, Any]:
-    return {"slug": slug, "subject": claim.subject_name,
-            "predicate": claim.predicate, "object": claim.object_name}
-
-
 def align_claims(a: ClaimTriple, b: ClaimTriple, router: InferenceRouter,
                  slug_a: str, slug_b: str) -> ClaimAlignment:
     task = InferenceTask("align-claims", {
-        "a": _claim_payload(a, slug_a), "b": _claim_payload(b, slug_b),
+        "a": a.task_payload(slug_a), "b": b.task_payload(slug_b),
     })
     output = router.invoke(task).output
     return ClaimAlignment(claim_a=a.claim_id, claim_b=b.claim_id,
@@ -220,7 +171,7 @@ def check_citation_fidelity(citing: ClaimTriple,
             f"claim {citing.claim_id} cites a document absent from the "
             f"corpus: {citing.cited_refs}")
     task = InferenceTask("citation-fidelity", {
-        "citing": _claim_payload(citing, citing_slug),
+        "citing": citing.task_payload(citing_slug),
         "cited_doc": cited_slug,
         "cited_claims": [
             {"subject": c.subject_name, "predicate": c.predicate,
@@ -254,7 +205,7 @@ def analyze_contradiction(a: ClaimTriple, b: ClaimTriple,
                 category="runtime-definition-mismatch",
                 explanation=f"metric definitions are not comparable: {detail}")
     task = InferenceTask("root-cause", {
-        "a": _claim_payload(a, slug_a), "b": _claim_payload(b, slug_b),
+        "a": a.task_payload(slug_a), "b": b.task_payload(slug_b),
     })
     output = router.invoke(task).output
     return RootCause(category=output["category"],

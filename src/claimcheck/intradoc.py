@@ -8,8 +8,7 @@ fully supported by internal evidence).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import dataclass, field
 
 from .config import IntradocConfig
 from .corpus.embedding import EmbeddingStore, semantic_search
@@ -32,9 +31,6 @@ class EvidenceLink:
     rationale: str = ""
     self_evidence: bool = False  # claim's own source passage; low weight
 
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class CoherenceFlag:
@@ -42,9 +38,6 @@ class CoherenceFlag:
     dimension: str  # scope-consistency | baseline-fairness | reproducibility
     severity: str   # minor | moderate | severe
     note: str
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -55,9 +48,6 @@ class OverclaimAnnotation:
     claim_text: str
     evidence_text: str
 
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class ClaimVerdict:
@@ -65,9 +55,6 @@ class ClaimVerdict:
     verdict: str
     link_evidence_ids: list[str] = field(default_factory=list)
     annotation_issues: list[str] = field(default_factory=list)
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -77,14 +64,6 @@ class ConsistencyReport:
     counts: dict[str, int]
     consistency_score: float
     empty_document: bool = False
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
-
-def _claim_payload(claim: ClaimTriple, doc_slug: str) -> dict[str, Any]:
-    return {"slug": doc_slug, "subject": claim.subject_name,
-            "predicate": claim.predicate, "object": claim.object_name}
 
 
 def align_claim_evidence(claim: ClaimTriple, doc: SourceDocument,
@@ -113,7 +92,7 @@ def align_claim_evidence(claim: ClaimTriple, doc: SourceDocument,
 
     def judge(evidence_id: str) -> EvidenceLink:
         task = InferenceTask("nli-verdict", {
-            "claim": _claim_payload(claim, doc.slug),
+            "claim": claim.task_payload(doc.slug),
             "passage": {"owner": evidence_id, "text": candidates[evidence_id]},
         })
         output = router.invoke(task).output

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 
 def dumps_record(record: dict[str, Any]) -> str:
@@ -19,19 +20,17 @@ def dumps_record(record: dict[str, Any]) -> str:
                       ensure_ascii=False)
 
 
-def write_records(path: Path, records: Iterable[dict[str, Any]]) -> None:
+@contextmanager
+def _atomic(path: Path) -> Iterator[TextIO]:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(dumps_record(record))
-            fh.write("\n")
+        yield fh
     os.replace(tmp, path)
 
 
-def append_records(path: Path, records: Iterable[dict[str, Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
+def write_records(path: Path, records: Iterable[dict[str, Any]]) -> None:
+    with _atomic(path) as fh:
         for record in records:
             fh.write(dumps_record(record))
             fh.write("\n")
@@ -52,12 +51,14 @@ def read_all(path: Path) -> list[dict[str, Any]]:
 
 
 def write_json(path: Path, payload: Any) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _atomic(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
-    os.replace(tmp, path)
+
+
+def write_text(path: Path, text: str) -> None:
+    with _atomic(path) as fh:
+        fh.write(text)
 
 
 def read_json(path: Path) -> Any:

@@ -49,12 +49,6 @@ class EntityRegistry:
     def get(self, name: str) -> Entity | None:
         return self._by_key.get(self._key(name))
 
-    def get_by_id(self, entity_id: str) -> Entity | None:
-        for entity in self._by_key.values():
-            if entity.entity_id == entity_id:
-                return entity
-        return None
-
     def register(self, name: str, kind: str, aliases: list[str] | None = None,
                  first_seen_doc: str | None = None) -> Entity:
         canonical = self._canonical_name(name)
@@ -184,8 +178,7 @@ def classify_provenance(claim: ClaimTriple, evidence_text: str,
         raise AlreadyClassified(
             f"claim {claim.claim_id} already at level {claim.provenance.level}")
     task = InferenceTask("classify-provenance", {
-        "claim": {"slug": doc_slug, "subject": claim.subject_name,
-                  "predicate": claim.predicate, "object": claim.object_name},
+        "claim": claim.task_payload(doc_slug),
         "evidence": evidence_text,
     })
     level = ProvenanceLevel(router.invoke(task).output["level"])

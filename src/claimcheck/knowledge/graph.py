@@ -41,7 +41,6 @@ class KnowledgeGraph:
     nodes: dict[str, Entity] = field(default_factory=dict)
     edges: dict[str, Edge] = field(default_factory=dict)
     _out: dict[str, list[str]] = field(default_factory=dict)
-    _in: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def node_count(self) -> int:
@@ -65,15 +64,9 @@ class KnowledgeGraph:
                 f"edge {edge.edge_id} object {edge.object} not a node")
         self.edges[edge.edge_id] = edge
         self._out.setdefault(edge.subject, []).append(edge.edge_id)
-        if edge.object_is_entity:
-            self._in.setdefault(edge.object, []).append(edge.edge_id)
 
     def out_edges(self, entity_id: str) -> list[Edge]:
         return sorted((self.edges[e] for e in self._out.get(entity_id, [])),
-                      key=lambda e: e.edge_id)
-
-    def in_edges(self, entity_id: str) -> list[Edge]:
-        return sorted((self.edges[e] for e in self._in.get(entity_id, [])),
                       key=lambda e: e.edge_id)
 
     def validate(self) -> None:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import dataclass, field
 
 ENTITY_KINDS = ("organization", "researcher", "algorithm", "hardware",
                 "product", "dataset", "metric-concept", "other")
@@ -29,6 +28,13 @@ class ProvenanceLevel:
     def label(self) -> str:
         return PROVENANCE_LABELS[self.level]
 
+    def to_record(self) -> int:
+        return self.level
+
+    @classmethod
+    def from_record(cls, level: int) -> "ProvenanceLevel":
+        return cls(level)
+
 
 @dataclass
 class Entity:
@@ -38,22 +44,12 @@ class Entity:
     aliases: list[str] = field(default_factory=list)
     first_seen_doc: str | None = None
 
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "Entity":
-        return cls(**data)
-
 
 @dataclass
 class OverheadEntry:
     name: str
     quantity: float | None = None
     unit: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -84,39 +80,12 @@ class MetricValue:
     def lower(self) -> float:
         return self.quantity[0] if self.is_interval else self.quantity
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "quantity": list(self.quantity) if self.is_interval else self.quantity,
-            "unit": self.unit,
-            "raw_text": self.raw_text,
-            "methodology": self.methodology,
-            "included_overheads": list(self.included_overheads),
-            "excluded_overheads": [e.to_record() for e in self.excluded_overheads],
-        }
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "MetricValue":
-        quantity = data["quantity"]
-        if isinstance(quantity, list):
-            quantity = (quantity[0], quantity[1])
-        return cls(
-            quantity=quantity, unit=data["unit"],
-            raw_text=data.get("raw_text", ""),
-            methodology=data.get("methodology", ""),
-            included_overheads=list(data.get("included_overheads", [])),
-            excluded_overheads=[OverheadEntry(**e)
-                                for e in data.get("excluded_overheads", [])],
-        )
-
 
 @dataclass
 class ComparabilityVerdict:
     comparable: bool
     discrepancies: list[str] = field(default_factory=list)
     asymmetry_note: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -134,42 +103,13 @@ class ClaimTriple:
     provenance: ProvenanceLevel | None = None
     metric: MetricValue | None = None
     cited_refs: list[str] = field(default_factory=list)  # slugs/external ids
-    enrichments: dict[str, Any] = field(default_factory=dict)
 
     @property
     def text(self) -> str:
         return f"{self.subject_name} {self.predicate} {self.object_name}"
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim_id,
-            "subject": self.subject,
-            "predicate": self.predicate,
-            "object": self.object,
-            "object_is_entity": self.object_is_entity,
-            "doc_id": self.doc_id,
-            "section_id": self.section_id,
-            "passage_ids": list(self.passage_ids),
-            "subject_name": self.subject_name,
-            "object_name": self.object_name,
-            "provenance": None if self.provenance is None else self.provenance.level,
-            "metric": None if self.metric is None else self.metric.to_record(),
-            "cited_refs": list(self.cited_refs),
-        }
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "ClaimTriple":
-        provenance = data.get("provenance")
-        metric = data.get("metric")
-        return cls(
-            claim_id=data["claim_id"], subject=data["subject"],
-            predicate=data["predicate"], object=data["object"],
-            object_is_entity=data["object_is_entity"], doc_id=data["doc_id"],
-            section_id=data["section_id"],
-            passage_ids=list(data["passage_ids"]),
-            subject_name=data.get("subject_name", ""),
-            object_name=data.get("object_name", ""),
-            provenance=None if provenance is None else ProvenanceLevel(provenance),
-            metric=None if metric is None else MetricValue.from_record(metric),
-            cited_refs=list(data.get("cited_refs", [])),
-        )
+    def task_payload(self, doc_slug: str) -> dict[str, str]:
+        """The claim as inference tasks carry it: readable names plus the
+        slug of its document."""
+        return {"slug": doc_slug, "subject": self.subject_name,
+                "predicate": self.predicate, "object": self.object_name}

@@ -5,14 +5,20 @@ corpus hash, and config hash; every store file is written in sorted order at
 a layer boundary; and the provider transcript is flushed per layer. Killing
 a run at any layer boundary and resuming reproduces the uninterrupted run
 byte-for-byte.
+
+Every store file is declared once, in `STORE`: one loop in `_persist` (run
+by `_flush_layer`) writes a layer's files and one loop in `resume` reloads
+them, through the dataclass codec of `records.py`. Adding a store file means
+adding one entry.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import assess as assess_mod
 from . import crosssource as cross
@@ -20,20 +26,22 @@ from . import intradoc as intra
 from . import signals as sig
 from .config import PipelineConfig
 from .corpus.embedding import EmbeddingStore, chunk_and_embed, embed_query
-from .corpus.ingest import ingest_document
-from .corpus.model import DocumentMetadata, EmbeddingRecord, SourceDocument
+from .corpus.ingest import (RelationSet, corpus_fingerprint, ingest_document,
+                            load_corpus_dir)
+from .corpus.model import EmbeddingRecord, SourceDocument
 from .corpus.scoring import score_source
 from .corpus.visuals import describe_visual_asset
-from .errors import (BudgetExceeded, CitedDocMissing, ClaimcheckError,
-                     ConfigDrift, CorruptManifest, EmptyCorpus)
-from .ids import content_hash, hash_bytes, make_id
-from .jsonl import read_all, read_json, write_json, write_records
+from .errors import (BudgetExceeded, CitedDocMissing, ConfigDrift,
+                     CorruptManifest, EmptyCorpus)
+from .ids import content_hash, make_id
+from .jsonl import read_all, read_json, write_json, write_records, write_text
 from .knowledge.extraction import (EntityRegistry, classify_provenance,
                                    extract_claims, extract_entities)
 from .knowledge.graph import Edge, KnowledgeGraph, build_graph, relation_edge
 from .knowledge.model import ClaimTriple, Entity
-from .provider import (InferenceRouter, LiveProvider, ReplayProvider,
-                       ScriptedProvider, Transcript)
+from .provider import Transcript
+from .provider.spec import ProviderSpec, build_router
+from .records import from_record, to_record
 from .report import machine_report, narrative_report
 
 logger = logging.getLogger(__name__)
@@ -47,123 +55,84 @@ _EVENT_PREDICATES = {
     "partnered-with": "partnership",
     "reframed-position": "reframing",
 }
-_FINANCIAL_PREDICATES = {
-    "raised-funding": "funding-round",
-    "acquired": "acquisition",
-    "spent-on": "expenditure",
-    "earned-revenue": "revenue",
-}
 
 
-@dataclass
-class RelationSet:
-    """Structured relation records loaded from the corpus directory."""
+@dataclass(frozen=True)
+class StoreFile:
+    """One store file and the `Run` attribute it holds.
 
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    Lists are written sorted by `key` (as held if None); dicts are written
+    sorted by `key` and reloaded keyed by it. `record` is the rows' dataclass
+    (None: plain JSON rows, or the whole attribute for a `.json` file).
+    `reload` is False for deliverables that no later layer reads back.
+    """
 
-    def triples(self) -> list[tuple[str, str, str]]:
-        return [(r["subject"], r["relation"], r["object"]) for r in self.rows]
-
-    def entity_rows(self) -> list[dict[str, Any]]:
-        return [r for r in self.rows
-                if not r["subject"].startswith("doc:")
-                and not r["object"].startswith("doc:")]
-
-    def citation_rows(self) -> list[dict[str, Any]]:
-        return [r for r in self.rows if r["relation"] == "cites"]
-
-
-def _row_key(value: Any) -> Any:
-    """Hashable form of a JSON value: two values get equal keys exactly when
-    they compare equal with `==`."""
-    if isinstance(value, dict):
-        return frozenset((k, _row_key(v)) for k, v in value.items())
-    if isinstance(value, list):
-        return tuple(_row_key(v) for v in value)
-    return value
+    layer: str
+    name: str
+    attr: str
+    record: type | None = None
+    key: Callable[[Any], Any] | None = None
+    reload: bool = True
 
 
-def load_corpus_dir(corpus_dir: Path) -> tuple[list[tuple[str, bytes, str,
-                                                          DocumentMetadata | None]],
-                                               RelationSet]:
-    """Collect (name, raw, format, hints) for every document file plus the
-    relation records. Deterministic: files sorted by name."""
-    documents = []
-    relations = RelationSet()
-    seen_rows: set[Any] = set()
-    format_map = {".txt": "plain", ".html": "html", ".json": "json-manifest"}
-    for path in sorted(corpus_dir.iterdir()):
-        if not path.is_file() or path.name.endswith(".meta.json"):
-            continue
-        fmt = format_map.get(path.suffix)
-        if fmt is None:
-            continue
-        raw = path.read_bytes()
-        if fmt == "json-manifest":
-            data = read_json(path)
-            if data.get("manifest_kind") == "relations":
-                for row in data.get("records", []):
-                    key = _row_key(row)
-                    if key not in seen_rows:
-                        seen_rows.add(key)
-                        relations.rows.append(row)
-                continue
-        hints = None
-        sidecar = path.with_name(path.stem + ".meta.json")
-        if sidecar.exists():
-            hints = DocumentMetadata.from_record(read_json(sidecar))
-        documents.append((path.name, raw, fmt, hints))
-    return documents, relations
+_by = attrgetter
 
+# Every file of the run store, declared once: (layer that writes it, file,
+# Run attribute, record type, sort key).
+STORE = (
+    StoreFile("layer1", "documents.jsonl", "documents", SourceDocument, _by("doc_id")),
+    StoreFile("layer1", "sections.jsonl", "section_rows", reload=False),
+    StoreFile("layer1", "assets.jsonl", "asset_rows", reload=False),
+    StoreFile("layer1", "embeddings.jsonl", "embeddings", EmbeddingRecord),
+    StoreFile("layer1", "relations.jsonl", "relation_rows", key=content_hash),
+    StoreFile("layer2", "entities.jsonl", "entities", Entity),
+    StoreFile("layer2", "claims.jsonl", "claims", ClaimTriple, _by("claim_id")),
+    StoreFile("layer2", "doc_claims.json", "doc_claims"),
+    StoreFile("layer2", "doc_entities.json", "doc_entities"),
+    StoreFile("layer3", "evidence_links.jsonl", "links", intra.EvidenceLink,
+              _by("claim_id", "evidence_id")),
+    StoreFile("layer3", "coherence_flags.jsonl", "coherence", intra.CoherenceFlag,
+              _by("doc_id", "dimension")),
+    StoreFile("layer3", "overclaims.jsonl", "overclaims", intra.OverclaimAnnotation,
+              _by("claim_id", "issue")),
+    StoreFile("layer3", "verdicts.jsonl", "verdicts", intra.ClaimVerdict, _by("claim_id")),
+    StoreFile("layer3", "consistency.jsonl", "consistency", intra.ConsistencyReport,
+              _by("doc_id")),
+    StoreFile("layer4", "alignments.jsonl", "alignments", cross.ClaimAlignment,
+              _by("claim_a", "claim_b")),
+    StoreFile("layer4", "agreements.jsonl", "agreements", cross.AgreementRecord,
+              _by("claim_id", "counter_doc")),
+    StoreFile("layer4", "independence.jsonl", "ratings", cross.IndependenceRating,
+              _by("pair")),
+    StoreFile("layer4", "consensus.jsonl", "consensus", cross.ConsensusScore,
+              _by("claim_id")),
+    StoreFile("layer4", "fidelity.jsonl", "fidelity", cross.CitationFidelityFinding,
+              _by("citing_claim", "cited_doc")),
+    StoreFile("layer4", "rubrics.jsonl", "rubrics", cross.RubricAssessment,
+              _by("claim_id", "rubric_source")),
+    StoreFile("layer5", "financial.jsonl", "financial", sig.FinancialProfile,
+              _by("entity_id")),
+    StoreFile("layer5", "coi.jsonl", "coi_flags", sig.COIFlag,
+              lambda f: (f.author, f.organization, len(f.product_path))),
+    StoreFile("layer5", "conflict_webs.jsonl", "conflict_webs", sig.EntityConflictWeb,
+              _by("entity_id")),
+    StoreFile("layer5", "supply_chains.jsonl", "supply_chains", sig.SupplyChainDependency,
+              lambda c: (c.dependent, len(c.chain), str(c.chain))),
+    StoreFile("layer5", "timeline.jsonl", "timeline", sig.StrategicEvent),
+    StoreFile("layer5", "correlations.jsonl", "correlations"),
+    StoreFile("layer5", "signal_profiles.jsonl", "signal_profiles", sig.SignalProfile,
+              _by("entity_id"), reload=False),
+    StoreFile("layer6", "profiles.jsonl", "profiles", assess_mod.EvidenceProfile,
+              lambda p: p.claim.claim_id, reload=False),
+    StoreFile("layer6", "matrix.jsonl", "matrix", assess_mod.HypothesisRow, reload=False),
+)
 
-def corpus_fingerprint(corpus_dir: Path) -> str:
-    parts = []
-    for path in sorted(corpus_dir.iterdir()):
-        if path.is_file():
-            parts.append([path.name, hash_bytes(path.read_bytes())])
-    return content_hash(parts)
+# Run state kept in the manifest rather than the store.
+_MANIFEST_LISTS = ("seeds", "docs_processed", "queue", "gaps", "citation_gaps")
 
-
-@dataclass
-class ProviderSpec:
-    mode: str                      # replay | scripted | live
-    fixtures: str | None = None    # replay transcript path (file or dir)
-    playbook: str | None = None    # scripted playbook path
-    backend: str | None = None     # live backend "module:function"
-
-    def to_record(self) -> dict[str, Any]:
-        return {"mode": self.mode, "fixtures": self.fixtures,
-                "playbook": self.playbook, "backend": self.backend}
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "ProviderSpec":
-        return cls(**data)
-
-
-def build_router(spec: ProviderSpec, cfg: PipelineConfig,
-                 transcript: Transcript) -> InferenceRouter:
-    if spec.mode == "replay":
-        if not spec.fixtures:
-            raise ClaimcheckError("replay provider needs --fixtures")
-        backend = ReplayProvider.from_path(Path(spec.fixtures))
-    elif spec.mode == "scripted":
-        if not spec.playbook:
-            raise ClaimcheckError("scripted provider needs --playbook")
-        backend = ScriptedProvider.from_path(Path(spec.playbook))
-    elif spec.mode == "live":
-        if not spec.backend:
-            raise ClaimcheckError(
-                "live provider needs --backend module:function")
-        backend = LiveProvider.from_spec(spec.backend)
-    else:
-        raise ClaimcheckError(f"unknown provider mode {spec.mode!r}")
-    backoff = 0.0 if getattr(backend, "deterministic", False) \
-        else cfg.provider.backoff_base
-    return InferenceRouter(
-        backends={"*": backend}, routing=cfg.provider.routing,
-        default_tag=cfg.provider.default_tag, retries=cfg.provider.retries,
-        backoff_base=backoff, backoff_factor=cfg.provider.backoff_factor,
-        transcript=transcript)
+# Layer 4 extracts and verifies the documents it discovers, so it rewrites
+# the knowledge and intradoc stores along with its own.
+_REWRITES = {"layer4": ("layer2", "layer3", "layer4")}
 
 
 class Run:
@@ -182,6 +151,7 @@ class Run:
         self.router = build_router(provider_spec, cfg, self.transcript)
 
         self.documents: dict[str, SourceDocument] = {}
+        self.docs_by_slug: dict[str, SourceDocument] = {}
         self.relations = RelationSet()
         self.store = EmbeddingStore(cfg.corpus.embedding_dim,
                                     cfg.corpus.embedding_model_tag)
@@ -240,10 +210,20 @@ class Run:
         return doc.slug if doc else doc_id
 
     def doc_by_slug(self, slug: str) -> SourceDocument | None:
-        for doc in self.documents.values():
-            if doc.slug == slug:
-                return doc
-        return self.documents.get(slug)
+        return self.docs_by_slug.get(slug) or self.documents.get(slug)
+
+    def _index(self) -> None:
+        """Rebuild the lookup tables over documents, alignments and fidelity
+        findings; run after layer 1 and after a reload. Of documents that
+        share a slug, the lowest doc_id wins, so a resumed run resolves
+        slugs as the fresh run did."""
+        self.docs_by_slug = {}
+        for doc_id in sorted(self.documents):
+            doc = self.documents[doc_id]
+            self.docs_by_slug.setdefault(doc.slug, doc)
+        self.alignment_by_pair = {frozenset((a.claim_a, a.claim_b)): a
+                                  for a in self.alignments}
+        self.fidelity_by_claim = {f.citing_claim: f for f in self.fidelity}
 
     def write_manifest(self) -> None:
         write_json(self.manifest_path, {
@@ -255,20 +235,72 @@ class Run:
             "corpus_hash": self.corpus_hash,
             "config_hash": self.cfg.snapshot_hash(),
             "config": self.cfg.to_dict(),
-            "provider": self.provider_spec.to_record(),
+            "provider": to_record(self.provider_spec),
             "layers": self.layers_done,
-            "seeds": sorted(self.seeds),
-            "docs_processed": sorted(self.docs_processed),
-            "queue": sorted(self.queue),
-            "gaps": sorted(self.gaps),
-            "citation_gaps": sorted(self.citation_gaps),
+            **{name: sorted(getattr(self, name)) for name in _MANIFEST_LISTS},
         })
 
+    def _persist(self, layer: str) -> None:
+        layers = _REWRITES.get(layer, (layer,))
+        for entry in (e for e in STORE if e.layer in layers):
+            path = self.store_dir / entry.name
+            value = getattr(self, entry.attr)
+            if entry.name.endswith(".json"):
+                write_json(path, value)
+                continue
+            rows = value.values() if isinstance(value, dict) else value
+            if entry.key is not None:
+                rows = sorted(rows, key=entry.key)
+            write_records(path, map(to_record, rows) if entry.record else rows)
+
     def _flush_layer(self, layer: str) -> None:
+        self._persist(layer)
         self.layers_done[layer] = True
         batch = self.transcript.drain()
         write_records(self.run_dir / "transcript" / f"{layer}.jsonl", batch)
         self.write_manifest()
+
+    # --- store views: Run attributes that STORE names but that live elsewhere
+
+    @property
+    def section_rows(self) -> list[dict[str, Any]]:
+        return [{"doc_id": d, **to_record(s)}
+                for d in sorted(self.documents)
+                for s in self.documents[d].body]
+
+    @property
+    def asset_rows(self) -> list[dict[str, Any]]:
+        return [{"doc_id": d, **{k: v for k, v in to_record(a).items()
+                                 if k != "section_id"}}
+                for d in sorted(self.documents)
+                for a in self.documents[d].assets]
+
+    @property
+    def embeddings(self) -> list[EmbeddingRecord]:
+        return self.store.records()
+
+    @embeddings.setter
+    def embeddings(self, records: list[EmbeddingRecord]) -> None:
+        for record in records:
+            self.store.add(record)
+
+    @property
+    def relation_rows(self) -> list[dict[str, Any]]:
+        return self.relations.rows
+
+    @relation_rows.setter
+    def relation_rows(self, rows: list[dict[str, Any]]) -> None:
+        self.relations = RelationSet(rows=rows)
+
+    @property
+    def entities(self) -> list[Entity]:
+        return self.registry.entities()
+
+    @entities.setter
+    def entities(self, entities: list[Entity]) -> None:
+        for entity in entities:
+            self.registry.register(entity.name, entity.kind, entity.aliases,
+                                   entity.first_seen_doc)
 
     # --- layer 1: corpus ------------------------------------------------------
 
@@ -279,6 +311,7 @@ class Run:
         for _, raw, fmt, hints in files:
             doc = ingest_document(raw, fmt, hints)
             self.documents[doc.doc_id] = doc
+        self._index()
         triples = self.relations.triples()
         for doc_id in sorted(self.documents):
             doc = self.documents[doc_id]
@@ -290,31 +323,7 @@ class Run:
                                        relations=triples, cfg=self.cfg.corpus)
             chunk_and_embed(doc, self.router, self.store,
                             self.cfg.max_parallelism)
-        self._persist_layer1()
         self._flush_layer("layer1")
-
-    def _persist_layer1(self) -> None:
-        write_records(self.store_dir / "documents.jsonl",
-                      [self.documents[d].to_record()
-                       for d in sorted(self.documents)])
-        write_records(self.store_dir / "sections.jsonl",
-                      [{"doc_id": d, "section_id": s.section_id,
-                        "heading": s.heading, "level": s.level,
-                        "passages": [[pid, text] for pid, text in s.passages]}
-                       for d in sorted(self.documents)
-                       for s in self.documents[d].body])
-        write_records(self.store_dir / "assets.jsonl",
-                      [{"doc_id": d, "asset_id": a.asset_id, "kind": a.kind,
-                        "caption": a.caption, "inline_refs": a.inline_refs,
-                        "description": a.description,
-                        "extracted_trends": a.extracted_trends}
-                       for d in sorted(self.documents)
-                       for a in self.documents[d].assets])
-        write_records(self.store_dir / "embeddings.jsonl",
-                      [r.to_record() for r in self.store.records()])
-        write_records(self.store_dir / "relations.jsonl",
-                      sorted(self.relations.rows,
-                             key=lambda r: content_hash(r)))
 
     # --- relation-derived structures -----------------------------------------
 
@@ -448,44 +457,12 @@ class Run:
         for doc_id in sorted(self.seeds):
             self._extract_doc(doc_id)
             self.docs_processed.append(doc_id)
-        self._persist_knowledge()
         self._flush_layer("layer2")
 
     def layer3(self) -> None:
         for doc_id in sorted(self.seeds):
             self._verify_doc(doc_id)
-        self._persist_intradoc()
         self._flush_layer("layer3")
-
-    def _persist_knowledge(self) -> None:
-        write_records(self.store_dir / "entities.jsonl",
-                      [e.to_record() for e in self.registry.entities()])
-        write_records(self.store_dir / "claims.jsonl",
-                      [self.claims[c].to_record() for c in sorted(self.claims)])
-        write_json(self.store_dir / "doc_claims.json",
-                   {d: self.doc_claims[d] for d in sorted(self.doc_claims)})
-        write_json(self.store_dir / "doc_entities.json",
-                   {d: self.doc_entities[d] for d in sorted(self.doc_entities)})
-
-    def _persist_intradoc(self) -> None:
-        write_records(self.store_dir / "evidence_links.jsonl",
-                      [l.to_record() for l in
-                       sorted(self.links,
-                              key=lambda l: (l.claim_id, l.evidence_id))])
-        write_records(self.store_dir / "coherence_flags.jsonl",
-                      [f.to_record() for f in
-                       sorted(self.coherence,
-                              key=lambda f: (f.doc_id, f.dimension))])
-        write_records(self.store_dir / "overclaims.jsonl",
-                      [a.to_record() for a in
-                       sorted(self.overclaims,
-                              key=lambda a: (a.claim_id, a.issue))])
-        write_records(self.store_dir / "verdicts.jsonl",
-                      [self.verdicts[c].to_record()
-                       for c in sorted(self.verdicts)])
-        write_records(self.store_dir / "consistency.jsonl",
-                      [self.consistency[d].to_record()
-                       for d in sorted(self.consistency)])
 
     # --- layer 4: cross-source -------------------------------------------------
 
@@ -525,9 +502,7 @@ class Run:
         self._process_queue()
 
         if self.gaps:
-            self._persist_knowledge()
-            self._persist_intradoc()
-            self._persist_crosssource()
+            self._persist("layer4")
             self.write_manifest()
             raise BudgetExceeded(
                 f"document budget {self.cfg.document_budget} exceeded; "
@@ -536,9 +511,6 @@ class Run:
 
         self._compare_claims(focus_claims)
         self._evaluate_rubrics()
-        self._persist_knowledge()
-        self._persist_intradoc()
-        self._persist_crosssource()
         self._flush_layer("layer4")
 
     def _rating_for(self, a: str, b: str,
@@ -726,48 +698,7 @@ class Run:
                 self.rubrics.append(cross.evaluate_rubric(
                     members, rubric_doc, self.router, slugs))
 
-    def _persist_crosssource(self) -> None:
-        write_records(self.store_dir / "alignments.jsonl",
-                      [a.to_record() for a in
-                       sorted(self.alignments,
-                              key=lambda a: (a.claim_a, a.claim_b))])
-        write_records(self.store_dir / "agreements.jsonl",
-                      [r.to_record() for r in
-                       sorted(self.agreements,
-                              key=lambda r: (r.claim_id, r.counter_doc))])
-        write_records(self.store_dir / "independence.jsonl",
-                      [self.ratings[k].to_record()
-                       for k in sorted(self.ratings)])
-        write_records(self.store_dir / "consensus.jsonl",
-                      [self.consensus[c].to_record()
-                       for c in sorted(self.consensus)])
-        write_records(self.store_dir / "fidelity.jsonl",
-                      [f.to_record() for f in
-                       sorted(self.fidelity,
-                              key=lambda f: (f.citing_claim, f.cited_doc))])
-        write_records(self.store_dir / "rubrics.jsonl",
-                      [r.to_record() for r in
-                       sorted(self.rubrics,
-                              key=lambda r: (r.claim_id, r.rubric_source))])
-
     # --- layer 5: signals --------------------------------------------------------
-
-    def _financial_events(self) -> dict[str, list[sig.FinancialEvent]]:
-        events: dict[str, list[sig.FinancialEvent]] = {}
-        for row in self.relations.rows:
-            kind = _FINANCIAL_PREDICATES.get(row["relation"])
-            if kind is None or "date" not in row:
-                continue
-            entity = self.registry.get(row["subject"])
-            if entity is None:
-                continue
-            amount = row.get("amount") or {}
-            events.setdefault(entity.entity_id, []).append(sig.FinancialEvent(
-                entity_id=entity.entity_id, date=row["date"], kind=kind,
-                description=row.get("description", row["object"]),
-                amount=amount.get("value"), currency=amount.get("currency"),
-                source=row.get("source", "relations")))
-        return events
 
     def _strategic_events(self, graph: KnowledgeGraph) -> list[sig.StrategicEvent]:
         events: list[sig.StrategicEvent] = []
@@ -803,7 +734,8 @@ class Run:
 
     def layer5(self) -> None:
         graph = self.graph()
-        financial_events = self._financial_events()
+        financial_events = sig.financial_events(self.relations.rows,
+                                                self.registry)
         for entity_id in sorted(financial_events):
             self.financial[entity_id] = sig.classify_spending(
                 financial_events[entity_id], self.cfg.signals)
@@ -869,34 +801,7 @@ class Run:
                 [c for c in self.supply_chains if c.dependent == entity_id],
                 self.timeline, self.correlations))
 
-        self._persist_signals()
         self._flush_layer("layer5")
-
-    def _persist_signals(self) -> None:
-        write_records(self.store_dir / "financial.jsonl",
-                      [self.financial[e].to_record()
-                       for e in sorted(self.financial)])
-        write_records(self.store_dir / "coi.jsonl",
-                      [f.to_record() for f in
-                       sorted(self.coi_flags,
-                              key=lambda f: (f.author, f.organization,
-                                             len(f.product_path)))])
-        write_records(self.store_dir / "conflict_webs.jsonl",
-                      [w.to_record() for w in
-                       sorted(self.conflict_webs, key=lambda w: w.entity_id)])
-        write_records(self.store_dir / "supply_chains.jsonl",
-                      [c.to_record() for c in
-                       sorted(self.supply_chains,
-                              key=lambda c: (c.dependent, len(c.chain),
-                                             str(c.chain)))])
-        write_records(self.store_dir / "timeline.jsonl",
-                      [e.to_record() for e in self.timeline])
-        write_records(self.store_dir / "correlations.jsonl",
-                      self.correlations)
-        write_records(self.store_dir / "signal_profiles.jsonl",
-                      [p.to_record() for p in
-                       sorted(self.signal_profiles,
-                              key=lambda p: p.entity_id)])
 
     # --- layer 6: assessment --------------------------------------------------------
 
@@ -975,16 +880,8 @@ class Run:
                 self.cfg.assess)
         self.alphas = assess_mod.detect_alpha(self.profiles, self.cfg.assess)
 
-        self._persist_assess()
         self._write_report()
         self._flush_layer("layer6")
-
-    def _persist_assess(self) -> None:
-        write_records(self.store_dir / "profiles.jsonl",
-                      [p.to_record() for p in
-                       sorted(self.profiles, key=lambda p: p.claim.claim_id)])
-        write_records(self.store_dir / "matrix.jsonl",
-                      [r.to_record() for r in self.matrix])
 
     def report_payload(self) -> dict[str, Any]:
         consistency = {
@@ -1012,12 +909,8 @@ class Run:
     def _write_report(self) -> None:
         payload = self.report_payload()
         write_json(self.run_dir / "report" / "assessment.json", payload)
-        text = narrative_report(payload)
-        path = self.run_dir / "report" / "assessment.txt"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
+        write_text(self.run_dir / "report" / "assessment.txt",
+                   narrative_report(payload))
 
     # --- orchestration -----------------------------------------------------------
 
@@ -1072,7 +965,7 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
         raise ConfigDrift(
             "config differs from the run snapshot; refusing to resume")
     if provider_spec is None:
-        provider_spec = ProviderSpec.from_record(manifest["provider"])
+        provider_spec = from_record(ProviderSpec, manifest["provider"])
 
     state = Run(Path(run_dir), Path(manifest["corpus_dir"]),
                 manifest["query"], cfg, provider_spec,
@@ -1081,87 +974,19 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
         raise ConfigDrift("corpus changed since the run was started")
     state.layers_done = {layer: bool(manifest["layers"].get(layer))
                          for layer in LAYERS}
-    state.seeds = list(manifest.get("seeds", []))
-    state.docs_processed = list(manifest.get("docs_processed", []))
-    state.queue = list(manifest.get("queue", []))
-    state.gaps = list(manifest.get("gaps", []))
-    state.citation_gaps = list(manifest.get("citation_gaps", []))
-    _reload_state(state)
+    for name in _MANIFEST_LISTS:
+        setattr(state, name, list(manifest.get(name, [])))
+    for entry in (e for e in STORE if e.reload and state.layers_done[e.layer]):
+        path = state.store_dir / entry.name
+        if entry.name.endswith(".json"):
+            setattr(state, entry.attr, read_json(path))
+            continue
+        rows = read_all(path)
+        if entry.record is not None:
+            rows = [from_record(entry.record, row) for row in rows]
+        if isinstance(getattr(state, entry.attr), dict):
+            rows = {entry.key(row): row for row in rows}
+        setattr(state, entry.attr, rows)
+    state._index()
     state.execute(stop_after=stop_after)
     return state
-
-
-def _reload_state(state: Run) -> None:
-    store = state.store_dir
-    if state.layers_done["layer1"]:
-        for record in read_all(store / "documents.jsonl"):
-            doc = SourceDocument.from_record(record)
-            state.documents[doc.doc_id] = doc
-        for record in read_all(store / "embeddings.jsonl"):
-            state.store.add(EmbeddingRecord(
-                owner=record["owner"], vector=tuple(record["vector"]),
-                model_tag=record["model_tag"]))
-        state.relations = RelationSet(rows=read_all(store / "relations.jsonl"))
-    if state.layers_done["layer2"]:
-        state._register_relation_entities()
-        for record in read_all(store / "entities.jsonl"):
-            entity = Entity.from_record(record)
-            state.registry.register(entity.name, entity.kind, entity.aliases,
-                                    entity.first_seen_doc)
-        for record in read_all(store / "claims.jsonl"):
-            claim = ClaimTriple.from_record(record)
-            state.claims[claim.claim_id] = claim
-        state.doc_claims = read_json(store / "doc_claims.json")
-        state.doc_entities = read_json(store / "doc_entities.json")
-    if state.layers_done["layer3"]:
-        state.links = [intra.EvidenceLink(**r)
-                       for r in read_all(store / "evidence_links.jsonl")]
-        state.coherence = [intra.CoherenceFlag(**r)
-                           for r in read_all(store / "coherence_flags.jsonl")]
-        state.overclaims = [intra.OverclaimAnnotation(**r)
-                            for r in read_all(store / "overclaims.jsonl")]
-        for record in read_all(store / "verdicts.jsonl"):
-            verdict = intra.ClaimVerdict(**record)
-            state.verdicts[verdict.claim_id] = verdict
-        for record in read_all(store / "consistency.jsonl"):
-            report = intra.ConsistencyReport(**record)
-            state.consistency[report.doc_id] = report
-    if state.layers_done["layer4"]:
-        state.alignments = [cross.ClaimAlignment(**r)
-                            for r in read_all(store / "alignments.jsonl")]
-        state.agreements = [cross.AgreementRecord.from_record(r)
-                            for r in read_all(store / "agreements.jsonl")]
-        for record in read_all(store / "independence.jsonl"):
-            pair = tuple(record.pop("pair"))
-            state.ratings[pair] = cross.IndependenceRating(pair=pair, **record)
-        for record in read_all(store / "consensus.jsonl"):
-            score = cross.ConsensusScore.from_record(record)
-            state.consensus[score.claim_id] = score
-        state.fidelity = [cross.CitationFidelityFinding(**r)
-                          for r in read_all(store / "fidelity.jsonl")]
-        state.alignment_by_pair = {frozenset((a.claim_a, a.claim_b)): a
-                                   for a in state.alignments}
-        state.fidelity_by_claim = {f.citing_claim: f for f in state.fidelity}
-        state.rubrics = [
-            cross.RubricAssessment(
-                claim_id=r["claim_id"], rubric_source=r["rubric_source"],
-                criteria=[tuple(c) for c in r["criteria"]],
-                summary=r["summary"])
-            for r in read_all(store / "rubrics.jsonl")]
-    if state.layers_done["layer5"]:
-        for record in read_all(store / "financial.jsonl"):
-            events = [sig.FinancialEvent(**e) for e in record["events"]]
-            state.financial[record["entity_id"]] = sig.FinancialProfile(
-                entity_id=record["entity_id"], events=events,
-                dominance=record["dominance"], summary=record["summary"])
-        state.coi_flags = [sig.COIFlag.from_record(r)
-                           for r in read_all(store / "coi.jsonl")]
-        state.conflict_webs = [sig.EntityConflictWeb(**r)
-                               for r in read_all(store / "conflict_webs.jsonl")]
-        state.supply_chains = [sig.SupplyChainDependency(**r)
-                               for r in read_all(store / "supply_chains.jsonl")]
-        state.timeline = [sig.StrategicEvent.from_record(r)
-                          for r in read_all(store / "timeline.jsonl")]
-        state.correlations = read_all(store / "correlations.jsonl")
-        # signal profiles are recomposed lazily; the persisted file is the
-        # deliverable

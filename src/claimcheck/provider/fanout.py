@@ -8,10 +8,10 @@ than dropped.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..errors import AllSlotsFailed, ClaimcheckError
+from ..parallel import parallel_map
 from .base import InferenceRouter
 from .tasks import InferenceResponse, InferenceTask
 
@@ -44,9 +44,7 @@ def fan_out(router: InferenceRouter, task: InferenceTask, samples: int,
         except ClaimcheckError as exc:
             return FanOutSlot(tag, index, None, str(exc))
 
-    workers = max(1, min(max_parallelism, len(slots)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, slots))
+    results = parallel_map(run, slots, max_parallelism)
     results.sort(key=lambda s: (s.provider_tag, s.sample_index))
     if all(not slot.ok for slot in results):
         raise AllSlotsFailed(

@@ -12,6 +12,7 @@ from typing import Any
 
 from .assess import AlphaSignal, HypothesisRow, MaturityAssessment
 from .ids import canonical_json
+from .records import to_record
 
 
 def machine_report(query: str, matrix: list[HypothesisRow],
@@ -25,9 +26,9 @@ def machine_report(query: str, matrix: list[HypothesisRow],
         "schema": "assessment@1",
         "run_id": run_id,
         "query": query,
-        "matrix": [row.to_record() for row in matrix],
-        "maturity": None if maturity is None else maturity.to_record(),
-        "alpha_signals": [a.to_record() for a in alphas],
+        "matrix": [to_record(row) for row in matrix],
+        "maturity": None if maturity is None else to_record(maturity),
+        "alpha_signals": [to_record(a) for a in alphas],
         "consistency": consistency,
         "independence": independence,
         "config": config_snapshot,

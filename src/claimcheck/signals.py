@@ -8,13 +8,15 @@ with temporal correlations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Any
 
 from .config import SignalsConfig
 from .errors import UnknownEntity
+from .knowledge.extraction import EntityRegistry
 from .knowledge.graph import KnowledgeGraph, Path, PathStep, find_paths
+from .records import to_record
 from .corpus.model import SourceDocument
 
 EVENT_KINDS = ("partnership", "acquisition", "funding", "product-launch",
@@ -32,9 +34,6 @@ class FinancialEvent:
     classification: str = "unclassified"  # capex | opex | unclassified
     source: str = ""
 
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class FinancialProfile:
@@ -42,11 +41,6 @@ class FinancialProfile:
     events: list[FinancialEvent]
     dominance: str  # capex-dominant | opex-dominant | mixed | unknown
     summary: str
-
-    def to_record(self) -> dict[str, Any]:
-        return {"entity_id": self.entity_id,
-                "events": [e.to_record() for e in self.events],
-                "dominance": self.dominance, "summary": self.summary}
 
 
 @dataclass
@@ -56,13 +50,6 @@ class COIFlag:
     role: str
     product_path: list[dict[str, str]]  # edge-labeled path steps
     disclosed: bool
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "COIFlag":
-        return cls(**data)
 
 
 @dataclass
@@ -77,18 +64,12 @@ class EntityConflictWeb:
     entity_id: str
     edges: list[dict[str, str]]  # {predicate, target, target_name}
 
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class SupplyChainDependency:
     dependent: str
     chain: list[dict[str, str]]
     single_supplier: bool
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -98,13 +79,6 @@ class StrategicEvent:
     parties: list[str]  # entity_ids
     source: str
     note: str = ""
-
-    def to_record(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "StrategicEvent":
-        return cls(**data)
 
 
 @dataclass
@@ -116,18 +90,6 @@ class SignalProfile:
     dependencies: list[SupplyChainDependency] = field(default_factory=list)
     timeline: list[StrategicEvent] = field(default_factory=list)
     correlations: list[dict[str, Any]] = field(default_factory=list)
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "entity_id": self.entity_id,
-            "financial": self.financial.to_record(),
-            "coi_flags": [f.to_record() for f in self.coi_flags],
-            "conflict_web": (None if self.conflict_web is None
-                             else self.conflict_web.to_record()),
-            "dependencies": [d.to_record() for d in self.dependencies],
-            "timeline": [e.to_record() for e in self.timeline],
-            "correlations": self.correlations,
-        }
 
 
 # --- spending classification ---------------------------------------------------
@@ -141,6 +103,35 @@ def _classify_event(event: FinancialEvent, cfg: SignalsConfig) -> str:
     if any(k in text for k in cfg.opex_keywords):
         return "opex"
     return "unclassified"
+
+
+_FINANCIAL_PREDICATES = {
+    "raised-funding": "funding-round",
+    "acquired": "acquisition",
+    "spent-on": "expenditure",
+    "earned-revenue": "revenue",
+}
+
+
+def financial_events(relation_rows: list[dict[str, Any]],
+                     registry: EntityRegistry
+                     ) -> dict[str, list[FinancialEvent]]:
+    """Dated financial relation records, per registered subject entity."""
+    events: dict[str, list[FinancialEvent]] = {}
+    for row in relation_rows:
+        kind = _FINANCIAL_PREDICATES.get(row["relation"])
+        if kind is None or "date" not in row:
+            continue
+        entity = registry.get(row["subject"])
+        if entity is None:
+            continue
+        amount = row.get("amount") or {}
+        events.setdefault(entity.entity_id, []).append(FinancialEvent(
+            entity_id=entity.entity_id, date=row["date"], kind=kind,
+            description=row.get("description", row["object"]),
+            amount=amount.get("value"), currency=amount.get("currency"),
+            source=row.get("source", "relations")))
+    return events
 
 
 def classify_spending(events: list[FinancialEvent],
@@ -312,7 +303,7 @@ def build_timeline(events: list[StrategicEvent], window_days: int,
                 for x in parties_a for y in parties_b)
             if linked:
                 correlations.append({
-                    "first": first.to_record(), "second": second.to_record(),
+                    "first": to_record(first), "second": to_record(second),
                     "gap_days": gap,
                     "note": f"{first.kind} followed by {second.kind} "
                             f"within {gap} days",

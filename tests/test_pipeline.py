@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from claimcheck.cli import main
 from claimcheck.config import PipelineConfig
+from claimcheck.corpus.ingest import ingest_document
 from claimcheck.errors import (BudgetExceeded, ConfigDrift, CorruptManifest,
                                EmptyCorpus, ProviderFailure)
 from claimcheck.jsonl import read_json
@@ -197,3 +199,25 @@ def test_relation_rows_deduplicated_by_equality_in_first_seen_order(a, b):
     assert relations.rows == expected
     assert [type(v) for r in relations.rows for v in r.values()] == \
         [type(v) for r in expected for v in r.values()]
+
+
+def test_shared_slug_resolves_alike_in_fresh_and_resumed_runs(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    original = (corpus / "s1-target.json").read_bytes()
+    data = json.loads(original)
+    data["title"] += " (preprint)"
+    copy = json.dumps(data, indent=2).encode("utf-8")
+    ids = [ingest_document(raw, "json-manifest").doc_id
+           for raw in (original, copy)]
+    # Name the copy so that file order reads the higher doc_id first.
+    (corpus / ("a-copy.json" if ids[1] > ids[0] else "z-copy.json")) \
+        .write_bytes(copy)
+
+    fresh = run(GOLDEN_QUERY, corpus, tmp_path / "fresh", PipelineConfig(),
+                scripted_spec(), target_doc="s1-target", stop_after="layer2")
+    run(GOLDEN_QUERY, corpus, tmp_path / "resumed", PipelineConfig(),
+        scripted_spec(), target_doc="s1-target", stop_after="layer1")
+    resumed = resume(tmp_path / "resumed", stop_after="layer2")
+    assert fresh.seeds == resumed.seeds == [min(ids)]
+    assert fresh.doc_by_slug("s1-target") == resumed.doc_by_slug("s1-target")
