@@ -196,8 +196,7 @@ class HypothesisBundle:
 
 
 def generate_hypotheses(profile: EvidenceProfile, router: InferenceRouter,
-                        n_samples: int, models: list[str],
-                        max_parallelism: int = 4) -> HypothesisBundle:
+                        n_samples: int, models: list[str]) -> HypothesisBundle:
     """Sample hypothesis conclusions across models and draft the adversarial
     counter-hypothesis with a directed prompt (not a resample)."""
     if n_samples < 1:
@@ -213,7 +212,7 @@ def generate_hypotheses(profile: EvidenceProfile, router: InferenceRouter,
             "provenance": profile.provenance_level,
         },
     })
-    slots = fan_out(router, task, n_samples, models, max_parallelism)
+    slots = fan_out(router, task, n_samples, models)
     statement: str | None = None
     samples: list[str] = []
     model_conclusions: dict[str, list[str]] = {}

@@ -5,12 +5,12 @@ from .embedding import (EmbeddingStore, chunk_and_embed, embed_query,
 from .ingest import FORMATS, ingest_document
 from .model import (DocumentMetadata, EmbeddingRecord, Section, SourceDocument,
                     SourceScore, VisualAsset)
-from .scoring import score_source
+from .scoring import score_source, sells_chains
 from .visuals import describe_visual_asset
 
 __all__ = [
     "EmbeddingStore", "chunk_and_embed", "embed_query", "embed_texts",
     "semantic_search", "FORMATS", "ingest_document", "DocumentMetadata",
     "EmbeddingRecord", "Section", "SourceDocument", "SourceScore",
-    "VisualAsset", "score_source", "describe_visual_asset",
+    "VisualAsset", "score_source", "sells_chains", "describe_visual_asset",
 ]

@@ -6,7 +6,6 @@ import numpy as np
 
 from ..errors import (ClaimcheckError, DimensionMismatch, EmptyStore,
                       ModelTagMismatch)
-from ..parallel import parallel_map
 from ..provider import InferenceRouter, InferenceTask
 from .model import EmbeddingRecord, SourceDocument
 
@@ -66,8 +65,7 @@ class EmbeddingStore:
 
 
 def embed_texts(router: InferenceRouter, owners_texts: list[tuple[str, str]],
-                dim: int, model_tag: str,
-                max_parallelism: int = 4) -> list[EmbeddingRecord]:
+                dim: int, model_tag: str) -> list[EmbeddingRecord]:
     def one(pair: tuple[str, str]) -> EmbeddingRecord:
         owner, text = pair
         task = InferenceTask("embed", {"text": text, "dim": dim,
@@ -77,18 +75,16 @@ def embed_texts(router: InferenceRouter, owners_texts: list[tuple[str, str]],
                                vector=tuple(response.output["vector"]),
                                model_tag=response.output["model_tag"])
 
-    return parallel_map(one, owners_texts, max_parallelism)
+    return router.map(one, owners_texts)
 
 
 def chunk_and_embed(doc: SourceDocument, router: InferenceRouter,
-                    store: EmbeddingStore,
-                    max_parallelism: int = 4) -> list[EmbeddingRecord]:
+                    store: EmbeddingStore) -> list[EmbeddingRecord]:
     """One record per passage and per described asset; appended to `store`."""
     owners_texts = list(doc.passages())
     owners_texts.extend((a.asset_id, a.description)
                         for a in doc.described_assets())
-    records = embed_texts(router, owners_texts, store.dim, store.model_tag,
-                          max_parallelism)
+    records = embed_texts(router, owners_texts, store.dim, store.model_tag)
     for record in records:
         store.add(record)
     return records

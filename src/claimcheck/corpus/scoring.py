@@ -41,7 +41,7 @@ def _diversity_component(doc: SourceDocument, cfg: CorpusConfig) -> tuple[float,
     return len(affiliations) / len(authors), True
 
 
-def _sells_chain(relations: Iterable[tuple[str, str, str]]) -> dict[str, set[str]]:
+def sells_chains(relations: Iterable[tuple[str, str, str]]) -> dict[str, set[str]]:
     """org -> names of products it sells plus what those products implement."""
     sells: dict[str, set[str]] = {}
     implements: dict[str, set[str]] = {}
@@ -59,10 +59,9 @@ def _sells_chain(relations: Iterable[tuple[str, str, str]]) -> dict[str, set[str
     return chains
 
 
-def score_source(doc: SourceDocument,
-                 corpus_context: Iterable[SourceDocument] = (),
-                 relations: Iterable[tuple[str, str, str]] = (),
+def score_source(doc: SourceDocument, sells: dict[str, set[str]] | None = None,
                  cfg: CorpusConfig | None = None) -> SourceScore:
+    """`sells` is `sells_chains` of the run's relations, built once per run."""
     cfg = cfg or CorpusConfig()
     venue, venue_known = _venue_component(doc.metadata.venue, cfg)
     cites, cites_known = _citation_component(doc.metadata.citation_count, cfg)
@@ -75,7 +74,7 @@ def score_source(doc: SourceDocument,
 
     bias_flags: list[str] = []
     text = doc.full_text().lower()
-    for org, commercial_names in _sells_chain(relations).items():
+    for org, commercial_names in (sells or {}).items():
         affiliated = any(org in aff.lower()
                          for _, aff in doc.metadata.authors)
         referenced = any(name.lower() in text for name in commercial_names)

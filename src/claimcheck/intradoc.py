@@ -15,7 +15,6 @@ from .corpus.embedding import EmbeddingStore, semantic_search
 from .corpus.model import SourceDocument
 from .errors import EmptyStore
 from .knowledge.model import ClaimTriple
-from .parallel import parallel_map
 from .provider import InferenceRouter, InferenceTask
 
 NLI_LABELS = ("supports", "contradicts", "neutral")
@@ -68,8 +67,7 @@ class ConsistencyReport:
 
 def align_claim_evidence(claim: ClaimTriple, doc: SourceDocument,
                          store: EmbeddingStore, router: InferenceRouter,
-                         cfg: IntradocConfig | None = None,
-                         max_parallelism: int = 4) -> list[EvidenceLink]:
+                         cfg: IntradocConfig | None = None) -> list[EvidenceLink]:
     """NLI-label candidate evidence: top-k semantic hits plus the claim's own
     source passages. Asset descriptions participate like passages."""
     cfg = cfg or IntradocConfig()
@@ -101,7 +99,7 @@ def align_claim_evidence(claim: ClaimTriple, doc: SourceDocument,
                             rationale=output.get("rationale", ""),
                             self_evidence=evidence_id in own)
 
-    return parallel_map(judge, ordered, max_parallelism)
+    return router.map(judge, ordered)
 
 
 def _owner_text(owner: str, doc: SourceDocument) -> str:

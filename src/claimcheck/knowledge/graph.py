@@ -102,14 +102,39 @@ def build_graph(entities: list[Entity], claims: list[ClaimTriple],
     return graph
 
 
-def find_paths(graph: KnowledgeGraph, from_entity: str, to_entity: str,
-               max_hops: int, predicate_filter: set[str] | None = None
-               ) -> list[Path]:
-    """All simple directed paths of length <= max_hops.
+def simple_paths(graph: KnowledgeGraph, start: str, max_hops: int,
+                 predicates: set[str] | None = None) -> list[Path]:
+    """Every simple directed path of 1..max_hops entity edges out of `start`.
 
     "Simple" means no repeated nodes; parallel edges yield distinct paths.
     Results are ordered shortest-first, then by the edge-id tuple.
     """
+    paths: list[Path] = []
+
+    def walk(current: str, visited: set[str], steps: Path) -> None:
+        for edge in graph.out_edges(current):
+            if not edge.object_is_entity or edge.object in visited:
+                continue
+            if predicates is not None and edge.predicate not in predicates:
+                continue
+            path = steps + (PathStep(edge_id=edge.edge_id,
+                                     predicate=edge.predicate,
+                                     from_entity=current,
+                                     to_entity=edge.object),)
+            paths.append(path)
+            if len(path) < max_hops:
+                walk(edge.object, visited | {edge.object}, path)
+
+    if max_hops >= 1:
+        walk(start, {start}, ())
+    paths.sort(key=lambda p: (len(p), tuple(s.edge_id for s in p)))
+    return paths
+
+
+def find_paths(graph: KnowledgeGraph, from_entity: str, to_entity: str,
+               max_hops: int, predicate_filter: set[str] | None = None
+               ) -> list[Path]:
+    """The simple paths of `simple_paths` that end at `to_entity`."""
     if from_entity not in graph.nodes:
         raise UnknownEntity(f"unknown entity {from_entity}")
     if to_entity not in graph.nodes:
@@ -119,27 +144,6 @@ def find_paths(graph: KnowledgeGraph, from_entity: str, to_entity: str,
     # longer path would revisit the endpoint).
     if from_entity == to_entity:
         return [()]
-
-    paths: list[Path] = []
-
-    def walk(current: str, visited: set[str], steps: list[PathStep]) -> None:
-        if len(steps) >= max_hops:
-            return
-        for edge in graph.out_edges(current):
-            if not edge.object_is_entity:
-                continue
-            if predicate_filter is not None and edge.predicate not in predicate_filter:
-                continue
-            step = PathStep(edge_id=edge.edge_id, predicate=edge.predicate,
-                            from_entity=current, to_entity=edge.object)
-            if edge.object == to_entity:
-                paths.append(tuple(steps + [step]))
-                continue
-            if edge.object in visited:
-                continue
-            walk(edge.object, visited | {edge.object}, steps + [step])
-
-    if max_hops >= 1:
-        walk(from_entity, {from_entity}, [])
-    paths.sort(key=lambda p: (len(p), tuple(s.edge_id for s in p)))
-    return paths
+    return [p for p in simple_paths(graph, from_entity, max_hops,
+                                    predicate_filter)
+            if p[-1].to_entity == to_entity]

@@ -29,7 +29,7 @@ from .corpus.embedding import EmbeddingStore, chunk_and_embed, embed_query
 from .corpus.ingest import (RelationSet, corpus_fingerprint, ingest_document,
                             load_corpus_dir)
 from .corpus.model import EmbeddingRecord, SourceDocument
-from .corpus.scoring import score_source
+from .corpus.scoring import score_source, sells_chains
 from .corpus.visuals import describe_visual_asset
 from .errors import (BudgetExceeded, CitedDocMissing, ConfigDrift,
                      CorruptManifest, EmptyCorpus)
@@ -81,8 +81,6 @@ _by = attrgetter
 # Run attribute, record type, sort key).
 STORE = (
     StoreFile("layer1", "documents.jsonl", "documents", SourceDocument, _by("doc_id")),
-    StoreFile("layer1", "sections.jsonl", "section_rows", reload=False),
-    StoreFile("layer1", "assets.jsonl", "asset_rows", reload=False),
     StoreFile("layer1", "embeddings.jsonl", "embeddings", EmbeddingRecord),
     StoreFile("layer1", "relations.jsonl", "relation_rows", key=content_hash),
     StoreFile("layer2", "entities.jsonl", "entities", Entity),
@@ -263,19 +261,6 @@ class Run:
     # --- store views: Run attributes that STORE names but that live elsewhere
 
     @property
-    def section_rows(self) -> list[dict[str, Any]]:
-        return [{"doc_id": d, **to_record(s)}
-                for d in sorted(self.documents)
-                for s in self.documents[d].body]
-
-    @property
-    def asset_rows(self) -> list[dict[str, Any]]:
-        return [{"doc_id": d, **{k: v for k, v in to_record(a).items()
-                                 if k != "section_id"}}
-                for d in sorted(self.documents)
-                for a in self.documents[d].assets]
-
-    @property
     def embeddings(self) -> list[EmbeddingRecord]:
         return self.store.records()
 
@@ -312,17 +297,15 @@ class Run:
             doc = ingest_document(raw, fmt, hints)
             self.documents[doc.doc_id] = doc
         self._index()
-        triples = self.relations.triples()
+        sells = sells_chains(self.relations.triples())
         for doc_id in sorted(self.documents):
             doc = self.documents[doc_id]
             doc.assets = [
                 describe_visual_asset(asset, doc.slug, self.router)
                 if asset.caption.strip() else asset
                 for asset in sorted(doc.assets, key=lambda a: a.asset_id)]
-            doc.quality = score_source(doc, self.documents.values(),
-                                       relations=triples, cfg=self.cfg.corpus)
-            chunk_and_embed(doc, self.router, self.store,
-                            self.cfg.max_parallelism)
+            doc.quality = score_source(doc, sells, cfg=self.cfg.corpus)
+            chunk_and_embed(doc, self.router, self.store)
         self._flush_layer("layer1")
 
     # --- relation-derived structures -----------------------------------------
@@ -437,8 +420,7 @@ class Run:
         doc_links: list[intra.EvidenceLink] = []
         for claim in claims:
             doc_links.extend(intra.align_claim_evidence(
-                claim, doc, self.store, self.router, self.cfg.intradoc,
-                self.cfg.max_parallelism))
+                claim, doc, self.store, self.router, self.cfg.intradoc))
         flags = intra.assess_coherence(doc, claims, self.router)
         annotations = intra.detect_overclaims(doc, claims, self.router)
         verdicts = [intra.derive_claim_verdict(claim, doc_links, annotations)
@@ -862,7 +844,7 @@ class Run:
         for profile in self.profiles:
             bundle = assess_mod.generate_hypotheses(
                 profile, self.router, self.cfg.assess.n_samples,
-                self.cfg.assess.hypothesis_models, self.cfg.max_parallelism)
+                self.cfg.assess.hypothesis_models)
             row = assess_mod.build_hypothesis_row(
                 profile, bundle, self._self_corrected(profile.claim),
                 self.cfg.assess)

@@ -3,7 +3,9 @@
 All natural-language judgment flows through `invoke`: it validates the
 response against the per-kind schema, retries with exponential backoff, and
 records every served response so a completed live run doubles as a replay
-fixture for future offline runs.
+fixture for future offline runs. Concurrent calls go through `map`, which
+runs them on the router's one bounded pool and collates results in input
+order, so pipeline outputs do not depend on worker completion order.
 """
 
 from __future__ import annotations
@@ -11,13 +13,17 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Protocol
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Iterable, Protocol, TypeVar
 
 from ..errors import ProviderFailure, SchemaViolation
 from .schemas import validate_output
 from .tasks import InferenceResponse, InferenceTask
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class Provider(Protocol):
@@ -57,11 +63,17 @@ class Transcript:
 
 
 class InferenceRouter:
-    """Routes task kinds to provider backends and applies the retry policy."""
+    """Routes task kinds to provider backends, applies the retry policy, and
+    bounds how many calls run at once.
+
+    The pool starts its threads on first use and ends them once the router
+    is dropped.
+    """
 
     def __init__(self, backends: dict[str, Provider], *, routing: dict[str, str],
                  default_tag: str, retries: int = 3, backoff_base: float = 0.1,
-                 backoff_factor: float = 2.0, transcript: Transcript | None = None):
+                 backoff_factor: float = 2.0, transcript: Transcript | None = None,
+                 max_parallelism: int = 4):
         self.backends = backends
         self.routing = routing
         self.default_tag = default_tag
@@ -69,6 +81,16 @@ class InferenceRouter:
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
         self.transcript = transcript
+        self._pool = ThreadPoolExecutor(max_workers=max_parallelism)
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """`fn` over `items` on the router's pool, results in input order.
+
+        If items fail, the exception of the first failing one by input order
+        is raised. `fn` must not call `map` itself: a nested wait on the
+        bounded pool can deadlock.
+        """
+        return list(self._pool.map(fn, items))
 
     def tag_for(self, kind: str) -> str:
         return self.routing.get(kind, self.default_tag)

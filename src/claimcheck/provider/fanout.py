@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AllSlotsFailed, ClaimcheckError
-from ..parallel import parallel_map
 from .base import InferenceRouter
 from .tasks import InferenceResponse, InferenceTask
 
@@ -29,7 +28,7 @@ class FanOutSlot:
 
 
 def fan_out(router: InferenceRouter, task: InferenceTask, samples: int,
-            providers: list[str], max_parallelism: int = 4) -> list[FanOutSlot]:
+            providers: list[str]) -> list[FanOutSlot]:
     if samples < 1:
         raise ClaimcheckError("fan_out needs samples >= 1")
     if not providers:
@@ -44,7 +43,7 @@ def fan_out(router: InferenceRouter, task: InferenceTask, samples: int,
         except ClaimcheckError as exc:
             return FanOutSlot(tag, index, None, str(exc))
 
-    results = parallel_map(run, slots, max_parallelism)
+    results = router.map(run, slots)
     results.sort(key=lambda s: (s.provider_tag, s.sample_index))
     if all(not slot.ok for slot in results):
         raise AllSlotsFailed(

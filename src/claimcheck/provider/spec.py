@@ -48,4 +48,4 @@ def build_router(spec: ProviderSpec, cfg: PipelineConfig,
         backends={"*": backend}, routing=cfg.provider.routing,
         default_tag=cfg.provider.default_tag, retries=cfg.provider.retries,
         backoff_base=backoff, backoff_factor=cfg.provider.backoff_factor,
-        transcript=transcript)
+        transcript=transcript, max_parallelism=cfg.max_parallelism)

@@ -15,7 +15,7 @@ from typing import Any
 from .config import SignalsConfig
 from .errors import UnknownEntity
 from .knowledge.extraction import EntityRegistry
-from .knowledge.graph import KnowledgeGraph, Path, PathStep, find_paths
+from .knowledge.graph import KnowledgeGraph, Path, find_paths, simple_paths
 from .records import to_record
 from .corpus.model import SourceDocument
 
@@ -244,27 +244,11 @@ def map_supply_chain(entity_id: str, graph: KnowledgeGraph, max_hops: int,
     cfg = cfg or SignalsConfig()
     if entity_id not in graph.nodes:
         raise UnknownEntity(f"unknown entity {entity_id}")
-    predicates = set(cfg.dependency_predicates)
-
-    chains: list[Path] = []
-
-    def walk(current: str, visited: set[str], steps: list) -> None:
-        extended = False
-        if len(steps) < max_hops:
-            for edge in graph.out_edges(current):
-                if edge.predicate not in predicates or not edge.object_is_entity:
-                    continue
-                if edge.object in visited:
-                    continue
-                step = PathStep(edge_id=edge.edge_id, predicate=edge.predicate,
-                                from_entity=current, to_entity=edge.object)
-                walk(edge.object, visited | {edge.object}, steps + [step])
-                extended = True
-        if steps and not extended:
-            chains.append(tuple(steps))
-
-    walk(entity_id, {entity_id}, [])
-    chains.sort(key=lambda p: (len(p), tuple(s.edge_id for s in p)))
+    paths = simple_paths(graph, entity_id, max_hops,
+                         set(cfg.dependency_predicates))
+    # Maximal paths: those that no other path extends.
+    prefixes = {p[:-1] for p in paths}
+    chains = [p for p in paths if p not in prefixes]
 
     manufacturers = {p[-1].to_entity for p in chains
                      if p[-1].predicate == "manufactured-by"}

@@ -10,7 +10,7 @@ from claimcheck.config import CorpusConfig
 from claimcheck.corpus import (DocumentMetadata, EmbeddingRecord,
                                EmbeddingStore, VisualAsset, chunk_and_embed,
                                describe_visual_asset, ingest_document,
-                               score_source, semantic_search)
+                               score_source, semantic_search, sells_chains)
 from claimcheck.errors import (DimensionMismatch, EmptyInput, EmptyStore,
                                ModelTagMismatch, ProviderFailure,
                                UnsupportedFormat)
@@ -130,14 +130,14 @@ def test_score_commercial_affiliation_flag():
                  ("Iskay Quantum Optimizer", "implements", "BF-DCQO")]
     target = ingest_document((CORPUS_DIR / "s1-target.json").read_bytes(),
                              "json-manifest")
-    score = score_source(target, relations=relations)
+    score = score_source(target, sells=sells_chains(relations))
     assert "commercial-affiliation" in score.bias_flags
 
     rebuttal = ingest_document(
         (CORPUS_DIR / "r1-wallclock-rebuttal.json").read_bytes(),
         "json-manifest")
     assert "commercial-affiliation" not in \
-        score_source(rebuttal, relations=relations).bias_flags
+        score_source(rebuttal, sells=sells_chains(relations)).bias_flags
 
 
 def test_score_independent_rebuttal_at_least_target():
@@ -149,8 +149,8 @@ def test_score_independent_rebuttal_at_least_target():
     rebuttal = ingest_document(
         (CORPUS_DIR / "r1-wallclock-rebuttal.json").read_bytes(),
         "json-manifest")
-    assert score_source(rebuttal, relations=relations, cfg=cfg).quality >= \
-        score_source(target, relations=relations, cfg=cfg).quality
+    assert score_source(rebuttal, sells=sells_chains(relations), cfg=cfg).quality >= \
+        score_source(target, sells=sells_chains(relations), cfg=cfg).quality
 
 
 # --- embedding and search ------------------------------------------------------

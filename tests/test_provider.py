@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import jsonschema
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+from claimcheck.config import PipelineConfig
 from claimcheck.errors import AllSlotsFailed, ProviderFailure, SchemaViolation
 from claimcheck.provider import (InferenceResponse, InferenceTask,
                                  ReplayProvider, ScriptedProvider, Transcript,
@@ -18,7 +20,7 @@ from claimcheck.provider.embedder import embed_text
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
 from claimcheck.provider.tasks import SCHEMA_VERSION
 
-from conftest import PLAYBOOK, StubProvider, make_router
+from conftest import PLAYBOOK, StubProvider, make_router, run_golden
 
 
 def test_fingerprint_independent_of_field_order():
@@ -149,6 +151,65 @@ def test_fan_out_all_slots_failed():
     task = InferenceTask("hypothesize", {"profile": {"claim": "k"}})
     with pytest.raises(AllSlotsFailed):
         fan_out(router, task, samples=1, providers=["analyst-a", "analyst-b"])
+
+
+# --- the router's bounded pool -----------------------------------------------
+
+def test_golden_run_starts_at_most_max_parallelism_threads(tmp_path,
+                                                           monkeypatch):
+    started = []
+    original = threading.Thread.start
+
+    def start(thread, *args, **kwargs):
+        started.append(thread.name)
+        return original(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    run_golden(tmp_path / "run")
+    assert 1 <= len(started) <= PipelineConfig().max_parallelism, started
+
+
+def test_router_map_collates_in_input_order():
+    router = make_router(StubProvider(lambda t, tag, i: {}))
+    last_done = threading.Event()
+
+    def fn(i):
+        if i == 0:  # the first item finishes only after the last one
+            assert last_done.wait(timeout=10)
+        if i == 3:
+            last_done.set()
+        return i * 10
+
+    assert router.map(fn, range(4)) == [0, 10, 20, 30]
+    assert router.map(fn, []) == []
+
+
+def test_router_map_raises_the_earliest_failure_by_input_order():
+    router = make_router(StubProvider(lambda t, tag, i: {}))
+    later_failed = threading.Event()
+
+    def fn(i):
+        if i == 1:  # fails only after item 3 has failed
+            assert later_failed.wait(timeout=10)
+            raise ProviderFailure("item 1")
+        if i == 3:
+            later_failed.set()
+            raise ProviderFailure("item 3")
+        return i
+
+    with pytest.raises(ProviderFailure, match="item 1"):
+        router.map(fn, range(4))
+
+
+def test_pool_threads_exit_once_the_run_is_dropped(tmp_path):
+    before = set(threading.enumerate())
+    state = run_golden(tmp_path / "run")
+    pool_threads = set(threading.enumerate()) - before
+    assert pool_threads
+    del state
+    for thread in pool_threads:
+        thread.join(timeout=10)
+    assert not [t.name for t in pool_threads if t.is_alive()]
 
 
 def test_transcript_round_trips_through_replay(tmp_path):
