@@ -19,13 +19,9 @@ from .errors import EmptySamples, IncompleteEnrichment, NoProfiles
 from .ids import make_id
 from .intradoc import ClaimVerdict, CoherenceFlag
 from .knowledge.model import ClaimTriple
-from .provider import InferenceRouter, InferenceTask, fan_out
+from .provider import InferenceRouter, InferenceTask, claim_key, fan_out
 from .records import decode_fields, encode_fields
 from .signals import COIFlag, StrategicEvent
-
-CROSS_SOURCE_LABELS = ("supported", "contradicted", "consensus", "mixed")
-STATUS_LABELS = ("supported", "needs-review", "likely-hallucination")
-CONFIDENCE_LEVELS = ("low", "medium", "high")
 
 
 @dataclass
@@ -201,11 +197,10 @@ def generate_hypotheses(profile: EvidenceProfile, router: InferenceRouter,
     counter-hypothesis with a directed prompt (not a resample)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    claim_key = (f"{profile.source_slug}:{profile.claim.subject_name}"
-                 f"|{profile.claim.predicate}")
+    handle = claim_key(profile.claim.task_payload(profile.source_slug))
     task = InferenceTask("hypothesize", {
         "profile": {
-            "claim": claim_key,
+            "claim": handle,
             "statement_seed": profile.claim.text,
             "verdict": profile.verdict.verdict,
             "consensus": round(profile.consensus.score, 6),
@@ -245,7 +240,7 @@ def generate_hypotheses(profile: EvidenceProfile, router: InferenceRouter,
         statement=statement,
         supporting_refs=[profile.claim.claim_id], is_counter=False)
     counter_task = InferenceTask("counter-hypothesize", {
-        "claim": claim_key, "hypothesis": statement,
+        "claim": handle, "hypothesis": statement,
     })
     counter_output = router.invoke(counter_task).output
     counter = Hypothesis(

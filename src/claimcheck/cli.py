@@ -33,6 +33,9 @@ def _add_provider_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="pipeline config JSON")
 
 
+_CONFIG_ARGS = ("config", "budget", "window_days", "top_k", "max_hops")
+
+
 def _config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig.load(args.config)
     if getattr(args, "budget", None) is not None:
@@ -128,7 +131,11 @@ def main(argv: list[str] | None = None) -> int:
                             _provider_spec(args), target_doc=args.target_doc,
                             stop_after=args.stop_after)
             else:
-                state = resume(args.out, stop_after=args.stop_after)
+                # A config given for a run that exists must match its snapshot.
+                given = any(getattr(args, name, None) is not None
+                            for name in _CONFIG_ARGS)
+                state = resume(args.out, cfg if given else None,
+                               stop_after=args.stop_after)
             print(f"{args.command} complete: {state.run_dir}")
     except ClaimcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,14 @@ manifest so a resumed run can detect drift.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
 from .errors import ClaimcheckError
 from .ids import content_hash
 from .jsonl import read_json
+from .records import from_record
 
 
 @dataclass
@@ -169,21 +170,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
-        cfg = cls()
-        sections = {
-            "corpus": cfg.corpus, "knowledge": cfg.knowledge,
-            "intradoc": cfg.intradoc, "crosssource": cfg.crosssource,
-            "signals": cfg.signals, "assess": cfg.assess,
-            "provider": cfg.provider,
-        }
-        for name, section in sections.items():
-            for key, value in data.get(name, {}).items():
-                if not hasattr(section, key):
-                    raise ClaimcheckError(f"unknown config key: {name}.{key}")
-                setattr(section, key, value)
-        for key in ("document_budget", "relevance_top_n", "max_parallelism"):
-            if key in data:
-                setattr(cfg, key, data[key])
+        """A config from JSON: omitted keys keep their defaults."""
+        _check_keys(cls(), data)
+        cfg = from_record(cls, data)
         cfg.validate()
         return cfg
 
@@ -194,3 +183,15 @@ class PipelineConfig:
             cfg.validate()
             return cfg
         return cls.from_dict(read_json(path))
+
+
+def _check_keys(section: Any, data: Any, prefix: str = "") -> None:
+    if not isinstance(data, dict):
+        raise ClaimcheckError(
+            f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
+    names = {f.name for f in fields(section)}
+    for key, value in data.items():
+        if key not in names:
+            raise ClaimcheckError(f"unknown config key: {prefix}{key}")
+        if is_dataclass(getattr(section, key)):
+            _check_keys(getattr(section, key), value, f"{prefix}{key}.")

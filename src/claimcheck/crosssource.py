@@ -21,11 +21,7 @@ from .errors import (CitedDocMissing, EmptyStore, MissingConsistency,
 from .knowledge.graph import KnowledgeGraph
 from .knowledge.metrics import compare_metric_definitions
 from .knowledge.model import ClaimTriple
-from .provider import InferenceRouter, InferenceTask
-
-ALIGN_RELATIONS = ("matched", "partially-overlapping", "unrelated")
-AGREEMENT_LABELS = ("corroborates", "contradicts", "misrepresents")
-RATING_ORDER = ("high", "medium", "low")
+from .provider import InferenceRouter, InferenceTask, claim_key
 
 
 @dataclass
@@ -414,7 +410,7 @@ def evaluate_rubric(claim_cluster: list[ClaimTriple],
         "criteria": criteria,
         "cluster_subject": cluster_subject,
         "cluster": sorted(
-            f"{cluster_slugs.get(c.doc_id, c.doc_id)}:{c.subject_name}|{c.predicate}"
+            claim_key(c.task_payload(cluster_slugs.get(c.doc_id, c.doc_id)))
             for c in claim_cluster),
     })
     output = router.invoke(task).output

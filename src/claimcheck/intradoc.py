@@ -17,7 +17,6 @@ from .errors import EmptyStore
 from .knowledge.model import ClaimTriple
 from .provider import InferenceRouter, InferenceTask
 
-NLI_LABELS = ("supports", "contradicts", "neutral")
 VERDICTS = ("supports", "partial", "overclaim", "neutral", "contradicted")
 SEVERITY_ORDER = {"minor": 0, "moderate": 1, "severe": 2}
 

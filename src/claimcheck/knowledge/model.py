@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-ENTITY_KINDS = ("organization", "researcher", "algorithm", "hardware",
-                "product", "dataset", "metric-concept", "other")
-
 PROVENANCE_LABELS = {
     1: "experimental-data",
     2: "simulation-result",

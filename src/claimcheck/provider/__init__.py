@@ -4,8 +4,9 @@ from .base import InferenceRouter, Provider, Transcript
 from .fanout import FanOutSlot, fan_out
 from .live import LiveProvider
 from .replay import ReplayProvider
-from .scripted import ScriptedProvider, claim_key, pair_key
-from .tasks import SCHEMA_VERSION, InferenceResponse, InferenceTask
+from .schemas import SCHEMA_VERSION
+from .scripted import ScriptedProvider
+from .tasks import InferenceResponse, InferenceTask, claim_key, pair_key
 
 __all__ = [
     "InferenceRouter", "Provider", "Transcript", "FanOutSlot", "fan_out",

@@ -16,7 +16,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Protocol, TypeVar
 
+from ..config import ProviderConfig
 from ..errors import ProviderFailure, SchemaViolation
+from ..records import to_record
 from .schemas import validate_output
 from .tasks import InferenceResponse, InferenceTask
 
@@ -59,27 +61,22 @@ class Transcript:
                 key=lambda r: (r.fingerprint, r.provider_tag, r.sample_index),
             )
             self._pending = []
-        return [r.to_record() for r in batch]
+        return [to_record(r) for r in batch]
 
 
 class InferenceRouter:
-    """Routes task kinds to provider backends, applies the retry policy, and
+    """Serves every task from one backend, applies the retry policy, and
     bounds how many calls run at once.
 
     The pool starts its threads on first use and ends them once the router
     is dropped.
     """
 
-    def __init__(self, backends: dict[str, Provider], *, routing: dict[str, str],
-                 default_tag: str, retries: int = 3, backoff_base: float = 0.1,
-                 backoff_factor: float = 2.0, transcript: Transcript | None = None,
+    def __init__(self, backend: Provider, cfg: ProviderConfig, *,
+                 transcript: Transcript | None = None,
                  max_parallelism: int = 4):
-        self.backends = backends
-        self.routing = routing
-        self.default_tag = default_tag
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
+        self.backend = backend
+        self.cfg = cfg
         self.transcript = transcript
         self._pool = ThreadPoolExecutor(max_workers=max_parallelism)
 
@@ -92,25 +89,14 @@ class InferenceRouter:
         """
         return list(self._pool.map(fn, items))
 
-    def tag_for(self, kind: str) -> str:
-        return self.routing.get(kind, self.default_tag)
-
-    def _backend(self, provider_tag: str) -> Provider:
-        backend = self.backends.get(provider_tag) or self.backends.get("*")
-        if backend is None:
-            raise ProviderFailure(
-                f"no backend configured for provider tag {provider_tag!r}",
-                retryable=False)
-        return backend
-
     def invoke(self, task: InferenceTask, provider_tag: str | None = None,
                sample_index: int = 0) -> InferenceResponse:
-        tag = provider_tag or self.tag_for(task.kind)
-        backend = self._backend(tag)
+        cfg = self.cfg
+        tag = provider_tag or cfg.routing.get(task.kind, cfg.default_tag)
         last_error: Exception | None = None
-        for attempt in range(self.retries):
+        for attempt in range(cfg.retries):
             try:
-                output = backend.complete(task, tag, sample_index)
+                output = self.backend.complete(task, tag, sample_index)
                 validate_output(task.kind, output)
                 response = InferenceResponse(
                     fingerprint=task.fingerprint, kind=task.kind,
@@ -126,12 +112,12 @@ class InferenceRouter:
                 last_error = exc
             # Deterministic backends will not change their answer; sleeping
             # and retrying would only slow replay tests down.
-            if getattr(backend, "deterministic", False):
+            if self.backend.deterministic:
                 break
-            if attempt + 1 < self.retries:
-                time.sleep(self.backoff_base * self.backoff_factor ** attempt)
+            if attempt + 1 < cfg.retries:
+                time.sleep(cfg.backoff_base * cfg.backoff_factor ** attempt)
         if isinstance(last_error, SchemaViolation):
             raise last_error
         raise ProviderFailure(
             f"{task.kind} task {task.fingerprint} failed after "
-            f"{self.retries} attempts: {last_error}")
+            f"{cfg.retries} attempts: {last_error}")

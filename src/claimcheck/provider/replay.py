@@ -12,6 +12,7 @@ from typing import Any
 
 from ..errors import ProviderFailure
 from ..jsonl import read_records
+from ..records import from_record
 from .tasks import InferenceResponse, InferenceTask
 
 Key = tuple[str, str, int]
@@ -34,7 +35,7 @@ class ReplayProvider:
         responses: dict[Key, InferenceResponse] = {}
         for file in files:
             for record in read_records(file):
-                response = InferenceResponse.from_record(record)
+                response = from_record(InferenceResponse, record)
                 key = (response.fingerprint, response.provider_tag,
                        response.sample_index)
                 responses[key] = response

@@ -1,5 +1,8 @@
 """Versioned output schemas, one per task kind.
 
+The keys of `OUTPUT_SCHEMAS` are the task kinds, and `SCHEMA_VERSION` names
+this set of schemas; task fingerprints and transcript records carry it.
+
 Responses are validated before any caller sees them; a malformed provider
 output is a SchemaViolation, never a silent pass-through. Schemas are the
 contract that keeps differently-styled inference backends interchangeable.
@@ -31,7 +34,8 @@ from jsonschema import Draft202012Validator, ValidationError, validators
 from jsonschema.exceptions import best_match
 
 from ..errors import SchemaViolation
-from .tasks import SCHEMA_VERSION
+
+SCHEMA_VERSION = "v1"
 
 _ENTITY_KINDS = ["organization", "researcher", "algorithm", "hardware",
                  "product", "dataset", "metric-concept", "other"]

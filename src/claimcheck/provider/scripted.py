@@ -22,15 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from .embedder import embed_text
-from .tasks import InferenceTask
-
-
-def claim_key(claim: dict[str, Any]) -> str:
-    return f"{claim['slug']}:{claim['subject']}|{claim['predicate']}"
-
-
-def pair_key(a: dict[str, Any], b: dict[str, Any]) -> str:
-    return " & ".join(sorted((claim_key(a), claim_key(b))))
+from .tasks import InferenceTask, claim_key, pair_key
 
 
 class ScriptedProvider:

@@ -42,10 +42,5 @@ def build_router(spec: ProviderSpec, cfg: PipelineConfig,
         backend = LiveProvider.from_spec(spec.backend)
     else:
         raise ClaimcheckError(f"unknown provider mode {spec.mode!r}")
-    backoff = 0.0 if getattr(backend, "deterministic", False) \
-        else cfg.provider.backoff_base
-    return InferenceRouter(
-        backends={"*": backend}, routing=cfg.provider.routing,
-        default_tag=cfg.provider.default_tag, retries=cfg.provider.retries,
-        backoff_base=backoff, backoff_factor=cfg.provider.backoff_factor,
-        transcript=transcript, max_parallelism=cfg.max_parallelism)
+    return InferenceRouter(backend, cfg.provider, transcript=transcript,
+                           max_parallelism=cfg.max_parallelism)

@@ -1,4 +1,4 @@
-"""Inference task and response records.
+"""Inference task and response records, and the claim handles tasks carry.
 
 A task fingerprint is a pure function of (kind, canonicalized payload,
 schema version): field order and whitespace never change it. Fingerprints
@@ -11,25 +11,16 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..ids import content_hash
+from .schemas import OUTPUT_SCHEMAS, SCHEMA_VERSION
 
-SCHEMA_VERSION = "v1"
 
-TASK_KINDS = (
-    "extract-entities",
-    "extract-claims",
-    "classify-provenance",
-    "nli-verdict",
-    "coherence",
-    "overclaim",
-    "align-claims",
-    "citation-fidelity",
-    "root-cause",
-    "rubric",
-    "describe-asset",
-    "hypothesize",
-    "counter-hypothesize",
-    "embed",
-)
+def claim_key(claim: dict[str, Any]) -> str:
+    """`"<slug>:<subject>|<predicate>"` for a claim in its task payload form."""
+    return f"{claim['slug']}:{claim['subject']}|{claim['predicate']}"
+
+
+def pair_key(a: dict[str, Any], b: dict[str, Any]) -> str:
+    return " & ".join(sorted((claim_key(a), claim_key(b))))
 
 
 @dataclass(frozen=True)
@@ -39,7 +30,7 @@ class InferenceTask:
     fingerprint: str = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
+        if self.kind not in OUTPUT_SCHEMAS:
             raise ValueError(f"unknown task kind: {self.kind}")
         fp = content_hash({"kind": self.kind, "payload": self.payload,
                            "schema": SCHEMA_VERSION}, length=20)
@@ -48,28 +39,11 @@ class InferenceTask:
 
 @dataclass(frozen=True)
 class InferenceResponse:
+    """One served response; its record is a line of the run transcript."""
+
     fingerprint: str
     kind: str
     output: dict[str, Any]
     provider_tag: str
     sample_index: int = 0
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "kind": self.kind,
-            "output": self.output,
-            "provider_tag": self.provider_tag,
-            "sample_index": self.sample_index,
-            "schema_version": SCHEMA_VERSION,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "InferenceResponse":
-        return cls(
-            fingerprint=record["fingerprint"],
-            kind=record["kind"],
-            output=record["output"],
-            provider_tag=record["provider_tag"],
-            sample_index=int(record.get("sample_index", 0)),
-        )
+    schema_version: str = SCHEMA_VERSION

@@ -19,9 +19,6 @@ from .knowledge.graph import KnowledgeGraph, Path, find_paths, simple_paths
 from .records import to_record
 from .corpus.model import SourceDocument
 
-EVENT_KINDS = ("partnership", "acquisition", "funding", "product-launch",
-               "publication", "rebuttal", "reframing")
-
 
 @dataclass
 class FinancialEvent:

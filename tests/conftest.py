@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from claimcheck.config import PipelineConfig
+from claimcheck.config import PipelineConfig, ProviderConfig
 from claimcheck.pipeline import ProviderSpec, Run, run
 from claimcheck.provider import InferenceRouter, Transcript
 
@@ -36,9 +36,8 @@ class StubProvider:
 
 def make_router(backend, transcript: Transcript | None = None,
                 retries: int = 3) -> InferenceRouter:
-    return InferenceRouter(backends={"*": backend}, routing={},
-                           default_tag="analyst-a", retries=retries,
-                           backoff_base=0.0, transcript=transcript)
+    cfg = ProviderConfig(retries=retries, backoff_base=0.0, routing={})
+    return InferenceRouter(backend, cfg, transcript=transcript)
 
 
 def replay_spec() -> ProviderSpec:

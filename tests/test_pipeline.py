@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from claimcheck.cli import main
 from claimcheck.config import PipelineConfig
 from claimcheck.corpus.ingest import ingest_document
-from claimcheck.errors import (BudgetExceeded, ConfigDrift, CorruptManifest,
-                               EmptyCorpus, ProviderFailure)
+from claimcheck.errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
+                               CorruptManifest, EmptyCorpus, ProviderFailure)
 from claimcheck.jsonl import read_json
 from claimcheck.pipeline import (LAYERS, ProviderSpec, load_corpus_dir,
                                  resume, run)
@@ -221,3 +221,55 @@ def test_shared_slug_resolves_alike_in_fresh_and_resumed_runs(tmp_path):
     resumed = resume(tmp_path / "resumed", stop_after="layer2")
     assert fresh.seeds == resumed.seeds == [min(ids)]
     assert fresh.doc_by_slug("s1-target") == resumed.doc_by_slug("s1-target")
+
+
+def test_cli_layer_command_checks_a_given_config_against_the_run(tmp_path,
+                                                                 capsys):
+    run_dir = tmp_path / "run"
+    assert cli("ingest", "--corpus-dir", CORPUS_DIR, "--out", run_dir,
+               "--provider", "scripted", "--playbook", PLAYBOOK,
+               "--target-doc", "s1-target") == 0
+    code = cli("verify-cross", "--out", run_dir, "--top-k", "1",
+               "--max-hops", "0", "--budget", "1")
+    assert code == 2
+    assert "config differs" in capsys.readouterr().err
+    layers = read_json(run_dir / "manifest.json")["layers"]
+    assert layers["layer2"] is False and layers["layer4"] is False
+    # a given config equal to the run's snapshot continues the run
+    assert cli("extract", "--out", run_dir, "--budget", "50") == 0
+    assert read_json(run_dir / "manifest.json")["layers"]["layer2"] is True
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"document_budgett": 1}, "unknown config key: document_budgett"),
+    ({"corpus": {"quality_priorr": 0.5}},
+     "unknown config key: corpus.quality_priorr"),
+    ({"corpus": 5}, "config corpus must be a JSON object"),
+    ([1], "config file must be a JSON object"),
+])
+def test_config_rejects_unknown_keys_and_non_object_sections(data, message):
+    with pytest.raises(ClaimcheckError, match=message):
+        PipelineConfig.from_dict(data)
+
+
+def test_config_from_dict_overrides_only_the_given_keys():
+    cfg = PipelineConfig.from_dict({"corpus": {"quality_prior": 0.4},
+                                    "document_budget": 7})
+    expected = PipelineConfig()
+    expected.corpus.quality_prior = 0.4
+    expected.document_budget = 7
+    assert cfg == expected
+    assert PipelineConfig.from_dict(PipelineConfig().to_dict()) == \
+        PipelineConfig()
+
+
+@pytest.mark.parametrize("text", ['{"document_budgett": 1}', '{"corpus": 5}'])
+def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code = cli("run", "--query", GOLDEN_QUERY, "--corpus-dir", CORPUS_DIR,
+               "--out", tmp_path / "run", "--provider", "scripted",
+               "--playbook", PLAYBOOK, "--config", bad)
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import jsonschema
 import pytest
@@ -11,16 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from claimcheck.config import PipelineConfig
+from claimcheck.config import PipelineConfig, ProviderConfig
 from claimcheck.errors import AllSlotsFailed, ProviderFailure, SchemaViolation
-from claimcheck.provider import (InferenceResponse, InferenceTask,
-                                 ReplayProvider, ScriptedProvider, Transcript,
-                                 fan_out)
+from claimcheck.jsonl import dumps_record, write_records
+from claimcheck.provider import (InferenceResponse, InferenceRouter,
+                                 InferenceTask, ReplayProvider,
+                                 ScriptedProvider, Transcript, fan_out)
 from claimcheck.provider.embedder import embed_text
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
 from claimcheck.provider.tasks import SCHEMA_VERSION
+from claimcheck.records import from_record, to_record
 
-from conftest import PLAYBOOK, StubProvider, make_router, run_golden
+from conftest import (PLAYBOOK, TRANSCRIPT, StubProvider, make_router,
+                      run_golden)
 
 
 def test_fingerprint_independent_of_field_order():
@@ -379,3 +383,59 @@ def test_output_schemas_are_valid_2020_12(kind):
 def test_unknown_kind_raises_schema_violation():
     with pytest.raises(SchemaViolation, match="no output schema"):
         validate_output("divination", {})
+
+
+# --- the contract: task kinds, retry rule, transcript records ---------------
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_task_constructs_for_every_schema_kind(kind):
+    assert InferenceTask(kind, {}).kind == kind
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.text(max_size=20).filter(lambda kind: kind not in OUTPUT_SCHEMAS))
+def test_task_rejects_every_kind_without_a_schema(kind):
+    with pytest.raises(ValueError, match="unknown task kind"):
+        InferenceTask(kind, {})
+
+
+@pytest.mark.parametrize("deterministic, calls, sleeps",
+                         [(True, 1, []), (False, 3, [0.1, 0.2])])
+def test_only_nondeterministic_backends_are_retried_after_backoff(
+        monkeypatch, deterministic, calls, sleeps):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    backend = StubProvider(lambda t, tag, i: {"label": "perhaps"},
+                           deterministic=deterministic)
+    router = InferenceRouter(backend, ProviderConfig())
+    task = InferenceTask("nli-verdict", {"claim": {}, "passage": {"text": "x"}})
+    with pytest.raises(SchemaViolation):
+        router.invoke(task)
+    assert backend.calls == calls
+    assert slept == pytest.approx(sleeps)
+
+
+def test_transcript_record_round_trips_through_replay(tmp_path):
+    task = InferenceTask("hypothesize", {"profile": {"claim": "d:X|p"}})
+    response = InferenceResponse(
+        fingerprint=task.fingerprint, kind=task.kind,
+        output={"statement": "s", "conclusion": None},
+        provider_tag="analyst-b", sample_index=2)
+    transcript = Transcript()
+    transcript.record(response)
+    [record] = transcript.drain()
+    assert record == {"fingerprint": task.fingerprint, "kind": "hypothesize",
+                      "output": {"statement": "s", "conclusion": None},
+                      "provider_tag": "analyst-b", "sample_index": 2,
+                      "schema_version": SCHEMA_VERSION}
+    assert from_record(InferenceResponse,
+                       json.loads(dumps_record(record))) == response
+    write_records(tmp_path / "t.jsonl", [record])
+    replay = ReplayProvider.from_path(tmp_path / "t.jsonl")
+    assert replay.complete(task, "analyst-b", 2) == response.output
+
+
+def test_golden_transcript_lines_decode_and_encode_unchanged():
+    for line in TRANSCRIPT.read_text(encoding="utf-8").splitlines():
+        response = from_record(InferenceResponse, json.loads(line))
+        assert dumps_record(to_record(response)) == line
