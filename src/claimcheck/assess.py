@@ -72,11 +72,6 @@ class HypothesisRow:
     alternatives: list[Hypothesis]
     status: str
 
-    def to_record(self) -> dict[str, Any]:
-        record = encode_fields(self)
-        record["entropy"] = round(self.entropy, 6)
-        return record
-
 
 @dataclass
 class MaturityAssessment:
@@ -278,7 +273,7 @@ def build_hypothesis_row(profile: EvidenceProfile, bundle: HypothesisBundle,
                               *(c["counter_doc"]
                                 for c in profile.consensus.contributions)}),
         cross_source=cross_source_label(profile.consensus, cfg),
-        entropy=entropy,
+        entropy=round(entropy, 6),
         model_agreement=bundle.agreement,
         confidence=confidence,
         alternatives=[bundle.counter] if bundle.counter else [],

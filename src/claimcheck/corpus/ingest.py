@@ -44,7 +44,7 @@ def ingest_document(raw: bytes, format: str,
         doc = _from_html(doc_id, raw)
     else:  # plain and pdf-text share the heading heuristics
         doc = _from_plain(doc_id, raw)
-    if not doc.body or not doc.passages():
+    if not doc.sections or not doc.passages():
         raise EmptyInput("document yielded no sections or passages")
     doc.metadata = doc.metadata.merged_with(hints)
     return doc
@@ -110,7 +110,7 @@ def _from_manifest(doc_id: str, raw: bytes) -> SourceDocument:
 
     return SourceDocument(doc_id=doc_id, source_type=source_type,
                           title=normalize_text(data.get("title", "")),
-                          body=sections, assets=assets, metadata=metadata)
+                          sections=sections, assets=assets, metadata=metadata)
 
 
 def _from_plain(doc_id: str, raw: bytes) -> SourceDocument:
@@ -159,7 +159,7 @@ def _from_plain(doc_id: str, raw: bytes) -> SourceDocument:
     if not sections and title:
         sections = [_section_from(doc_id, 0, "Body", 1, [title])]
     return SourceDocument(doc_id=doc_id, source_type="paper", title=title,
-                          body=sections)
+                          sections=sections)
 
 
 class _HTMLCollector(HTMLParser):
@@ -201,7 +201,7 @@ def _from_html(doc_id: str, raw: bytes) -> SourceDocument:
     title = collector.title or next(
         (h for h, _, ps in collector.blocks if ps), "")
     return SourceDocument(doc_id=doc_id, source_type="paper", title=title,
-                          body=sections)
+                          sections=sections)
 
 
 # --- corpus directories ----------------------------------------------------

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-from ..records import decode_fields, encode_fields
 
 SOURCE_TYPES = ("paper", "patent", "rebuttal", "benchmark",
                 "evaluation-framework", "press", "filing", "profile")
@@ -67,7 +64,7 @@ class SourceDocument:
     doc_id: str
     source_type: str
     title: str
-    body: list[Section]
+    sections: list[Section]
     assets: list[VisualAsset] = field(default_factory=list)
     metadata: DocumentMetadata = field(default_factory=DocumentMetadata)
     quality: SourceScore | None = None
@@ -79,7 +76,7 @@ class SourceDocument:
 
     def passages(self) -> list[tuple[str, str]]:
         out: list[tuple[str, str]] = []
-        for section in self.body:
+        for section in self.sections:
             out.extend(section.passages)
         return out
 
@@ -91,7 +88,7 @@ class SourceDocument:
 
     def full_text(self) -> str:
         parts = [self.title]
-        for section in self.body:
+        for section in self.sections:
             parts.append(section.heading)
             parts.extend(text for _, text in section.passages)
         return "\n".join(parts)
@@ -100,23 +97,11 @@ class SourceDocument:
         return [a for a in self.assets if a.description]
 
     def find_section(self, *keywords: str) -> Section | None:
-        for section in self.body:
+        for section in self.sections:
             heading = section.heading.lower()
             if any(k in heading for k in keywords):
                 return section
         return None
-
-    def to_record(self) -> dict[str, Any]:
-        """The fields, with `body` stored under the key `sections`."""
-        record = encode_fields(self)
-        record["sections"] = record.pop("body")
-        return record
-
-    @classmethod
-    def from_record(cls, data: dict[str, Any]) -> "SourceDocument":
-        data = dict(data)
-        data["body"] = data.pop("sections")
-        return decode_fields(cls, data)
 
 
 @dataclass(frozen=True)

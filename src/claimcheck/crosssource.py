@@ -104,35 +104,44 @@ def citation_neighbors(citations: set[tuple[str, str]], doc_id: str,
     return seen
 
 
-def discover_related(claim: ClaimTriple, graph: KnowledgeGraph,
+def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
                      store: EmbeddingStore, router: InferenceRouter,
                      citations: set[tuple[str, str]],
                      documents: dict[str, SourceDocument],
-                     owner_to_doc: dict[str, str],
                      cfg: CrossSourceConfig | None = None) -> list[str]:
-    """Union of citation-hop, semantic-search, and entity-sharing hits.
+    """Union, over the focus claims, of citation-hop, semantic-search and
+    entity-sharing hits.
 
-    The claim's own source is excluded. Callers must push every newly
+    The claims' own sources are excluded. Callers must push every newly
     discovered document through Layers 1-3 before comparing claims.
     """
     cfg = cfg or CrossSourceConfig()
     related: set[str] = set()
 
-    related |= citation_neighbors(citations, claim.doc_id,
-                                  cfg.discovery_citation_hops)
+    for doc_id in {claim.doc_id for claim in claims}:
+        related |= citation_neighbors(citations, doc_id,
+                                      cfg.discovery_citation_hops)
 
+    owner_to_doc: dict[str, str] = {}
+    for doc_id in sorted(documents):
+        doc = documents[doc_id]
+        for pid, _ in doc.passages():
+            owner_to_doc[pid] = doc_id
+        for asset in doc.assets:
+            owner_to_doc[asset.asset_id] = doc_id
+    hits: list[tuple[str, float]] = []
     try:
-        hits = semantic_search(claim.text, cfg.discovery_top_k, store, router)
-    except EmptyStore:
-        hits = []
-    for owner, _ in hits:
-        doc_id = owner_to_doc.get(owner)
-        if doc_id:
-            related.add(doc_id)
+        for claim in claims:
+            hits += semantic_search(claim.text, cfg.discovery_top_k, store,
+                                    router)
+    except EmptyStore:  # the store has no records, so no claim has hits
+        pass
+    related.update(owner_to_doc[owner] for owner, _ in hits
+                   if owner in owner_to_doc)
 
     names: set[str] = set()
-    for entity_id in (claim.subject, claim.object if claim.object_is_entity else None):
-        if entity_id and entity_id in graph.nodes:
+    for entity_id in set().union(*(claim.endpoints for claim in claims)):
+        if entity_id in graph.nodes:
             entity = graph.nodes[entity_id]
             names.add(entity.name.lower())
             names.update(a.lower() for a in entity.aliases)
@@ -141,8 +150,8 @@ def discover_related(claim: ClaimTriple, graph: KnowledgeGraph,
         if any(name in text for name in names):
             related.add(doc_id)
 
-    related.discard(claim.doc_id)
-    return sorted(d for d in related if d in documents)
+    related -= {claim.doc_id for claim in claims}
+    return sorted(related.intersection(documents))
 
 
 # --- pairwise alignment and agreement ----------------------------------------

@@ -143,9 +143,9 @@ def extract_claims(doc: SourceDocument, entities: list[Entity],
         predicate = normalize_predicate(row["predicate"], cfg)
 
         passage_ids: list[str] = []
-        section_id = doc.body[0].section_id if doc.body else ""
+        section_id = doc.sections[0].section_id if doc.sections else ""
         for si, pi in row["passages"]:
-            section = doc.body[si]
+            section = doc.sections[si]
             passage_ids.append(section.passages[pi][0])
             section_id = section.section_id
 

@@ -105,6 +105,13 @@ class ClaimTriple:
     def text(self) -> str:
         return f"{self.subject_name} {self.predicate} {self.object_name}"
 
+    @property
+    def endpoints(self) -> set[str]:
+        """Entity ids the claim connects: the subject, plus the object when
+        the object is an entity."""
+        return {self.subject, self.object} if self.object_is_entity \
+            else {self.subject}
+
     def task_payload(self, doc_slug: str) -> dict[str, str]:
         """The claim as inference tasks carry it: readable names plus the
         slug of its document."""

@@ -31,8 +31,8 @@ from .corpus.ingest import (RelationSet, corpus_fingerprint, ingest_document,
 from .corpus.model import EmbeddingRecord, SourceDocument
 from .corpus.scoring import score_source, sells_chains
 from .corpus.visuals import describe_visual_asset
-from .errors import (BudgetExceeded, CitedDocMissing, ConfigDrift,
-                     CorruptManifest, EmptyCorpus)
+from .errors import (BudgetExceeded, ConfigDrift, CorruptManifest,
+                     EmptyCorpus)
 from .ids import content_hash, make_id
 from .jsonl import read_all, read_json, write_json, write_records, write_text
 from .knowledge.extraction import (EntityRegistry, classify_provenance,
@@ -105,7 +105,7 @@ STORE = (
     StoreFile("layer4", "consensus.jsonl", "consensus", cross.ConsensusScore,
               _by("claim_id")),
     StoreFile("layer4", "fidelity.jsonl", "fidelity", cross.CitationFidelityFinding,
-              _by("citing_claim", "cited_doc")),
+              _by("citing_claim")),
     StoreFile("layer4", "rubrics.jsonl", "rubrics", cross.RubricAssessment,
               _by("claim_id", "rubric_source")),
     StoreFile("layer5", "financial.jsonl", "financial", sig.FinancialProfile,
@@ -162,13 +162,11 @@ class Run:
         self.overclaims: list[intra.OverclaimAnnotation] = []
         self.verdicts: dict[str, intra.ClaimVerdict] = {}
         self.consistency: dict[str, intra.ConsistencyReport] = {}
-        self.alignments: list[cross.ClaimAlignment] = []
-        self.alignment_by_pair: dict[frozenset[str], cross.ClaimAlignment] = {}
+        self.alignments: dict[tuple[str, str], cross.ClaimAlignment] = {}
         self.agreements: list[cross.AgreementRecord] = []
         self.ratings: dict[tuple[str, str], cross.IndependenceRating] = {}
         self.consensus: dict[str, cross.ConsensusScore] = {}
-        self.fidelity: list[cross.CitationFidelityFinding] = []
-        self.fidelity_by_claim: dict[str, cross.CitationFidelityFinding] = {}
+        self.fidelity: dict[str, cross.CitationFidelityFinding] = {}
         self.rubrics: list[cross.RubricAssessment] = []
         self.financial: dict[str, sig.FinancialProfile] = {}
         self.coi_flags: list[sig.COIFlag] = []
@@ -211,17 +209,13 @@ class Run:
         return self.docs_by_slug.get(slug) or self.documents.get(slug)
 
     def _index(self) -> None:
-        """Rebuild the lookup tables over documents, alignments and fidelity
-        findings; run after layer 1 and after a reload. Of documents that
-        share a slug, the lowest doc_id wins, so a resumed run resolves
-        slugs as the fresh run did."""
+        """Rebuild the slug table over documents; run after layer 1 and
+        after a reload. Of documents that share a slug, the lowest doc_id
+        wins, so a resumed run resolves slugs as the fresh run did."""
         self.docs_by_slug = {}
         for doc_id in sorted(self.documents):
             doc = self.documents[doc_id]
             self.docs_by_slug.setdefault(doc.slug, doc)
-        self.alignment_by_pair = {frozenset((a.claim_a, a.claim_b)): a
-                                  for a in self.alignments}
-        self.fidelity_by_claim = {f.citing_claim: f for f in self.fidelity}
 
     def write_manifest(self) -> None:
         write_json(self.manifest_path, {
@@ -359,7 +353,7 @@ class Run:
                     orgs.add(entity.entity_id)
         return orgs
 
-    def corpus_view(self) -> cross.CorpusView:
+    def corpus_view(self, citations: set[tuple[str, str]]) -> cross.CorpusView:
         competitor_pairs: set[frozenset[str]] = set()
         for row in self.relations.entity_rows():
             if row["relation"] == "competes-with":
@@ -369,7 +363,7 @@ class Run:
                     competitor_pairs.add(frozenset((a.entity_id, b.entity_id)))
         return cross.CorpusView(
             metadata={d: self.documents[d].metadata for d in self.documents},
-            citations=self.citation_edges(),
+            citations=citations,
             competitor_pairs=competitor_pairs,
             doc_orgs={d: self.doc_orgs(d) for d in self.documents})
 
@@ -388,7 +382,7 @@ class Run:
         for doc_id in sorted(self.documents):
             doc = self.documents[doc_id]
             owners = {pid for pid, _ in
-                      (doc.body[0].passages if doc.body else [])}
+                      (doc.sections[0].passages if doc.sections else [])}
             if not owners:
                 continue
             hits = self.store.search(query_vec, k=1, owner_filter=owners)
@@ -452,8 +446,6 @@ class Run:
         budget = self.cfg.document_budget
         while self.queue:
             doc_id = self.queue.pop(0)
-            if doc_id in self.docs_processed:
-                continue
             if len(self.docs_processed) >= budget:
                 self.gaps.append(doc_id)
                 continue
@@ -462,25 +454,13 @@ class Run:
             self.docs_processed.append(doc_id)
 
     def layer4(self) -> None:
-        owner_to_doc: dict[str, str] = {}
-        for doc_id in sorted(self.documents):
-            doc = self.documents[doc_id]
-            for pid, _ in doc.passages():
-                owner_to_doc[pid] = doc_id
-            for asset in doc.assets:
-                owner_to_doc[asset.asset_id] = doc_id
         citations = self.citation_edges()
-        graph = self.graph()
-
         focus_claims = [self.claims[c] for d in sorted(self.seeds)
                         for c in self.doc_claims.get(d, [])]
-        discovered: set[str] = set()
-        for claim in focus_claims:
-            discovered.update(cross.discover_related(
-                claim, graph, self.store, self.router, citations,
-                self.documents, owner_to_doc, self.cfg.crosssource))
-        self.queue = sorted(d for d in discovered
-                            if d not in self.docs_processed)
+        discovered = cross.discover_related(
+            focus_claims, self.graph(), self.store, self.router, citations,
+            self.documents, self.cfg.crosssource)
+        self.queue = [d for d in discovered if d not in self.docs_processed]
         self._process_queue()
 
         if self.gaps:
@@ -491,7 +471,7 @@ class Run:
                 f"{len(self.gaps)} documents left unprocessed",
                 queued=sorted(self.gaps))
 
-        self._compare_claims(focus_claims)
+        self._compare_claims(focus_claims, self.corpus_view(citations))
         self._evaluate_rubrics()
         self._flush_layer("layer4")
 
@@ -524,29 +504,34 @@ class Run:
 
     def _candidate_counters(self, claim: ClaimTriple,
                             doc_id: str) -> list[ClaimTriple]:
-        anchors = {claim.subject}
-        if claim.object_is_entity:
-            anchors.add(claim.object)
-        out = []
-        for counter_id in self.doc_claims.get(doc_id, []):
-            counter = self.claims[counter_id]
-            endpoints = {counter.subject}
-            if counter.object_is_entity:
-                endpoints.add(counter.object)
-            if anchors & endpoints:
-                out.append(counter)
-        return out
+        """The document's claims that share an endpoint with `claim`."""
+        anchors = claim.endpoints
+        return [self.claims[c] for c in self.doc_claims.get(doc_id, [])
+                if anchors & self.claims[c].endpoints]
 
     def _align_pair(self, a: ClaimTriple, b: ClaimTriple) -> cross.ClaimAlignment:
-        key = frozenset((a.claim_id, b.claim_id))
-        alignment = self.alignment_by_pair.get(key)
+        alignment = self.alignments.get((a.claim_id, b.claim_id)) \
+            or self.alignments.get((b.claim_id, a.claim_id))
         if alignment is None:
             alignment = cross.align_claims(a, b, self.router,
                                            self.slug_of(a.doc_id),
                                            self.slug_of(b.doc_id))
-            self.alignments.append(alignment)
-            self.alignment_by_pair[key] = alignment
+            self.alignments[a.claim_id, b.claim_id] = alignment
         return alignment
+
+    def _matches(self, claim: ClaimTriple) -> list[
+            tuple[ClaimTriple, ClaimTriple, cross.ClaimAlignment]]:
+        """`(claim, counter, alignment)` for each counter-claim in another
+        processed document that aligns with `claim` as matched."""
+        out = []
+        for doc_id in sorted(self.docs_processed):
+            if doc_id == claim.doc_id:
+                continue
+            for counter in self._candidate_counters(claim, doc_id):
+                alignment = self._align_pair(claim, counter)
+                if alignment.relation == "matched":
+                    out.append((claim, counter, alignment))
+        return out
 
     def _fidelity_of(self, citing: ClaimTriple) -> cross.CitationFidelityFinding | None:
         """Citation-fidelity check for a provenance-4 claim, if its cited doc
@@ -554,29 +539,21 @@ class Run:
         if citing.provenance is None or citing.provenance.level != 4 \
                 or not citing.cited_refs:
             return None
-        finding = self.fidelity_by_claim.get(citing.claim_id)
-        if finding is not None:
-            return finding
+        if citing.claim_id in self.fidelity:
+            return self.fidelity[citing.claim_id]
         cited_slug = citing.cited_refs[0].removeprefix("doc:")
         cited = self.doc_by_slug(cited_slug)
-        try:
-            if cited is None:
-                raise CitedDocMissing(
-                    f"claim {citing.claim_id} cites {cited_slug!r} which is "
-                    f"not in the corpus")
-            finding = cross.check_citation_fidelity(
-                citing, [self.claims[c]
-                         for c in self.doc_claims.get(cited.doc_id, [])],
-                self.router, self.slug_of(citing.doc_id), cited.slug)
-        except CitedDocMissing:
+        if cited is None:
             self.citation_gaps.append(f"{citing.claim_id} -> {cited_slug}")
             return None
-        self.fidelity.append(finding)
-        self.fidelity_by_claim[citing.claim_id] = finding
-        return finding
+        self.fidelity[citing.claim_id] = cross.check_citation_fidelity(
+            citing, [self.claims[c]
+                     for c in self.doc_claims.get(cited.doc_id, [])],
+            self.router, self.slug_of(citing.doc_id), cited.slug)
+        return self.fidelity[citing.claim_id]
 
-    def _compare_claims(self, focus_claims: list[ClaimTriple]) -> None:
-        view = self.corpus_view()
+    def _compare_claims(self, focus_claims: list[ClaimTriple],
+                        view: cross.CorpusView) -> None:
         # Every (seed, processed-doc) pair gets a rating up front; the
         # deliverable includes ratings even for pairs that never produce an
         # agreement record.
@@ -585,39 +562,22 @@ class Run:
             for doc_id in sorted(self.docs_processed):
                 if doc_id != seed:
                     self._rating_for(seed, doc_id, view)
-        cluster: dict[str, ClaimTriple] = {
-            c.claim_id: c for c in focus_claims}
-        matched_pairs: list[tuple[ClaimTriple, ClaimTriple,
-                                  cross.ClaimAlignment]] = []
-
+        matched_pairs = []
         for claim in sorted(focus_claims, key=lambda c: c.claim_id):
             self._fidelity_of(claim)
-            for doc_id in sorted(self.docs_processed):
-                if doc_id == claim.doc_id:
-                    continue
-                for counter in self._candidate_counters(claim, doc_id):
-                    alignment = self._align_pair(claim, counter)
-                    if alignment.relation == "matched":
-                        matched_pairs.append((claim, counter, alignment))
-                        cluster[counter.claim_id] = counter
-
+            matched_pairs += self._matches(claim)
+        cluster = {c.claim_id: c for c in focus_claims}
+        counters = {counter.claim_id: counter
+                    for _, counter, _ in matched_pairs
+                    if counter.claim_id not in cluster}
+        cluster |= counters
         # Matched counter-claims get their own consensus so Layer 6 can
         # hypothesize over both sides of a contested proposition.
-        for counter_id in sorted(set(cluster) -
-                                 {c.claim_id for c in focus_claims}):
-            counter = cluster[counter_id]
-            for doc_id in sorted(self.docs_processed):
-                if doc_id == counter.doc_id:
-                    continue
-                for other in self._candidate_counters(counter, doc_id):
-                    alignment = self._align_pair(counter, other)
-                    if alignment.relation == "matched":
-                        matched_pairs.append((counter, other, alignment))
+        for counter_id in sorted(counters):
+            matched_pairs += self._matches(counters[counter_id])
 
         records: dict[tuple[str, str], cross.AgreementRecord] = {}
         for claim, counter, alignment in matched_pairs:
-            if claim.claim_id not in cluster:
-                continue
             label = ("corroborates" if alignment.stance == "agrees"
                      else "contradicts")
             fidelity = None
@@ -739,10 +699,7 @@ class Run:
         involved: set[str] = set(evaluated)
         for doc_id in sorted(self.seeds):
             for claim_id in self.doc_claims.get(doc_id, []):
-                claim = self.claims[claim_id]
-                involved.add(claim.subject)
-                if claim.object_is_entity:
-                    involved.add(claim.object)
+                involved |= self.claims[claim_id].endpoints
         for edge in graph.edges.values():
             if edge.predicate in ("implements", "evaluates") \
                     and edge.object_is_entity and edge.object in involved:
@@ -791,26 +748,19 @@ class Run:
         """Flags of involved entities: the asserting orgs plus any stake
         chain terminating at the claim's subject or object."""
         orgs = self.doc_orgs(claim.doc_id)
-        endpoints = {claim.subject}
-        if claim.object_is_entity:
-            endpoints.add(claim.object)
-        out = []
-        for flag in self.coi_flags:
-            if flag.organization in orgs or flag.author in orgs:
-                out.append(flag)
-            elif flag.product_path and \
-                    flag.product_path[-1]["to"] in endpoints:
-                out.append(flag)
-        return out
+        return [flag for flag in self.coi_flags
+                if flag.organization in orgs
+                or (flag.product_path
+                    and flag.product_path[-1]["to"] in claim.endpoints)]
 
     def _self_corrected(self, claim: ClaimTriple) -> bool:
         """A reframing event by the claimant whose source document carries a
         claim aligned with this one."""
         claimant_orgs = self.doc_orgs(claim.doc_id)
-        aligned_claims = {a.claim_b for a in self.alignments
+        aligned_claims = {a.claim_b for a in self.alignments.values()
                           if a.claim_a == claim.claim_id
                           and a.relation in ("matched", "partially-overlapping")}
-        aligned_claims |= {a.claim_a for a in self.alignments
+        aligned_claims |= {a.claim_a for a in self.alignments.values()
                            if a.claim_b == claim.claim_id
                            and a.relation in ("matched", "partially-overlapping")}
         aligned_docs = {self.claims[c].doc_id for c in aligned_claims

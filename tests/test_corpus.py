@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from claimcheck import records
 from claimcheck.config import CorpusConfig
 from claimcheck.corpus import (DocumentMetadata, EmbeddingRecord,
                                EmbeddingStore, VisualAsset, chunk_and_embed,
@@ -64,7 +65,7 @@ def test_ingest_same_bytes_same_doc_id():
     first = ingest_document(raw, "json-manifest")
     second = ingest_document(raw, "json-manifest")
     assert first.doc_id == second.doc_id
-    assert first.to_record() == second.to_record()
+    assert records.to_record(first) == records.to_record(second)
 
 
 def test_ingest_plain_heading_heuristics():
@@ -75,11 +76,11 @@ def test_ingest_plain_heading_heuristics():
         "RESULTS\n\nIt worked.\n"
     )
     doc = ingest_document(text.encode(), "plain")
-    headings = [s.heading for s in doc.body]
+    headings = [s.heading for s in doc.sections]
     assert "Introduction" in headings
     assert "Methods" in headings
     assert "Results" in headings
-    methods = next(s for s in doc.body if s.heading == "Methods")
+    methods = next(s for s in doc.sections if s.heading == "Methods")
     assert len(methods.passages) == 2
 
 
@@ -89,8 +90,8 @@ def test_ingest_html_sections():
             b"<h2>Details</h2><p>Third.</p></body></html>")
     doc = ingest_document(html, "html")
     assert doc.title == "Web Doc"
-    assert [s.heading for s in doc.body] == ["Overview", "Details"]
-    assert len(doc.body[0].passages) == 2
+    assert [s.heading for s in doc.sections] == ["Overview", "Details"]
+    assert len(doc.sections[0].passages) == 2
 
 
 def test_ingest_hints_override_extraction():

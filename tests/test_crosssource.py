@@ -4,11 +4,15 @@ consensus, rubric."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from claimcheck.config import CrossSourceConfig
-from claimcheck.corpus import DocumentMetadata, ingest_document
+from claimcheck.config import CrossSourceConfig, PipelineConfig
+from claimcheck.corpus import (DocumentMetadata, SourceDocument,
+                               ingest_document, semantic_search)
 from claimcheck.crosssource import (AgreementRecord, CorpusView,
                                     IndependenceRating, assess_independence,
                                     check_citation_fidelity, citation_neighbors,
@@ -16,13 +20,17 @@ from claimcheck.crosssource import (AgreementRecord, CorpusView,
                                     enumerate_rubric_criteria,
                                     evaluate_rubric,
                                     intermediary_citation_distance)
-from claimcheck.crosssource import analyze_contradiction
-from claimcheck.errors import (CitedDocMissing, MissingConsistency,
-                               MissingRating, RubricNotEnumerable,
-                               SchemaViolation)
-from claimcheck.provider import ReplayProvider
+from claimcheck.crosssource import analyze_contradiction, discover_related
+from claimcheck.errors import (CitedDocMissing, EmptyStore,
+                               MissingConsistency, MissingRating,
+                               RubricNotEnumerable, SchemaViolation)
+from claimcheck.knowledge.graph import KnowledgeGraph
+from claimcheck.knowledge.model import ProvenanceLevel
+from claimcheck.pipeline import Run
+from claimcheck.provider import ReplayProvider, ScriptedProvider
 
-from conftest import StubProvider, make_router
+from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, StubProvider,
+                      make_router, replay_spec)
 from test_intradoc import make_claim
 from test_corpus import manifest_bytes
 from test_knowledge import classical_metric, quantum_metric
@@ -257,8 +265,19 @@ def test_fidelity_missing_cited_doc():
         check_citation_fidelity(citing, [], router, "doc-a", None)
 
 
+def test_fidelity_of_missing_cited_doc_records_a_gap(tmp_path):
+    state = Run(tmp_path / "run", CORPUS_DIR, GOLDEN_QUERY, PipelineConfig(),
+                replay_spec())
+    citing = make_claim()
+    citing.provenance = ProvenanceLevel(4)
+    citing.cited_refs = ["doc:gone"]
+    assert state._fidelity_of(citing) is None
+    assert state.citation_gaps == ["clm-t -> gone"]
+    assert state.fidelity == {}
+
+
 def test_fidelity_faithful_and_distorted(golden, golden_claims):
-    findings = {f.citing_claim: f for f in golden.fidelity}
+    findings = golden.fidelity
     faithful_claim = golden_claims["s1-target:HUBO|generalizes"]
     assert findings[faithful_claim.claim_id].faithful is True
     distorted = golden_claims["s3-reframing:BF-DCQO|previously-demonstrated"]
@@ -313,16 +332,9 @@ def test_golden_discovery_includes_both_direct_rebuttals(golden,
                                                          golden_claims):
     from claimcheck.crosssource import discover_related
     claim = golden_claims["s1-target:BF-DCQO|achieves"]
-    owner_to_doc = {}
-    for doc_id, doc in golden.documents.items():
-        for pid, _ in doc.passages():
-            owner_to_doc[pid] = doc_id
-        for asset in doc.assets:
-            owner_to_doc[asset.asset_id] = doc_id
     related = discover_related(
-        claim, golden.graph(), golden.store, golden.router,
-        golden.citation_edges(), golden.documents, owner_to_doc,
-        CrossSourceConfig())
+        [claim], golden.graph(), golden.store, golden.router,
+        golden.citation_edges(), golden.documents, CrossSourceConfig())
     slugs = {golden.slug_of(d) for d in related}
     assert "r1-wallclock-rebuttal" in slugs
     assert "r2-bfnull-control" in slugs
@@ -332,15 +344,102 @@ def test_golden_discovery_includes_both_direct_rebuttals(golden,
 def test_golden_entity_scan_discovers_mention_docs(golden, golden_claims):
     from claimcheck.crosssource import discover_related
     claim = golden_claims["s1-target:BF-DCQO|executed-on"]
-    owner_to_doc = {}
-    for doc_id, doc in golden.documents.items():
-        for pid, _ in doc.passages():
-            owner_to_doc[pid] = doc_id
     related = discover_related(
-        claim, golden.graph(), golden.store, golden.router,
-        golden.citation_edges(), golden.documents, owner_to_doc,
-        CrossSourceConfig())
+        [claim], golden.graph(), golden.store, golden.router,
+        golden.citation_edges(), golden.documents, CrossSourceConfig())
     mention_docs = {
         d for d, doc in golden.documents.items()
         if "bf-dcqo" in doc.full_text().lower() and d != claim.doc_id}
     assert mention_docs <= set(related)
+
+
+# --- discovery over every focus claim at once ------------------------------------------------
+
+def _discover_one(claim, graph, store, router, citations, documents,
+                  owner_to_doc, cfg):
+    """Discovery for a single claim, written out as it stood before
+    discovery took all focus claims at once: the reference for the batch."""
+    related = citation_neighbors(citations, claim.doc_id,
+                                 cfg.discovery_citation_hops)
+    try:
+        hits = semantic_search(claim.text, cfg.discovery_top_k, store, router)
+    except EmptyStore:
+        hits = []
+    for owner, _ in hits:
+        doc_id = owner_to_doc.get(owner)
+        if doc_id:
+            related.add(doc_id)
+    names = set()
+    for entity_id in (claim.subject,
+                      claim.object if claim.object_is_entity else None):
+        if entity_id and entity_id in graph.nodes:
+            entity = graph.nodes[entity_id]
+            names.add(entity.name.lower())
+            names.update(a.lower() for a in entity.aliases)
+    for doc_id, doc in documents.items():
+        text = doc.full_text().lower()
+        if any(name in text for name in names):
+            related.add(doc_id)
+    related.discard(claim.doc_id)
+    return sorted(d for d in related if d in documents)
+
+
+@pytest.fixture(scope="module")
+def local_embedder():
+    """A router that embeds any text locally; the golden transcript holds
+    embeddings only for the claims the golden run searched with."""
+    return make_router(ScriptedProvider.from_path(PLAYBOOK))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_discovery_equals_union_of_per_claim_discovery(
+        golden, local_embedder, data):
+    # Small hop counts and top-k, subsets of the documents and citations,
+    # and at times no entity names keep the union from covering the whole
+    # 11-document corpus, so a hit lost for any one claim shows.
+    claim_ids = data.draw(st.lists(st.sampled_from(sorted(golden.claims)),
+                                   min_size=1, max_size=10, unique=True))
+    doc_ids = data.draw(st.sets(st.sampled_from(sorted(golden.documents)),
+                                min_size=1))
+    cfg = CrossSourceConfig(
+        discovery_citation_hops=data.draw(st.integers(0, 2)),
+        discovery_top_k=data.draw(st.integers(1, 8)))
+    claims = [golden.claims[c] for c in claim_ids]
+    documents = {d: golden.documents[d] for d in sorted(doc_ids)}
+    citations = data.draw(st.sets(st.sampled_from(
+        sorted(golden.citation_edges()))))
+    graph = golden.graph() if data.draw(st.booleans()) \
+        else KnowledgeGraph()
+    owner_to_doc = {}
+    for doc_id, doc in documents.items():
+        for pid, _ in doc.passages():
+            owner_to_doc[pid] = doc_id
+        for asset in doc.assets:
+            owner_to_doc[asset.asset_id] = doc_id
+    expected = set()
+    for claim in claims:
+        expected.update(_discover_one(
+            claim, graph, golden.store, local_embedder, citations,
+            documents, owner_to_doc, cfg))
+    expected -= {claim.doc_id for claim in claims}
+    assert discover_related(claims, graph, golden.store, local_embedder,
+                            citations, documents, cfg) == sorted(expected)
+
+
+def test_discovery_reads_each_document_text_once(golden, local_embedder,
+                                                 monkeypatch):
+    reads = Counter()
+    full_text = SourceDocument.full_text
+
+    def counted(doc):
+        reads[doc.doc_id] += 1
+        return full_text(doc)
+    monkeypatch.setattr(SourceDocument, "full_text", counted)
+    claims = [golden.claims[c] for c in sorted(golden.claims)]
+    discover_related(claims, golden.graph(), golden.store, local_embedder,
+                     golden.citation_edges(), golden.documents,
+                     CrossSourceConfig())
+    assert len(claims) > 1
+    assert set(reads) == set(golden.documents)
+    assert max(reads.values()) == 1

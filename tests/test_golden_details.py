@@ -60,7 +60,7 @@ def test_golden_alignment_relations(golden, golden_claims):
     softened = golden_claims["s3-reframing:BF-DCQO|maintains-performance-at"]
     wallclock = golden_claims["r1-wallclock-rebuttal:BF-DCQO|shows-runtime"]
     relations = {}
-    for alignment in golden.alignments:
+    for alignment in golden.alignments.values():
         relations[frozenset((alignment.claim_a, alignment.claim_b))] = \
             alignment
     opposed = relations[frozenset((headline.claim_id, wallclock.claim_id))]

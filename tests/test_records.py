@@ -119,7 +119,7 @@ def test_hook_types_keep_their_stored_form():
     assert record["provenance"] == 3
     assert "enrichments" not in record
     doc = SourceDocument(doc_id="doc-1", source_type="paper", title="t",
-                         body=[])
+                         sections=[])
     assert "sections" in to_record(doc) and "body" not in to_record(doc)
 
 
@@ -127,7 +127,7 @@ def test_decoder_rejects_unknown_keys():
     with pytest.raises(TypeError):
         from_record(DocumentMetadata, {"venue": "v", "sponsor": "x"})
     record = to_record(SourceDocument(doc_id="doc-1", source_type="paper",
-                                      title="t", body=[]))
+                                      title="t", sections=[]))
     record["metadata"]["sponsor"] = "x"
     with pytest.raises(TypeError):
         from_record(SourceDocument, record)
