@@ -1,7 +1,7 @@
 """Layer 1: corpus construction and ingestion."""
 
 from .embedding import (EmbeddingStore, chunk_and_embed, embed_query,
-                        embed_texts, semantic_search)
+                        embed_texts, semantic_search, semantic_searches)
 from .ingest import FORMATS, ingest_document
 from .model import (DocumentMetadata, EmbeddingRecord, Section, SourceDocument,
                     SourceScore, VisualAsset)
@@ -10,7 +10,8 @@ from .visuals import describe_visual_asset
 
 __all__ = [
     "EmbeddingStore", "chunk_and_embed", "embed_query", "embed_texts",
-    "semantic_search", "FORMATS", "ingest_document", "DocumentMetadata",
-    "EmbeddingRecord", "Section", "SourceDocument", "SourceScore",
-    "VisualAsset", "score_source", "sells_chains", "describe_visual_asset",
+    "semantic_search", "semantic_searches", "FORMATS", "ingest_document",
+    "DocumentMetadata", "EmbeddingRecord", "Section", "SourceDocument",
+    "SourceScore", "VisualAsset", "score_source", "sells_chains",
+    "describe_visual_asset",
 ]

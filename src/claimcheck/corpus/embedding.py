@@ -104,3 +104,27 @@ def semantic_search(query: str, k: int, store: EmbeddingStore,
         raise EmptyStore("embedding store is empty")
     vector = embed_query(router, query, store.dim, store.model_tag)
     return store.search(vector, k, owner_filter=owner_filter)
+
+
+def semantic_searches(queries: list[tuple[str, set[str] | None]], k: int,
+                      store: EmbeddingStore, router: InferenceRouter
+                      ) -> list[list[tuple[str, float]]]:
+    """`semantic_search` for each `(query, owner_filter)`, with no hits
+    where it would raise `EmptyStore`.
+
+    The query embeddings go out as one wave of `router.map`. The searches
+    then run on the calling thread: they are CPU-bound, and on the pool they
+    would only contend for the interpreter lock.
+    """
+    if len(store) == 0:
+        return [[] for _ in queries]
+    vectors = router.map(
+        lambda query: embed_query(router, query[0], store.dim, store.model_tag),
+        queries)
+    hits: list[list[tuple[str, float]]] = []
+    for (_, owner_filter), vector in zip(queries, vectors):
+        try:
+            hits.append(store.search(vector, k, owner_filter=owner_filter))
+        except EmptyStore:  # no record passes the filter
+            hits.append([])
+    return hits

@@ -13,11 +13,10 @@ from functools import cached_property
 from typing import Any
 
 from .config import CrossSourceConfig
-from .corpus.embedding import EmbeddingStore, semantic_search
+from .corpus.embedding import EmbeddingStore, semantic_searches
 from .corpus.model import DocumentMetadata, SourceDocument
-from .errors import (CitedDocMissing, EmptyStore, MissingConsistency,
-                     MissingRating, RubricNotEnumerable, SchemaViolation,
-                     UnitFamilyMismatch)
+from .errors import (CitedDocMissing, MissingConsistency, MissingRating,
+                     RubricNotEnumerable, SchemaViolation, UnitFamilyMismatch)
 from .knowledge.graph import KnowledgeGraph
 from .knowledge.metrics import compare_metric_definitions
 from .knowledge.model import ClaimTriple
@@ -110,7 +109,7 @@ def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
                      documents: dict[str, SourceDocument],
                      cfg: CrossSourceConfig | None = None) -> list[str]:
     """Union, over the focus claims, of citation-hop, semantic-search and
-    entity-sharing hits.
+    entity-sharing hits. The claims' query embeddings go out as one wave.
 
     The claims' own sources are excluded. Callers must push every newly
     discovered document through Layers 1-3 before comparing claims.
@@ -129,14 +128,9 @@ def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
             owner_to_doc[pid] = doc_id
         for asset in doc.assets:
             owner_to_doc[asset.asset_id] = doc_id
-    hits: list[tuple[str, float]] = []
-    try:
-        for claim in claims:
-            hits += semantic_search(claim.text, cfg.discovery_top_k, store,
-                                    router)
-    except EmptyStore:  # the store has no records, so no claim has hits
-        pass
-    related.update(owner_to_doc[owner] for owner, _ in hits
+    hits = semantic_searches([(claim.text, None) for claim in claims],
+                             cfg.discovery_top_k, store, router)
+    related.update(owner_to_doc[owner] for found in hits for owner, _ in found
                    if owner in owner_to_doc)
 
     names: set[str] = set()

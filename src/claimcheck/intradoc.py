@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import IntradocConfig
-from .corpus.embedding import EmbeddingStore, semantic_search
 from .corpus.model import SourceDocument
-from .errors import EmptyStore
 from .knowledge.model import ClaimTriple
 from .provider import InferenceRouter, InferenceTask
 
@@ -64,41 +61,36 @@ class ConsistencyReport:
     empty_document: bool = False
 
 
-def align_claim_evidence(claim: ClaimTriple, doc: SourceDocument,
-                         store: EmbeddingStore, router: InferenceRouter,
-                         cfg: IntradocConfig | None = None) -> list[EvidenceLink]:
-    """NLI-label candidate evidence: top-k semantic hits plus the claim's own
-    source passages. Asset descriptions participate like passages."""
-    cfg = cfg or IntradocConfig()
-    doc_owners = {pid for pid, _ in doc.passages()}
-    doc_owners.update(a.asset_id for a in doc.described_assets())
+def evidence_owners(doc: SourceDocument) -> set[str]:
+    """What a claim's evidence search may return: the document's passages
+    and described assets."""
+    owners = {pid for pid, _ in doc.passages()}
+    owners.update(a.asset_id for a in doc.described_assets())
+    return owners
 
-    candidates: dict[str, str] = {}
-    try:
-        hits = semantic_search(claim.text, cfg.candidate_top_k, store, router,
-                               owner_filter=doc_owners)
-    except EmptyStore:
-        hits = []
-    for owner, _ in hits:
-        candidates[owner] = _owner_text(owner, doc)
+
+def evidence_candidates(claim: ClaimTriple, doc: SourceDocument,
+                        hits: list[tuple[str, float]]) -> dict[str, str]:
+    """Evidence id -> text to NLI-label, in id order: the claim's semantic
+    hits among `evidence_owners(doc)` plus its own source passages. Asset
+    descriptions participate like passages."""
+    candidates = {owner: _owner_text(owner, doc) for owner, _ in hits}
     for pid in claim.passage_ids:
         candidates[pid] = doc.passage_text(pid) or ""
+    return {owner: candidates[owner] for owner in sorted(candidates)}
 
-    own = set(claim.passage_ids)
-    ordered = sorted(candidates)
 
-    def judge(evidence_id: str) -> EvidenceLink:
-        task = InferenceTask("nli-verdict", {
-            "claim": claim.task_payload(doc.slug),
-            "passage": {"owner": evidence_id, "text": candidates[evidence_id]},
-        })
-        output = router.invoke(task).output
-        return EvidenceLink(claim_id=claim.claim_id, evidence_id=evidence_id,
-                            nli_label=output["label"],
-                            rationale=output.get("rationale", ""),
-                            self_evidence=evidence_id in own)
-
-    return router.map(judge, ordered)
+def judge_evidence(claim: ClaimTriple, doc_slug: str, evidence_id: str,
+                   text: str, router: InferenceRouter) -> EvidenceLink:
+    task = InferenceTask("nli-verdict", {
+        "claim": claim.task_payload(doc_slug),
+        "passage": {"owner": evidence_id, "text": text},
+    })
+    output = router.invoke(task).output
+    return EvidenceLink(claim_id=claim.claim_id, evidence_id=evidence_id,
+                        nli_label=output["label"],
+                        rationale=output.get("rationale", ""),
+                        self_evidence=evidence_id in claim.passage_ids)
 
 
 def _owner_text(owner: str, doc: SourceDocument) -> str:

@@ -10,22 +10,33 @@ Every store file is declared once, in `STORE`: one loop in `_persist` (run
 by `_flush_layer`) writes a layer's files and one loop in `resume` reloads
 them, through the dataclass codec of `records.py`. Adding a store file means
 adding one entry.
+
+Layers 2-4 send their provider calls in dependency waves. Each step collects
+the calls it is certain to need, sends them as one wave of `router.map`
+(`Run._wave`), and stores the results in the run's tables; the fold that
+follows reads those tables in sorted order, as a sequential run would. Calls
+may finish in any order: the transcript is drained sorted, so the run
+directory does not depend on it. Entity and claim extraction alone go one
+document at a time, because claims resolve names through the registry that
+earlier documents fill.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import assess as assess_mod
 from . import crosssource as cross
 from . import intradoc as intra
 from . import signals as sig
 from .config import PipelineConfig
-from .corpus.embedding import EmbeddingStore, chunk_and_embed, embed_query
+from .corpus.embedding import (EmbeddingStore, chunk_and_embed, embed_query,
+                               semantic_searches)
 from .corpus.ingest import (RelationSet, corpus_fingerprint, ingest_document,
                             load_corpus_dir)
 from .corpus.model import EmbeddingRecord, SourceDocument
@@ -125,6 +136,10 @@ STORE = (
     StoreFile("layer6", "matrix.jsonl", "matrix", assess_mod.HypothesisRow, reload=False),
 )
 
+# One call of a wave: (table, key, call). `Run._wave` stores the call's
+# result in the table under the key.
+Job = tuple[dict, Any, Callable[[], Any]]
+
 # Run state kept in the manifest rather than the store.
 _MANIFEST_LISTS = ("seeds", "docs_processed", "queue", "gaps", "citation_gaps")
 
@@ -168,6 +183,7 @@ class Run:
         self.consensus: dict[str, cross.ConsensusScore] = {}
         self.fidelity: dict[str, cross.CitationFidelityFinding] = {}
         self.rubrics: list[cross.RubricAssessment] = []
+        self.doc_orgs: dict[str, set[str]] = {}
         self.financial: dict[str, sig.FinancialProfile] = {}
         self.coi_flags: list[sig.COIFlag] = []
         self.conflict_webs: list[sig.EntityConflictWeb] = []
@@ -341,17 +357,24 @@ class Run:
         return build_graph(self.registry.entities(), claims,
                            self.relation_edges())
 
-    def doc_orgs(self, doc_id: str) -> set[str]:
-        """Organization entity ids affiliated with the document's authors."""
-        doc = self.documents[doc_id]
-        orgs: set[str] = set()
+    def _index_orgs(self) -> None:
+        """Fill `doc_orgs`: for each document, the organization entities
+        whose name appears in one of its author affiliations. Run once the
+        registry is final for the layer."""
+        docs_by_affiliation: dict[str, list[str]] = {}
+        for doc_id, doc in self.documents.items():
+            for _, affiliation in doc.metadata.authors:
+                docs_by_affiliation.setdefault(affiliation.lower(),
+                                               []).append(doc_id)
+        self.doc_orgs = {doc_id: set() for doc_id in self.documents}
         for entity in self.registry.entities():
             if entity.kind != "organization":
                 continue
-            for _, affiliation in doc.metadata.authors:
-                if entity.name.lower() in affiliation.lower():
-                    orgs.add(entity.entity_id)
-        return orgs
+            name = entity.name.lower()
+            for affiliation, doc_ids in docs_by_affiliation.items():
+                if name in affiliation:
+                    for doc_id in doc_ids:
+                        self.doc_orgs[doc_id].add(entity.entity_id)
 
     def corpus_view(self, citations: set[tuple[str, str]]) -> cross.CorpusView:
         competitor_pairs: set[frozenset[str]] = set()
@@ -365,7 +388,7 @@ class Run:
             metadata={d: self.documents[d].metadata for d in self.documents},
             citations=citations,
             competitor_pairs=competitor_pairs,
-            doc_orgs={d: self.doc_orgs(d) for d in self.documents})
+            doc_orgs=self.doc_orgs)
 
     # --- layers 2 and 3 (shared by seeds and discovered docs) -----------------
 
@@ -394,64 +417,108 @@ class Run:
             raise EmptyCorpus("no document is relevant to the query")
         return seeds
 
-    def _extract_doc(self, doc_id: str) -> None:
-        doc = self.documents[doc_id]
-        entities = extract_entities(doc, self.router, self.registry)
-        self.doc_entities[doc_id] = [e.entity_id for e in entities]
-        claims = extract_claims(doc, entities, self.router, self.registry,
-                                self.cfg.knowledge)
-        self.doc_claims[doc_id] = [c.claim_id for c in
-                                   sorted(claims, key=lambda c: c.claim_id)]
-        for claim in sorted(claims, key=lambda c: c.claim_id):
+    def _wave(self, jobs: list[Job]) -> None:
+        """Send the jobs' calls as one wave of `router.map`, then store each
+        result in its table under its key, in job order."""
+        results = self.router.map(lambda job: job[2](), jobs)
+        for (table, key, _), result in zip(jobs, results):
+            table[key] = result
+
+    def _extract_docs(self, doc_ids: list[str]) -> None:
+        """Layer 2 for `doc_ids`. Extraction goes one document at a time, in
+        the given order: claims resolve names through the registry, so a
+        document must not see entities that only a later one registers. The
+        provenance calls of all their claims then go as one wave."""
+        claims: list[ClaimTriple] = []
+        for doc_id in doc_ids:
+            doc = self.documents[doc_id]
+            entities = extract_entities(doc, self.router, self.registry)
+            self.doc_entities[doc_id] = [e.entity_id for e in entities]
+            found = sorted(extract_claims(doc, entities, self.router,
+                                          self.registry, self.cfg.knowledge),
+                           key=lambda c: c.claim_id)
+            self.doc_claims[doc_id] = [c.claim_id for c in found]
+            claims += found
+
+        def classify(claim: ClaimTriple) -> None:
+            doc = self.documents[claim.doc_id]
             evidence = " ".join(
                 doc.passage_text(pid) or "" for pid in claim.passage_ids)
             classify_provenance(claim, evidence, self.router, doc.slug)
-            self.claims[claim.claim_id] = claim
 
-    def _verify_doc(self, doc_id: str) -> None:
-        doc = self.documents[doc_id]
-        claims = [self.claims[c] for c in self.doc_claims.get(doc_id, [])]
-        doc_links: list[intra.EvidenceLink] = []
-        for claim in claims:
-            doc_links.extend(intra.align_claim_evidence(
-                claim, doc, self.store, self.router, self.cfg.intradoc))
-        flags = intra.assess_coherence(doc, claims, self.router)
-        annotations = intra.detect_overclaims(doc, claims, self.router)
-        verdicts = [intra.derive_claim_verdict(claim, doc_links, annotations)
-                    for claim in claims]
-        report = intra.consistency_score(doc_id, verdicts)
-        self.links.extend(doc_links)
-        self.coherence.extend(flags)
-        self.overclaims.extend(annotations)
-        for verdict in verdicts:
-            self.verdicts[verdict.claim_id] = verdict
-        self.consistency[doc_id] = report
+        self.router.map(classify, claims)
+        self.claims.update((c.claim_id, c) for c in claims)
+
+    def _verify_docs(self, doc_ids: list[str]) -> None:
+        """Layer 3 for `doc_ids`: one wave for the claims' evidence searches,
+        one wave of NLI, coherence and overclaim calls, then the per-document
+        fold in `doc_ids` order (overclaims with equal sort keys keep it)."""
+        docs = [self.documents[d] for d in doc_ids]
+        claims = {doc.doc_id: [self.claims[c]
+                               for c in self.doc_claims.get(doc.doc_id, [])]
+                  for doc in docs}
+        pairs = [(doc, claim) for doc in docs for claim in claims[doc.doc_id]]
+        hits = semantic_searches(
+            [(claim.text, intra.evidence_owners(doc)) for doc, claim in pairs],
+            self.cfg.intradoc.candidate_top_k, self.store, self.router)
+
+        links: dict[tuple[str, str], intra.EvidenceLink] = {}
+        flags: dict[str, list[intra.CoherenceFlag]] = {}
+        annotations: dict[str, list[intra.OverclaimAnnotation]] = {}
+        owners: dict[str, list[str]] = {}
+        jobs: list[Job] = []
+        for (doc, claim), found in zip(pairs, hits):
+            candidates = intra.evidence_candidates(claim, doc, found)
+            owners[claim.claim_id] = list(candidates)
+            jobs += [(links, (claim.claim_id, owner),
+                      partial(intra.judge_evidence, claim, doc.slug, owner,
+                              text, self.router))
+                     for owner, text in candidates.items()]
+        for doc in docs:
+            jobs.append((flags, doc.doc_id, partial(
+                intra.assess_coherence, doc, claims[doc.doc_id], self.router)))
+            jobs.append((annotations, doc.doc_id, partial(
+                intra.detect_overclaims, doc, claims[doc.doc_id], self.router)))
+        self._wave(jobs)
+
+        for doc in docs:
+            doc_links = [links[claim.claim_id, owner]
+                         for claim in claims[doc.doc_id]
+                         for owner in owners[claim.claim_id]]
+            verdicts = [intra.derive_claim_verdict(claim, doc_links,
+                                                   annotations[doc.doc_id])
+                        for claim in claims[doc.doc_id]]
+            self.links.extend(doc_links)
+            self.coherence.extend(flags[doc.doc_id])
+            self.overclaims.extend(annotations[doc.doc_id])
+            for verdict in verdicts:
+                self.verdicts[verdict.claim_id] = verdict
+            self.consistency[doc.doc_id] = intra.consistency_score(doc.doc_id,
+                                                                   verdicts)
 
     def layer2(self) -> None:
         self._register_relation_entities()
         self.seeds = self._select_seeds()
-        for doc_id in sorted(self.seeds):
-            self._extract_doc(doc_id)
-            self.docs_processed.append(doc_id)
+        self._extract_docs(sorted(self.seeds))
+        self.docs_processed += sorted(self.seeds)
         self._flush_layer("layer2")
 
     def layer3(self) -> None:
-        for doc_id in sorted(self.seeds):
-            self._verify_doc(doc_id)
+        self._verify_docs(sorted(self.seeds))
         self._flush_layer("layer3")
 
     # --- layer 4: cross-source -------------------------------------------------
 
     def _process_queue(self) -> None:
-        budget = self.cfg.document_budget
-        while self.queue:
-            doc_id = self.queue.pop(0)
-            if len(self.docs_processed) >= budget:
-                self.gaps.append(doc_id)
-                continue
-            self._extract_doc(doc_id)
-            self._verify_doc(doc_id)
-            self.docs_processed.append(doc_id)
+        """Extract, then verify, the queued documents that the budget admits
+        as one batch, in queue order; the rest become gaps."""
+        room = max(0, self.cfg.document_budget - len(self.docs_processed))
+        batch = self.queue[:room]
+        self.gaps += self.queue[room:]
+        self.queue = []
+        self._extract_docs(batch)
+        self._verify_docs(batch)
+        self.docs_processed += batch
 
     def layer4(self) -> None:
         citations = self.citation_edges()
@@ -471,6 +538,7 @@ class Run:
                 f"{len(self.gaps)} documents left unprocessed",
                 queued=sorted(self.gaps))
 
+        self._index_orgs()
         self._compare_claims(focus_claims, self.corpus_view(citations))
         self._evaluate_rubrics()
         self._flush_layer("layer4")
@@ -502,55 +570,91 @@ class Run:
                                        else ""))
         return self.ratings[key]
 
-    def _candidate_counters(self, claim: ClaimTriple,
-                            doc_id: str) -> list[ClaimTriple]:
-        """The document's claims that share an endpoint with `claim`."""
+    def _counters(self, claim: ClaimTriple) -> Iterator[ClaimTriple]:
+        """The counter-claim walk: claims of the other processed documents,
+        in sorted document order, that share an endpoint with `claim`."""
         anchors = claim.endpoints
-        return [self.claims[c] for c in self.doc_claims.get(doc_id, [])
-                if anchors & self.claims[c].endpoints]
+        for doc_id in sorted(self.docs_processed):
+            if doc_id == claim.doc_id:
+                continue
+            for claim_id in self.doc_claims.get(doc_id, []):
+                if anchors & self.claims[claim_id].endpoints:
+                    yield self.claims[claim_id]
 
-    def _align_pair(self, a: ClaimTriple, b: ClaimTriple) -> cross.ClaimAlignment:
-        alignment = self.alignments.get((a.claim_id, b.claim_id)) \
-            or self.alignments.get((b.claim_id, a.claim_id))
-        if alignment is None:
-            alignment = cross.align_claims(a, b, self.router,
-                                           self.slug_of(a.doc_id),
-                                           self.slug_of(b.doc_id))
-            self.alignments[a.claim_id, b.claim_id] = alignment
-        return alignment
+    def _alignment(self, a: str, b: str) -> cross.ClaimAlignment | None:
+        return self.alignments.get((a, b)) or self.alignments.get((b, a))
+
+    def _align_jobs(self, claims: list[ClaimTriple]) -> list[Job]:
+        """An `align-claims` job for each pair the walk from `claims` meets
+        that is not aligned yet, oriented as first met: the orientation is
+        part of the task payload."""
+        jobs: dict[tuple[str, str], Job] = {}
+        for claim in claims:
+            for counter in self._counters(claim):
+                key = (claim.claim_id, counter.claim_id)
+                if key in jobs or key[::-1] in jobs \
+                        or self._alignment(*key) is not None:
+                    continue
+                jobs[key] = (self.alignments, key, partial(
+                    cross.align_claims, claim, counter, self.router,
+                    self.slug_of(claim.doc_id), self.slug_of(counter.doc_id)))
+        return list(jobs.values())
 
     def _matches(self, claim: ClaimTriple) -> list[
             tuple[ClaimTriple, ClaimTriple, cross.ClaimAlignment]]:
         """`(claim, counter, alignment)` for each counter-claim in another
-        processed document that aligns with `claim` as matched."""
+        processed document that aligns with `claim` as matched. Reads the
+        alignments of an earlier `_align_jobs` wave."""
         out = []
-        for doc_id in sorted(self.docs_processed):
-            if doc_id == claim.doc_id:
-                continue
-            for counter in self._candidate_counters(claim, doc_id):
-                alignment = self._align_pair(claim, counter)
-                if alignment.relation == "matched":
-                    out.append((claim, counter, alignment))
+        for counter in self._counters(claim):
+            alignment = self._alignment(claim.claim_id, counter.claim_id)
+            if alignment.relation == "matched":
+                out.append((claim, counter, alignment))
         return out
 
-    def _fidelity_of(self, citing: ClaimTriple) -> cross.CitationFidelityFinding | None:
-        """Citation-fidelity check for a provenance-4 claim, if its cited doc
-        is in the corpus; missing docs are recorded as discovery gaps."""
+    @staticmethod
+    def _cited_slug(citing: ClaimTriple) -> str | None:
+        """Slug of the document a provenance-4 claim cites first; None for a
+        claim that gets no citation-fidelity check."""
         if citing.provenance is None or citing.provenance.level != 4 \
                 or not citing.cited_refs:
             return None
-        if citing.claim_id in self.fidelity:
-            return self.fidelity[citing.claim_id]
-        cited_slug = citing.cited_refs[0].removeprefix("doc:")
-        cited = self.doc_by_slug(cited_slug)
-        if cited is None:
-            self.citation_gaps.append(f"{citing.claim_id} -> {cited_slug}")
+        return citing.cited_refs[0].removeprefix("doc:")
+
+    def _fidelity_jobs(self, claims: list[ClaimTriple]) -> list[Job]:
+        """A `citation-fidelity` job for each provenance-4 claim whose cited
+        document is in the corpus and that has no finding yet."""
+        jobs: dict[str, Job] = {}
+        for citing in claims:
+            slug = self._cited_slug(citing)
+            cited = None if slug is None else self.doc_by_slug(slug)
+            if cited is None or citing.claim_id in self.fidelity \
+                    or citing.claim_id in jobs:
+                continue
+            jobs[citing.claim_id] = (self.fidelity, citing.claim_id, partial(
+                cross.check_citation_fidelity, citing,
+                [self.claims[c] for c in self.doc_claims.get(cited.doc_id, [])],
+                self.router, self.slug_of(citing.doc_id), cited.slug))
+        return list(jobs.values())
+
+    def _fidelity_of(self, citing: ClaimTriple) -> cross.CitationFidelityFinding | None:
+        """The finding of a provenance-4 claim, checked by an earlier
+        `_fidelity_jobs` wave; a cited document missing from the corpus is
+        recorded as a discovery gap on every call."""
+        slug = self._cited_slug(citing)
+        if slug is None:
             return None
-        self.fidelity[citing.claim_id] = cross.check_citation_fidelity(
-            citing, [self.claims[c]
-                     for c in self.doc_claims.get(cited.doc_id, [])],
-            self.router, self.slug_of(citing.doc_id), cited.slug)
+        if self.doc_by_slug(slug) is None:
+            self.citation_gaps.append(f"{citing.claim_id} -> {slug}")
+            return None
         return self.fidelity[citing.claim_id]
+
+    def _cites(self, counter: ClaimTriple, claim: ClaimTriple) -> bool:
+        """Whether a provenance-4 counter-claim cites the claim's document."""
+        return bool(counter.provenance and counter.provenance.level == 4
+                    and any(self.slug_of(claim.doc_id) ==
+                            ref.removeprefix("doc:")
+                            for ref in counter.cited_refs))
 
     def _compare_claims(self, focus_claims: list[ClaimTriple],
                         view: cross.CorpusView) -> None:
@@ -562,8 +666,11 @@ class Run:
             for doc_id in sorted(self.docs_processed):
                 if doc_id != seed:
                     self._rating_for(seed, doc_id, view)
+        focus = sorted(focus_claims, key=lambda c: c.claim_id)
+        # Wave A: the focus claims' pairs and their own citation checks.
+        self._wave(self._align_jobs(focus) + self._fidelity_jobs(focus))
         matched_pairs = []
-        for claim in sorted(focus_claims, key=lambda c: c.claim_id):
+        for claim in focus:
             self._fidelity_of(claim)
             matched_pairs += self._matches(claim)
         cluster = {c.claim_id: c for c in focus_claims}
@@ -571,28 +678,38 @@ class Run:
                     for _, counter, _ in matched_pairs
                     if counter.claim_id not in cluster}
         cluster |= counters
-        # Matched counter-claims get their own consensus so Layer 6 can
-        # hypothesize over both sides of a contested proposition.
-        for counter_id in sorted(counters):
-            matched_pairs += self._matches(counters[counter_id])
+        # Wave B: matched counter-claims get their own consensus so Layer 6
+        # can hypothesize over both sides of a contested proposition.
+        second = [counters[c] for c in sorted(counters)]
+        self._wave(self._align_jobs(second))
+        for counter in second:
+            matched_pairs += self._matches(counter)
+        # Wave C: counter-claims that cite the claim they match.
+        self._wave(self._fidelity_jobs([
+            counter for claim, counter, _ in matched_pairs
+            if self._cites(counter, claim)]))
 
-        records: dict[tuple[str, str], cross.AgreementRecord] = {}
+        labelled = []
         for claim, counter, alignment in matched_pairs:
             label = ("corroborates" if alignment.stance == "agrees"
                      else "contradicts")
             fidelity = None
-            if counter.provenance and counter.provenance.level == 4 \
-                    and any(self.slug_of(claim.doc_id) ==
-                            ref.removeprefix("doc:")
-                            for ref in counter.cited_refs):
+            if self._cites(counter, claim):
                 fidelity = self._fidelity_of(counter)
                 if fidelity is not None and not fidelity.faithful:
                     label = "misrepresents"
-            root = None
-            if label == "contradicts":
-                root = cross.analyze_contradiction(
-                    claim, counter, self.router, self.slug_of(claim.doc_id),
-                    self.slug_of(counter.doc_id))
+            labelled.append((claim, counter, label, fidelity))
+        # Wave D: the root cause of every contradicting pair.
+        roots: dict[int, cross.RootCause] = {}
+        self._wave([
+            (roots, i, partial(cross.analyze_contradiction, claim, counter,
+                               self.router, self.slug_of(claim.doc_id),
+                               self.slug_of(counter.doc_id)))
+            for i, (claim, counter, label, _) in enumerate(labelled)
+            if label == "contradicts"])
+
+        records: dict[tuple[str, str], cross.AgreementRecord] = {}
+        for i, (claim, counter, label, fidelity) in enumerate(labelled):
             key = (claim.claim_id, counter.doc_id)
             existing = records.get(key)
             if existing is None or _record_precedence(label) > \
@@ -600,7 +717,7 @@ class Run:
                 records[key] = cross.AgreementRecord(
                     claim_id=claim.claim_id, counter_doc=counter.doc_id,
                     label=label, counter_claim=counter.claim_id,
-                    root_cause=root, fidelity=fidelity)
+                    root_cause=roots.get(i), fidelity=fidelity)
 
         self.agreements = [records[k] for k in sorted(records)]
         consistency = {d: r.consistency_score
@@ -629,6 +746,7 @@ class Run:
         slugs = {d: self.slug_of(d) for d in self.documents}
         contested = sorted({
             r.claim_id for r in self.agreements if r.label == "contradicts"})
+        jobs = []
         for claim_id in contested:
             claim = self.claims[claim_id]
             if claim.doc_id not in self.seeds:
@@ -636,9 +754,9 @@ class Run:
             members = [claim] + [self.claims[r.counter_claim]
                                  for r in self.agreements
                                  if r.claim_id == claim_id and r.counter_claim]
-            for rubric_doc in rubric_docs:
-                self.rubrics.append(cross.evaluate_rubric(
-                    members, rubric_doc, self.router, slugs))
+            jobs += [(members, rubric_doc) for rubric_doc in rubric_docs]
+        self.rubrics += self.router.map(
+            lambda job: cross.evaluate_rubric(*job, self.router, slugs), jobs)
 
     # --- layer 5: signals --------------------------------------------------------
 
@@ -649,7 +767,7 @@ class Run:
             if not doc.metadata.publication_date:
                 continue
             kind = "rebuttal" if doc.source_type == "rebuttal" else "publication"
-            parties = set(self.doc_orgs(doc_id))
+            parties = set(self.doc_orgs[doc_id])
             for claim_id in self.doc_claims.get(doc_id, []):
                 claim = self.claims[claim_id]
                 subject = graph.nodes.get(claim.subject)
@@ -675,6 +793,7 @@ class Run:
         return events
 
     def layer5(self) -> None:
+        self._index_orgs()
         graph = self.graph()
         financial_events = sig.financial_events(self.relations.rows,
                                                 self.registry)
@@ -747,7 +866,7 @@ class Run:
     def _claim_coi_context(self, claim: ClaimTriple) -> list[sig.COIFlag]:
         """Flags of involved entities: the asserting orgs plus any stake
         chain terminating at the claim's subject or object."""
-        orgs = self.doc_orgs(claim.doc_id)
+        orgs = self.doc_orgs[claim.doc_id]
         return [flag for flag in self.coi_flags
                 if flag.organization in orgs
                 or (flag.product_path
@@ -756,7 +875,7 @@ class Run:
     def _self_corrected(self, claim: ClaimTriple) -> bool:
         """A reframing event by the claimant whose source document carries a
         claim aligned with this one."""
-        claimant_orgs = self.doc_orgs(claim.doc_id)
+        claimant_orgs = self.doc_orgs[claim.doc_id]
         aligned_claims = {a.claim_b for a in self.alignments.values()
                           if a.claim_a == claim.claim_id
                           and a.relation in ("matched", "partially-overlapping")}
@@ -776,6 +895,7 @@ class Run:
         return False
 
     def layer6(self) -> None:
+        self._index_orgs()
         graph = self.graph()
         rubric_by_claim = {r.claim_id: r.summary for r in self.rubrics}
         for claim_id in sorted(self.consensus):

@@ -4,8 +4,8 @@ All natural-language judgment flows through `invoke`: it validates the
 response against the per-kind schema, retries with exponential backoff, and
 records every served response so a completed live run doubles as a replay
 fixture for future offline runs. Concurrent calls go through `map`, which
-runs them on the router's one bounded pool and collates results in input
-order, so pipeline outputs do not depend on worker completion order.
+runs one wave of them on the router's one bounded pool and collates results
+in input order, so pipeline outputs do not depend on worker completion order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Protocol, TypeVar
 
 from ..config import ProviderConfig
-from ..errors import ProviderFailure, SchemaViolation
+from ..errors import ClaimcheckError, ProviderFailure, SchemaViolation
 from ..records import to_record
 from .schemas import validate_output
 from .tasks import InferenceResponse, InferenceTask
@@ -26,6 +26,13 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# Marks the threads of every router's pool, so `map` can refuse to nest.
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
 
 
 class Provider(Protocol):
@@ -78,16 +85,51 @@ class InferenceRouter:
         self.backend = backend
         self.cfg = cfg
         self.transcript = transcript
-        self._pool = ThreadPoolExecutor(max_workers=max_parallelism)
+        self._workers = max_parallelism
+        self._pool = ThreadPoolExecutor(max_workers=max_parallelism,
+                                        initializer=_mark_pool_thread)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """`fn` over `items` on the router's pool, results in input order.
+        """Run `fn` over `items` as one wave on the router's pool; results
+        come back in input order, whatever order the calls finish in.
 
-        If items fail, the exception of the first failing one by input order
-        is raised. `fn` must not call `map` itself: a nested wait on the
-        bounded pool can deadlock.
+        Once an item fails no further item starts; when the items already
+        started have finished, the exception of the first failing one by
+        input order is raised. A wave cannot start another: a nested wait on
+        the bounded pool can deadlock, so `map` called from a pool thread
+        raises `ClaimcheckError`. Callers collect a step's tasks first and
+        send them as one wave.
         """
-        return list(self._pool.map(fn, items))
+        if getattr(_pool_thread, "active", False):
+            raise ClaimcheckError("router.map called from inside a wave")
+        items = list(items)
+        results: list[Any] = [None] * len(items)
+        failures: dict[int, Exception] = {}
+        lock = threading.Lock()
+        indices = iter(range(len(items)))
+
+        # Each worker takes items in input order until none is left or one
+        # has failed. One task per worker, not one per item, keeps thread
+        # hand-offs per wave, not per call.
+        def drain() -> None:
+            while True:
+                with lock:
+                    index = None if failures else next(indices, None)
+                if index is None:
+                    return
+                try:
+                    results[index] = fn(items[index])
+                except Exception as exc:
+                    with lock:
+                        failures[index] = exc
+
+        workers = [self._pool.submit(drain)
+                   for _ in range(min(self._workers, len(items)))]
+        for worker in workers:
+            worker.result()
+        if failures:
+            raise failures[min(failures)]
+        return results
 
     def invoke(self, task: InferenceTask, provider_tag: str | None = None,
                sample_index: int = 0) -> InferenceResponse:

@@ -1,0 +1,97 @@
+"""Provider calls in waves: the run directory must not depend on the order
+in which concurrent calls finish, and the calls that layers 2-4 batch must
+go through the router's pool."""
+
+from __future__ import annotations
+
+import json
+import random
+import threading
+import time
+
+import pytest
+
+from claimcheck.config import PipelineConfig
+from claimcheck.jsonl import read_records
+from claimcheck.pipeline import Run
+from claimcheck.provider import InferenceTask, LiveProvider
+
+from conftest import (CORPUS_DIR, GOLDEN_QUERY, TRANSCRIPT, dir_digest,
+                      replay_spec)
+from test_golden_digest import DIGESTS, PINNED_DIRS
+
+# Task kinds that layers 2-4 send only in waves of `router.map`, plus the
+# embeddings of layer 1.
+WAVE_KINDS = ("align-claims", "classify-provenance", "nli-verdict", "embed",
+              "coherence", "overclaim", "root-cause", "citation-fidelity",
+              "rubric")
+
+
+def golden_state(run_dir) -> Run:
+    return Run(run_dir, CORPUS_DIR, GOLDEN_QUERY, PipelineConfig(),
+               replay_spec(), target_doc="s1-target")
+
+
+class ShuffledBackend:
+    """A live backend that answers each task from the golden transcript by
+    fingerprint after a seeded random delay of 0-3 ms, so concurrent calls
+    finish in an order unrelated to the order they were sent in."""
+
+    def __init__(self, seed: int):
+        self._answers = {
+            (r["fingerprint"], r["provider_tag"], r["sample_index"]): r["output"]
+            for r in read_records(TRANSCRIPT)}
+        self._random = random.Random(seed)
+        self._lock = threading.Lock()
+
+    def __call__(self, kind, payload, provider_tag, sample_index):
+        with self._lock:
+            delay = self._random.uniform(0.0, 0.003)
+        time.sleep(delay)
+        key = (InferenceTask(kind, payload).fingerprint, provider_tag,
+               sample_index)
+        return self._answers[key]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_out_of_order_live_answers_give_the_golden_run(tmp_path, seed):
+    state = golden_state(tmp_path / "run")
+    state.router.backend = LiveProvider(ShuffledBackend(seed))
+    state.execute()
+    pinned = {rel: digest for rel, digest in
+              json.loads(DIGESTS.read_text(encoding="utf-8")).items()
+              if rel.startswith(PINNED_DIRS)}
+    actual = {rel: digest for rel, digest in dir_digest(state.run_dir).items()
+              if rel.startswith(PINNED_DIRS)}
+    assert sorted(actual) == sorted(pinned)
+    changed = sorted(rel for rel in pinned if actual[rel] != pinned[rel])
+    assert not changed, f"out-of-order run differs from the pin: {changed}"
+
+
+class ThreadRecorder:
+    """Wraps a backend and records the thread that makes each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.deterministic = inner.deterministic
+        self.calls: list[tuple[str, int]] = []
+        self._lock = threading.Lock()
+
+    def complete(self, task, provider_tag, sample_index):
+        with self._lock:
+            self.calls.append((task.kind, threading.get_ident()))
+        return self.inner.complete(task, provider_tag, sample_index)
+
+
+def test_wave_kinds_never_run_on_the_calling_thread(tmp_path):
+    state = golden_state(tmp_path / "run")
+    recorder = ThreadRecorder(state.router.backend)
+    state.router.backend = recorder
+    state.execute()
+    caller = threading.get_ident()
+    kinds = {kind for kind, _ in recorder.calls}
+    assert set(WAVE_KINDS) <= kinds
+    on_caller = sorted({kind for kind, thread in recorder.calls
+                        if thread == caller and kind in WAVE_KINDS})
+    assert not on_caller, f"calls made on the thread running the layers: {on_caller}"
+    assert len(recorder.calls) == 1283

@@ -16,7 +16,7 @@ from claimcheck.config import PipelineConfig
 from claimcheck.corpus.ingest import ingest_document
 from claimcheck.errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
                                CorruptManifest, EmptyCorpus, ProviderFailure)
-from claimcheck.jsonl import read_json
+from claimcheck.jsonl import read_all, read_json
 from claimcheck.pipeline import (LAYERS, ProviderSpec, load_corpus_dir,
                                  resume, run)
 
@@ -50,6 +50,42 @@ def test_budget_exceeded_lists_queued_gaps(tmp_path):
     assert len(manifest["gaps"]) == 10
     assert manifest["layers"]["layer4"] is False
     assert (tmp_path / "run" / "store" / "claims.jsonl").exists()
+
+
+def test_partial_budget_admits_the_first_queued_documents(tmp_path, golden):
+    discovered = sorted(set(golden.docs_processed) - set(golden.seeds))
+    assert len(discovered) == 10
+    cfg = PipelineConfig()
+    cfg.document_budget = 5
+    with pytest.raises(BudgetExceeded) as err:
+        run_golden(tmp_path / "run", cfg=cfg)
+    assert err.value.queued == discovered[4:]
+    manifest = read_json(tmp_path / "run" / "manifest.json")
+    admitted = sorted(golden.seeds + discovered[:4])
+    assert manifest["docs_processed"] == admitted
+    assert manifest["gaps"] == err.value.queued
+    claims = read_all(tmp_path / "run" / "store" / "claims.jsonl")
+    assert {claim["doc_id"] for claim in claims} == set(admitted)
+
+
+def doc_orgs_by_scan(state, doc_id: str) -> set[str]:
+    """The per-document scan that the `doc_orgs` table replaced."""
+    doc = state.documents[doc_id]
+    orgs: set[str] = set()
+    for entity in state.registry.entities():
+        if entity.kind != "organization":
+            continue
+        for _, affiliation in doc.metadata.authors:
+            if entity.name.lower() in affiliation.lower():
+                orgs.add(entity.entity_id)
+    return orgs
+
+
+def test_doc_orgs_table_matches_the_per_document_scan(golden):
+    assert sorted(golden.doc_orgs) == sorted(golden.documents)
+    for doc_id in golden.documents:
+        assert golden.doc_orgs[doc_id] == doc_orgs_by_scan(golden, doc_id)
+    assert sum(map(len, golden.doc_orgs.values())) >= 2
 
 
 def test_relevance_gate_without_target(tmp_path):

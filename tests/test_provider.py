@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from claimcheck.config import PipelineConfig, ProviderConfig
-from claimcheck.errors import AllSlotsFailed, ProviderFailure, SchemaViolation
+from claimcheck.errors import (AllSlotsFailed, ClaimcheckError, ProviderFailure,
+                               SchemaViolation)
 from claimcheck.jsonl import dumps_record, write_records
 from claimcheck.provider import (InferenceResponse, InferenceRouter,
                                  InferenceTask, ReplayProvider,
@@ -203,6 +205,53 @@ def test_router_map_raises_the_earliest_failure_by_input_order():
 
     with pytest.raises(ProviderFailure, match="item 1"):
         router.map(fn, range(4))
+
+
+def test_router_map_runs_each_item_once_under_thread_churn():
+    cfg = ProviderConfig(retries=1, backoff_base=0.0, routing={})
+    router = InferenceRouter(StubProvider(lambda t, tag, i: {}), cfg,
+                             max_parallelism=8)
+    seen: list[int] = []
+    outcome = {}
+
+    def fn(i):
+        seen.append(i)
+        return i * 2
+
+    def waves():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcome["results"] = [router.map(fn, range(n))
+                                  for n in (0, 1, 7, 2000)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    caller = threading.Thread(target=waves, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert outcome["results"] == [[2 * i for i in range(n)]
+                                  for n in (0, 1, 7, 2000)]
+    assert sorted(seen) == sorted([*range(1), *range(7), *range(2000)])
+
+
+def test_router_map_inside_a_wave_raises_instead_of_deadlocking():
+    router = make_router(StubProvider(lambda t, tag, i: {}))
+    outcome = {}
+
+    def nest():
+        try:
+            router.map(lambda i: router.map(str, [i]), range(8))
+        except ClaimcheckError as exc:
+            outcome["error"] = exc
+
+    caller = threading.Thread(target=nest, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "nested router.map deadlocked the pool"
+    assert "inside a wave" in str(outcome["error"])
+    assert router.map(str, range(3)) == ["0", "1", "2"]
 
 
 def test_pool_threads_exit_once_the_run_is_dropped(tmp_path):
