@@ -15,11 +15,12 @@ from typing import Any
 
 from .config import AssessConfig
 from .crosssource import ConsensusScore
-from .errors import EmptySamples, IncompleteEnrichment, NoProfiles
+from .errors import (AllSlotsFailed, ClaimcheckError, EmptySamples,
+                     IncompleteEnrichment, NoProfiles)
 from .ids import make_id
 from .intradoc import ClaimVerdict, CoherenceFlag
 from .knowledge.model import ClaimTriple
-from .provider import InferenceRouter, InferenceTask, claim_key, fan_out
+from .provider import InferenceRouter, InferenceTask, claim_key
 from .records import decode_fields, encode_fields
 from .signals import COIFlag, StrategicEvent
 
@@ -189,9 +190,12 @@ class HypothesisBundle:
 def generate_hypotheses(profile: EvidenceProfile, router: InferenceRouter,
                         n_samples: int, models: list[str]) -> HypothesisBundle:
     """Sample hypothesis conclusions across models and draft the adversarial
-    counter-hypothesis with a directed prompt (not a resample)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    counter-hypothesis with a directed prompt (not a resample).
+
+    Slots go in (provider tag, sample index) order, whatever order `models`
+    lists them in; a slot whose call fails is skipped. The calls go one at a
+    time and start no wave, since layer 6 runs this function inside one.
+    """
     handle = claim_key(profile.claim.task_payload(profile.source_slug))
     task = InferenceTask("hypothesize", {
         "profile": {
@@ -202,20 +206,28 @@ def generate_hypotheses(profile: EvidenceProfile, router: InferenceRouter,
             "provenance": profile.provenance_level,
         },
     })
-    slots = fan_out(router, task, n_samples, models)
     statement: str | None = None
     samples: list[str] = []
     model_conclusions: dict[str, list[str]] = {}
-    for slot in slots:
-        if not slot.ok:
-            continue
-        output = slot.response.output
-        if statement is None and output.get("statement"):
-            statement = output["statement"]
-        conclusion = output.get("conclusion")
-        if conclusion:
-            samples.append(conclusion)
-            model_conclusions.setdefault(slot.provider_tag, []).append(conclusion)
+    answered = 0
+    for tag in sorted(models):
+        for index in range(n_samples):
+            try:
+                output = router.invoke(task, provider_tag=tag,
+                                       sample_index=index).output
+            except ClaimcheckError:
+                continue
+            answered += 1
+            if statement is None and output.get("statement"):
+                statement = output["statement"]
+            conclusion = output.get("conclusion")
+            if conclusion:
+                samples.append(conclusion)
+                model_conclusions.setdefault(tag, []).append(conclusion)
+    if not answered:
+        raise AllSlotsFailed(
+            f"all {len(models) * n_samples} hypothesis slots failed for task "
+            f"{task.fingerprint} ({task.kind})")
 
     if statement is None:
         return HypothesisBundle(primary=None, counter=None, samples=[],

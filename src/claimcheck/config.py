@@ -160,6 +160,9 @@ class PipelineConfig:
              "signals.dominance_fraction in (0,1)"),
             (self.assess.entropy_high_confidence <= self.assess.entropy_low_confidence,
              "entropy thresholds ordered"),
+            (self.assess.n_samples >= 1, "assess.n_samples >= 1"),
+            (bool(self.assess.hypothesis_models),
+             "assess.hypothesis_models non-empty"),
             (self.document_budget >= 1, "document_budget >= 1"),
             (self.provider.retries >= 1, "provider.retries >= 1"),
             (self.max_parallelism >= 1, "max_parallelism >= 1"),

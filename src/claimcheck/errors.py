@@ -50,7 +50,7 @@ class SchemaViolation(ClaimcheckError):
 
 
 class AllSlotsFailed(ProviderFailure):
-    """Every slot of a fan-out request failed."""
+    """Every (provider tag, sample) slot of a hypothesis request failed."""
 
 
 # --- knowledge layer --------------------------------------------------------

@@ -11,14 +11,15 @@ by `_flush_layer`) writes a layer's files and one loop in `resume` reloads
 them, through the dataclass codec of `records.py`. Adding a store file means
 adding one entry.
 
-Layers 2-4 send their provider calls in dependency waves. Each step collects
-the calls it is certain to need, sends them as one wave of `router.map`
-(`Run._wave`), and stores the results in the run's tables; the fold that
-follows reads those tables in sorted order, as a sequential run would. Calls
-may finish in any order: the transcript is drained sorted, so the run
-directory does not depend on it. Entity and claim extraction alone go one
-document at a time, because claims resolve names through the registry that
-earlier documents fill.
+Layers 2–4 and 6 send their provider calls in dependency waves. Each step
+collects the calls it is certain to need, sends them as one wave of
+`router.map` (`Run._wave`), and stores the results in the run's tables; the
+fold that follows reads those tables in sorted order, as a sequential run
+would. Layer 6 sends one wave over the evidence profiles, and each item makes
+its claim's hypothesis calls in order. Calls may finish in any order: the
+transcript is drained sorted, so the run directory does not depend on it.
+Entity and claim extraction alone go one document at a time, because claims
+resolve names through the registry that earlier documents fill.
 """
 
 from __future__ import annotations
@@ -514,7 +515,7 @@ class Run:
         as one batch, in queue order; the rest become gaps."""
         room = max(0, self.cfg.document_budget - len(self.docs_processed))
         batch = self.queue[:room]
-        self.gaps += self.queue[room:]
+        self.gaps = self.queue[room:]
         self.queue = []
         self._extract_docs(batch)
         self._verify_docs(batch)
@@ -909,12 +910,14 @@ class Run:
                 source_slug=self.slug_of(claim.doc_id))
             self.profiles.append(profile)
 
+        bundles = self.router.map(
+            lambda profile: assess_mod.generate_hypotheses(
+                profile, self.router, self.cfg.assess.n_samples,
+                self.cfg.assess.hypothesis_models),
+            self.profiles)
         statuses: dict[str, str] = {}
         rows: list[assess_mod.HypothesisRow] = []
-        for profile in self.profiles:
-            bundle = assess_mod.generate_hypotheses(
-                profile, self.router, self.cfg.assess.n_samples,
-                self.cfg.assess.hypothesis_models)
+        for profile, bundle in zip(self.profiles, bundles):
             row = assess_mod.build_hypothesis_row(
                 profile, bundle, self._self_corrected(profile.claim),
                 self.cfg.assess)

@@ -1,7 +1,6 @@
 """Uniform abstraction over natural-language inference backends."""
 
 from .base import InferenceRouter, Provider, Transcript
-from .fanout import FanOutSlot, fan_out
 from .live import LiveProvider
 from .replay import ReplayProvider
 from .schemas import SCHEMA_VERSION
@@ -9,7 +8,7 @@ from .scripted import ScriptedProvider
 from .tasks import InferenceResponse, InferenceTask, claim_key, pair_key
 
 __all__ = [
-    "InferenceRouter", "Provider", "Transcript", "FanOutSlot", "fan_out",
-    "LiveProvider", "ReplayProvider", "ScriptedProvider", "claim_key",
-    "pair_key", "SCHEMA_VERSION", "InferenceResponse", "InferenceTask",
+    "InferenceRouter", "Provider", "Transcript", "LiveProvider",
+    "ReplayProvider", "ScriptedProvider", "claim_key", "pair_key",
+    "SCHEMA_VERSION", "InferenceResponse", "InferenceTask",
 ]

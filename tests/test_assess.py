@@ -10,14 +10,18 @@ import pytest
 from claimcheck.assess import (assess_maturity,
                                assign_status, build_evidence_profile,
                                confidence_level, cross_source_label,
-                               detect_alpha, semantic_entropy)
+                               detect_alpha, generate_hypotheses,
+                               semantic_entropy)
 from claimcheck.crosssource import ConsensusScore
-from claimcheck.errors import EmptySamples, IncompleteEnrichment, NoProfiles
+from claimcheck.errors import (AllSlotsFailed, EmptySamples,
+                               IncompleteEnrichment, NoProfiles,
+                               ProviderFailure)
 from claimcheck.intradoc import ClaimVerdict
 from claimcheck.knowledge import ProvenanceLevel
 from claimcheck.report import narrative_report, render_report
 from claimcheck.signals import StrategicEvent
 
+from conftest import StubProvider, make_router
 from test_intradoc import make_claim
 
 
@@ -169,6 +173,77 @@ def test_profile_missing_verdict_names_layer():
     with pytest.raises(IncompleteEnrichment) as err:
         build_evidence_profile(claim, None, consensus(0.0, []), [], [])
     assert err.value.missing_layer == "intradoc"
+
+
+# --- hypothesis sampling --------------------------------------------------------------
+
+def sample_backend(hypothesize):
+    """A stub backend that answers `hypothesize` through `hypothesize` and
+    records every call as (kind, provider tag, sample index)."""
+    calls: list[tuple[str, str, int]] = []
+
+    def answer(task, tag, index):
+        calls.append((task.kind, tag, index))
+        if task.kind == "hypothesize":
+            return hypothesize(tag, index)
+        return {"statement": "the effect is an artifact"}
+
+    return StubProvider(answer), calls
+
+
+def test_generate_hypotheses_visits_slots_in_tag_and_sample_order():
+    backend, calls = sample_backend(
+        lambda tag, i: {"statement": f"s-{tag}", "conclusion": f"c-{tag}-{i}"})
+    bundle = generate_hypotheses(full_profile(), make_router(backend),
+                                 n_samples=2, models=["analyst-c", "analyst-a"])
+    assert calls == [("hypothesize", "analyst-a", 0),
+                     ("hypothesize", "analyst-a", 1),
+                     ("hypothesize", "analyst-c", 0),
+                     ("hypothesize", "analyst-c", 1),
+                     ("counter-hypothesize", "analyst-a", 0)]
+    assert bundle.primary.statement == "s-analyst-a"
+    assert bundle.samples == ["c-analyst-a-0", "c-analyst-a-1",
+                              "c-analyst-c-0", "c-analyst-c-1"]
+
+
+def test_generate_hypotheses_with_one_model_and_one_sample():
+    backend, calls = sample_backend(
+        lambda tag, i: {"statement": "s", "conclusion": "c"})
+    bundle = generate_hypotheses(full_profile(), make_router(backend),
+                                 n_samples=1, models=["analyst-a"])
+    assert [call[0] for call in calls] == ["hypothesize", "counter-hypothesize"]
+    assert bundle.primary.statement == "s"
+    assert bundle.samples == ["c"]
+    assert bundle.agreement == (1, 1)
+
+
+def test_generate_hypotheses_skips_failed_slots():
+    def missing_b(tag, i):
+        if tag == "analyst-b":
+            raise ProviderFailure("absent from fixture", retryable=False)
+        return {"statement": f"s-{tag}", "conclusion": "c"}
+
+    backend, calls = sample_backend(missing_b)
+    bundle = generate_hypotheses(
+        full_profile(), make_router(backend), n_samples=1,
+        models=["analyst-b", "analyst-c", "analyst-a"])
+    assert ("hypothesize", "analyst-b", 0) in calls
+    assert bundle.primary.statement == "s-analyst-a"
+    assert bundle.samples == ["c", "c"]
+    # Only the two models that answered count towards agreement.
+    assert bundle.agreement == (2, 2)
+
+
+def test_generate_hypotheses_all_slots_failed():
+    def nothing(tag, i):
+        raise ProviderFailure("no", retryable=False)
+
+    backend, calls = sample_backend(nothing)
+    with pytest.raises(AllSlotsFailed) as err:
+        generate_hypotheses(full_profile(), make_router(backend), n_samples=1,
+                            models=["analyst-a", "analyst-b"])
+    assert "(hypothesize)" in str(err.value)
+    assert all(kind == "hypothesize" for kind, _, _ in calls)
 
 
 # --- maturity -----------------------------------------------------------------------------

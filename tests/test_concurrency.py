@@ -1,6 +1,6 @@
 """Provider calls in waves: the run directory must not depend on the order
-in which concurrent calls finish, and the calls that layers 2-4 batch must
-go through the router's pool."""
+in which concurrent calls finish, and the calls that layers 2-4 and 6 batch
+must go through the router's pool."""
 
 from __future__ import annotations
 
@@ -20,11 +20,11 @@ from conftest import (CORPUS_DIR, GOLDEN_QUERY, TRANSCRIPT, dir_digest,
                       replay_spec)
 from test_golden_digest import DIGESTS, PINNED_DIRS
 
-# Task kinds that layers 2-4 send only in waves of `router.map`, plus the
-# embeddings of layer 1.
+# Task kinds that layers 2-4 and 6 send only in waves of `router.map`, plus
+# the embeddings of layer 1.
 WAVE_KINDS = ("align-claims", "classify-provenance", "nli-verdict", "embed",
               "coherence", "overclaim", "root-cause", "citation-fidelity",
-              "rubric")
+              "rubric", "hypothesize", "counter-hypothesize")
 
 
 def golden_state(run_dir) -> Run:
@@ -95,3 +95,23 @@ def test_wave_kinds_never_run_on_the_calling_thread(tmp_path):
                         if thread == caller and kind in WAVE_KINDS})
     assert not on_caller, f"calls made on the thread running the layers: {on_caller}"
     assert len(recorder.calls) == 1283
+
+
+def test_layer6_sends_one_wave_off_the_calling_thread(tmp_path):
+    state = golden_state(tmp_path / "run")
+    state.execute(stop_after="layer5")
+    recorder = ThreadRecorder(state.router.backend)
+    state.router.backend = recorder
+    waves = []
+    original_map = state.router.map
+
+    def counting_map(fn, items):
+        waves.append(1)
+        return original_map(fn, items)
+
+    state.router.map = counting_map
+    state.layer6()
+    assert len(waves) == 1
+    assert len(recorder.calls) == 106
+    caller = threading.get_ident()
+    assert all(thread != caller for _, thread in recorder.calls)

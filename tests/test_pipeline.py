@@ -68,6 +68,19 @@ def test_partial_budget_admits_the_first_queued_documents(tmp_path, golden):
     assert {claim["doc_id"] for claim in claims} == set(admitted)
 
 
+def test_resume_after_budget_stop_keeps_the_gaps_once(tmp_path):
+    cfg = PipelineConfig()
+    cfg.document_budget = 5
+    with pytest.raises(BudgetExceeded) as first:
+        run_golden(tmp_path / "run", cfg=cfg)
+    assert len(first.value.queued) == 6
+    with pytest.raises(BudgetExceeded) as again:
+        resume(tmp_path / "run")
+    assert again.value.queued == first.value.queued
+    manifest = read_json(tmp_path / "run" / "manifest.json")
+    assert manifest["gaps"] == first.value.queued
+
+
 def doc_orgs_by_scan(state, doc_id: str) -> set[str]:
     """The per-document scan that the `doc_orgs` table replaced."""
     doc = state.documents[doc_id]
@@ -299,7 +312,9 @@ def test_config_from_dict_overrides_only_the_given_keys():
         PipelineConfig()
 
 
-@pytest.mark.parametrize("text", ['{"document_budgett": 1}', '{"corpus": 5}'])
+@pytest.mark.parametrize("text", ['{"document_budgett": 1}', '{"corpus": 5}',
+                                  '{"assess": {"n_samples": 0}}',
+                                  '{"assess": {"hypothesis_models": []}}'])
 def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Provider layer: fingerprints, schema validation, replay, retries, fan-out."""
+"""Provider layer: fingerprints, schema validation, replay, retries, the pool."""
 
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from claimcheck.config import PipelineConfig, ProviderConfig
-from claimcheck.errors import (AllSlotsFailed, ClaimcheckError, ProviderFailure,
-                               SchemaViolation)
+from claimcheck.errors import ClaimcheckError, ProviderFailure, SchemaViolation
 from claimcheck.jsonl import dumps_record, write_records
 from claimcheck.provider import (InferenceResponse, InferenceRouter,
                                  InferenceTask, ReplayProvider,
-                                 ScriptedProvider, Transcript, fan_out)
+                                 ScriptedProvider, Transcript)
 from claimcheck.provider.embedder import embed_text
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
 from claimcheck.provider.tasks import SCHEMA_VERSION
@@ -108,55 +107,6 @@ def test_replay_miss_names_fingerprint():
     with pytest.raises(ProviderFailure) as err:
         router.invoke(task)
     assert task.fingerprint in str(err.value)
-
-
-def test_fan_out_collates_by_provider_and_sample():
-    def per_tag(task, tag, i):
-        return {"statement": f"s-{tag}", "conclusion": f"c-{tag}-{i}"}
-
-    router = make_router(StubProvider(per_tag))
-    task = InferenceTask("hypothesize", {"profile": {"claim": "k"}})
-    slots = fan_out(router, task, samples=2,
-                    providers=["analyst-c", "analyst-a"])
-    keys = [(s.provider_tag, s.sample_index) for s in slots]
-    assert keys == [("analyst-a", 0), ("analyst-a", 1),
-                    ("analyst-c", 0), ("analyst-c", 1)]
-    assert all(s.ok for s in slots)
-
-
-def test_fan_out_singleton():
-    router = make_router(StubProvider(
-        lambda t, tag, i: {"statement": "s", "conclusion": "c"}))
-    task = InferenceTask("hypothesize", {"profile": {"claim": "k"}})
-    slots = fan_out(router, task, samples=1, providers=["analyst-a"])
-    assert len(slots) == 1 and slots[0].ok
-
-
-def test_fan_out_reports_partial_failures():
-    def missing_b(task, tag, i):
-        if tag == "analyst-b":
-            raise ProviderFailure("absent from fixture", retryable=False)
-        return {"statement": "s", "conclusion": "c"}
-
-    router = make_router(StubProvider(missing_b))
-    task = InferenceTask("hypothesize", {"profile": {"claim": "k"}})
-    slots = fan_out(router, task, samples=1,
-                    providers=["analyst-a", "analyst-b", "analyst-c"])
-    oks = [s for s in slots if s.ok]
-    failed = [s for s in slots if not s.ok]
-    assert len(oks) == 2 and len(failed) == 1
-    assert failed[0].provider_tag == "analyst-b"
-    assert "absent" in failed[0].error
-
-
-def test_fan_out_all_slots_failed():
-    def nothing(task, tag, i):
-        raise ProviderFailure("no", retryable=False)
-
-    router = make_router(StubProvider(nothing))
-    task = InferenceTask("hypothesize", {"profile": {"claim": "k"}})
-    with pytest.raises(AllSlotsFailed):
-        fan_out(router, task, samples=1, providers=["analyst-a", "analyst-b"])
 
 
 # --- the router's bounded pool -----------------------------------------------
