@@ -10,17 +10,37 @@ from ..provider import InferenceRouter, InferenceTask
 from .model import EmbeddingRecord, SourceDocument
 
 
+# The product sums each row in BLAS order, not in the order of `q @ v`, so a
+# fast cosine can differ from the exact one by rounding error: at most about
+# dim * 2**-53 for unit-scale cosines (3e-14 at dim 256). A row of the exact
+# top k then has a fast cosine no lower than the k-th fast one minus twice
+# that, so a margin of 1e-9 keeps every such row on the shortlist.
+_SHORTLIST_MARGIN = 1e-9
+
+
 class EmbeddingStore:
     """Fixed-dimension vector store; one model_tag per store.
 
-    Reads are lock-free over immutable records; appends go through `add`,
-    which the pipeline serializes per store.
+    The records are the store's content: `records()` and persistence read
+    only them. For search the store also keeps, in sorted-owner order, a
+    float64 matrix of the vectors, an owner -> row index and each row's norm.
+    All three are built at the first search after an `add`, so a run builds
+    them once, or once per resume.
+
+    Appends go through `add`, which the pipeline serializes per store.
+    Searches run on the calling thread: each is one small product, so a pool
+    would only add hand-off cost, and the lazy build is not safe across
+    threads.
     """
 
     def __init__(self, dim: int, model_tag: str):
         self.dim = dim
         self.model_tag = model_tag
         self._records: dict[str, EmbeddingRecord] = {}
+        self._owners: list[str] = []
+        self._rows: dict[str, int] = {}
+        self._matrix: np.ndarray | None = None  # None: stale since an add
+        self._norms = np.zeros(0)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -38,27 +58,56 @@ class EmbeddingStore:
                 f"record {record.owner} tagged {record.model_tag!r}, "
                 f"store expects {self.model_tag!r}")
         self._records[record.owner] = record
+        self._matrix = None
 
     def records(self) -> list[EmbeddingRecord]:
         return [self._records[owner] for owner in sorted(self._records)]
 
+    def _build_matrix(self) -> None:
+        self._owners = sorted(self._records)
+        self._rows = {owner: row for row, owner in enumerate(self._owners)}
+        self._matrix = np.array(
+            [self._records[owner].vector for owner in self._owners],
+            dtype=np.float64).reshape(len(self._owners), self.dim)
+        # Row by row, so each norm is bit-for-bit the one of a lone vector.
+        self._norms = np.array([np.linalg.norm(v) for v in self._matrix])
+
     def search(self, query_vector: list[float], k: int,
                owner_filter: set[str] | None = None) -> list[tuple[str, float]]:
+        """The k records most similar to the query by cosine, each with its
+        similarity; ties go to the lower owner id.
+
+        One matrix-vector product ranks every row; the rows that can reach
+        the top k are then scored again one by one, as `q @ v`, so the
+        owners and similarities do not depend on the product's rounding.
+        """
         if k < 1:
             raise ClaimcheckError("search needs k >= 1")
-        owners = sorted(self._records)
-        if owner_filter is not None:
-            owners = [o for o in owners if o in owner_filter]
-        if not owners:
+        if self._matrix is None:
+            self._build_matrix()
+        if owner_filter is None:
+            rows = np.arange(len(self._owners))
+        else:
+            rows = np.fromiter((self._rows[o] for o in owner_filter
+                                if o in self._rows), dtype=np.intp)
+        if len(rows) == 0:
             raise EmptyStore("embedding store has no matching records")
         q = np.asarray(query_vector, dtype=np.float64)
         qn = np.linalg.norm(q)
+        # A zero query scores every row 0.0, so there is nothing to shortlist.
+        if len(rows) > k and qn != 0.0:
+            norms = self._norms[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fast = np.where(norms == 0.0, 0.0,
+                                (self._matrix @ q)[rows] / (norms * qn))
+            kth = np.partition(fast, len(rows) - k)[len(rows) - k]
+            rows = rows[fast >= kth - _SHORTLIST_MARGIN]
         scored: list[tuple[str, float]] = []
-        for owner in owners:
-            v = np.asarray(self._records[owner].vector, dtype=np.float64)
-            vn = np.linalg.norm(v)
-            sim = 0.0 if qn == 0.0 or vn == 0.0 else float(q @ v / (qn * vn))
-            scored.append((owner, sim))
+        for row in rows.tolist():
+            vn = self._norms[row]
+            sim = 0.0 if qn == 0.0 or vn == 0.0 \
+                else float(q @ self._matrix[row] / (qn * vn))
+            scored.append((self._owners[row], sim))
         # Descending similarity; ties broken by ascending owner id.
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored[:k]
@@ -113,8 +162,7 @@ def semantic_searches(queries: list[tuple[str, set[str] | None]], k: int,
     where it would raise `EmptyStore`.
 
     The query embeddings go out as one wave of `router.map`. The searches
-    then run on the calling thread: they are CPU-bound, and on the pool they
-    would only contend for the interpreter lock.
+    then run on the calling thread, as `EmbeddingStore` requires.
     """
     if len(store) == 0:
         return [[] for _ in queries]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -328,7 +328,11 @@ class Run:
             if row.get("object_kind"):
                 self.registry.register(row["object"], row["object_kind"])
 
+    @cached_property
     def relation_edges(self) -> list[Edge]:
+        """The relation rows' entity edges. Computed once per run: from
+        layer 2 on, every subject, and every object with an `object_kind`,
+        is registered, and an entity's id depends only on its name."""
         edges: dict[str, Edge] = {}
         for row in self.relations.entity_rows():
             subject = self.registry.get(row["subject"])
@@ -356,7 +360,7 @@ class Run:
     def graph(self) -> KnowledgeGraph:
         claims = [self.claims[c] for c in sorted(self.claims)]
         return build_graph(self.registry.entities(), claims,
-                           self.relation_edges())
+                           self.relation_edges)
 
     def _index_orgs(self) -> None:
         """Fill `doc_orgs`: for each document, the organization entities
@@ -402,17 +406,21 @@ class Run:
             return [doc.doc_id]
         query_vec = embed_query(self.router, self.query, self.store.dim,
                                 self.store.model_tag)
-        ranked: list[tuple[float, str]] = []
+        # One search ranks every document's first-section passages; the
+        # first hit of a document is the one its own k=1 search would give.
+        docs_of: dict[str, list[str]] = {}
         for doc_id in sorted(self.documents):
             doc = self.documents[doc_id]
-            owners = {pid for pid, _ in
-                      (doc.sections[0].passages if doc.sections else [])}
-            if not owners:
-                continue
-            hits = self.store.search(query_vec, k=1, owner_filter=owners)
-            if hits and hits[0][1] > 0.0:
-                ranked.append((-hits[0][1], doc_id))
-        ranked.sort()
+            for pid, _ in (doc.sections[0].passages if doc.sections else []):
+                docs_of.setdefault(pid, []).append(doc_id)
+        best: dict[str, float] = {}
+        if docs_of:
+            for owner, sim in self.store.search(query_vec, k=len(docs_of),
+                                                owner_filter=set(docs_of)):
+                for doc_id in docs_of[owner]:
+                    best.setdefault(doc_id, sim)
+        ranked = sorted((-sim, doc_id) for doc_id, sim in best.items()
+                        if sim > 0.0)
         seeds = [doc_id for _, doc_id in ranked[:self.cfg.relevance_top_n]]
         if not seeds:
             raise EmptyCorpus("no document is relevant to the query")

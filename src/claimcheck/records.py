@@ -43,15 +43,24 @@ def encode_fields(obj: Any) -> dict[str, Any]:
 
 
 def decode_fields(cls: type, data: dict[str, Any]) -> Any:
-    plan = _plan(cls)
-    return cls(**{name: plan[name][1](value) if name in plan else value
-                  for name, value in data.items()})
+    fields = dict(data)
+    for name, decode in _decoders(cls).items():
+        if name in fields:
+            fields[name] = decode(fields[name])
+    return cls(**fields)
 
 
 @functools.cache
 def _plan(cls: type) -> dict[str, Codec]:
     hints = typing.get_type_hints(cls)
     return {f.name: _codec(hints[f.name]) for f in dataclasses.fields(cls)}
+
+
+@functools.cache
+def _decoders(cls: type) -> dict[str, Callable[[Any], Any]]:
+    """The field decoders of `cls` that are not the identity."""
+    return {name: decode for name, (_, decode) in _plan(cls).items()
+            if decode is not _same}
 
 
 @functools.cache

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claimcheck import records
 from claimcheck.config import CorpusConfig
@@ -269,6 +272,106 @@ def test_search_finds_rebuttal_passages(golden):
             if any(pid == owner for pid, _ in doc.passages()):
                 owner_docs.add(doc_id)
     assert owner_docs & rebuttals
+
+
+def search_by_loop(store, query_vector, k, owner_filter=None):
+    """The per-record search that the store's matrix search replaced, kept
+    as the oracle: every record scored as `q @ v`, then sorted."""
+    vectors = {r.owner: r.vector for r in store.records()}
+    owners = sorted(vectors)
+    if owner_filter is not None:
+        owners = [o for o in owners if o in owner_filter]
+    if not owners:
+        raise EmptyStore("embedding store has no matching records")
+    q = np.asarray(query_vector, dtype=np.float64)
+    qn = np.linalg.norm(q)
+    scored = []
+    for owner in owners:
+        v = np.asarray(vectors[owner], dtype=np.float64)
+        vn = np.linalg.norm(v)
+        sim = 0.0 if qn == 0.0 or vn == 0.0 else float(q @ v / (qn * vn))
+        scored.append((owner, sim))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]
+
+
+@st.composite
+def search_cases(draw):
+    """A store, split into two batches of adds, and searches against it.
+
+    Most vectors are hashed-style: a few +-1 slots, L2-normalised and
+    rounded to 9 decimals as `embed_text` does, so exact-zero dot products
+    are common. The rest are duplicates, zero vectors or dense floats."""
+    dim = draw(st.sampled_from((1, 3, 8, 37, 256)))
+
+    def vector(others):
+        choice = draw(st.integers(0, 9))
+        if choice == 0 and others:
+            return draw(st.sampled_from(others))
+        if choice == 1:
+            return (0.0,) * dim
+        if choice == 2:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+            return tuple(rng.uniform(-1.0, 1.0, dim).tolist())
+        vec = np.zeros(dim)
+        for index, sign in draw(st.lists(
+                st.tuples(st.integers(0, dim - 1), st.sampled_from((1, -1))),
+                max_size=12)):
+            vec[index] += sign
+        norm = np.linalg.norm(vec)
+        if norm > 0.0:
+            vec /= norm
+        return tuple(round(float(x), 9) for x in vec)
+
+    owners = draw(st.lists(st.text("abpqz", min_size=1, max_size=3),
+                           min_size=1, max_size=30, unique=True))
+    vectors: list[tuple[float, ...]] = []
+    for _ in owners:
+        vectors.append(vector(vectors))
+    split = draw(st.integers(1, len(owners)))
+    searches = []
+    for _ in range(3):
+        query = vector(vectors)
+        owner_filter = draw(st.none() | st.sets(
+            st.sampled_from(owners) | st.just("unknown")))
+        searches.append((query, draw(st.integers(1, len(owners) + 2)),
+                         owner_filter))
+    return dim, list(zip(owners, vectors)), split, searches
+
+
+# Hashed vectors whose exact cosines with the query tie at 0.0 where a
+# product with fused multiply-adds leaves tiny nonzero values; without the
+# shortlist margin, k=2 would pick the wrong 0.0-tied owner there.
+ZERO_TIES = (8, [
+    ("p0", (0.0, 0.0, 0.577350269, 0.288675135, -0.288675135, -0.577350269,
+            -0.288675135, 0.288675135)),
+    ("p1", (-0.23570226, 0.23570226, 0.23570226, 0.0, -0.707106781,
+            -0.23570226, -0.471404521, 0.23570226)),
+    ("p2", (-0.288675135, -0.577350269, 0.577350269, -0.288675135, 0.0,
+            -0.288675135, 0.0, 0.288675135)),
+    ("p3", (-0.213200716, -0.639602149, 0.0, -0.639602149, 0.213200716,
+            0.213200716, -0.213200716, 0.0))], 4,
+    [((0.0, 0.353553391, 0.353553391, 0.0, 0.353553391, 0.353553391, 0.0,
+       -0.707106781), 2, None)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+@example(ZERO_TIES)
+def test_search_matches_the_per_record_loop(case):
+    dim, items, split, searches = case
+    store = EmbeddingStore(dim=dim, model_tag="m")
+    for batch in (items[:split], items[split:]):
+        for owner, vector in batch:
+            store.add(EmbeddingRecord(owner, vector, "m"))
+        for query, k, owner_filter in searches:
+            try:
+                expected = search_by_loop(store, query, k, owner_filter)
+            except EmptyStore:
+                with pytest.raises(EmptyStore):
+                    store.search(list(query), k, owner_filter)
+                continue
+            assert store.search(list(query), k, owner_filter) == expected
 
 
 # --- visual assets ---------------------------------------------------------------

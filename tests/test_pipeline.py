@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import tempfile
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimcheck import pipeline
 from claimcheck.cli import main
 from claimcheck.config import PipelineConfig
+from claimcheck.corpus.embedding import EmbeddingStore, embed_query
 from claimcheck.corpus.ingest import ingest_document
 from claimcheck.errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
                                CorruptManifest, EmptyCorpus, ProviderFailure)
@@ -106,6 +109,101 @@ def test_relevance_gate_without_target(tmp_path):
                 tmp_path / "run", PipelineConfig(), scripted_spec(),
                 stop_after="layer2")
     assert state.seeds  # semantic gate found relevant documents
+
+
+BACKGROUND_WORDS = ("solver", "runtime", "benchmark", "quantum", "annealing",
+                    "graph", "heuristic", "advantage", "classical", "hardware",
+                    "noise", "sampling", "protocol", "bias-field")
+
+
+def background_corpus(tmp_path: Path, n: int) -> Path:
+    """The fixture corpus plus `n` generated background documents."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    for i in range(n):
+        words = [BACKGROUND_WORDS[(i * j + j) % len(BACKGROUND_WORDS)]
+                 for j in range(1, 7)]
+        (corpus / f"bg{i:02d}.json").write_text(json.dumps({
+            "manifest_kind": "document", "slug": f"bg{i:02d}",
+            "source_type": "paper", "title": f"Background note {i}",
+            "metadata": {"authors": [{"name": "B. Author",
+                                      "affiliation": "Lab"}],
+                         "publication_date": "2024-01-01"},
+            "sections": [{"heading": "Abstract", "level": 1,
+                          "passages": [" ".join(words) + f", note {i}.",
+                                       f"Second passage of note {i}."]},
+                         {"heading": "Body", "level": 1,
+                          "passages": [" ".join(reversed(words)) + "."]}],
+            "assets": []}))
+    return corpus
+
+
+def seeds_by_document(state) -> list[str]:
+    """Seed selection as one k=1 search per document, which the single
+    search of `Run._select_seeds` replaced."""
+    query_vec = embed_query(state.router, state.query, state.store.dim,
+                            state.store.model_tag)
+    ranked = []
+    for doc_id in sorted(state.documents):
+        doc = state.documents[doc_id]
+        owners = {pid for pid, _ in
+                  (doc.sections[0].passages if doc.sections else [])}
+        if owners:
+            hits = state.store.search(query_vec, k=1, owner_filter=owners)
+            if hits[0][1] > 0.0:
+                ranked.append((-hits[0][1], doc_id))
+    return [doc_id for _, doc_id in sorted(ranked)[:state.cfg.relevance_top_n]]
+
+
+@pytest.mark.parametrize("top_n", [3, 100])
+def test_one_search_selects_the_seeds_of_per_document_searches(tmp_path,
+                                                               top_n):
+    cfg = PipelineConfig()
+    cfg.relevance_top_n = top_n
+    state = run(GOLDEN_QUERY, background_corpus(tmp_path, 40),
+                tmp_path / "run", cfg, scripted_spec(), stop_after="layer1")
+    # A document that shares its passage ids with the most relevant one.
+    doc = state.documents[seeds_by_document(state)[0]]
+    state.documents["zz-copy"] = dataclasses.replace(doc, doc_id="zz-copy")
+    seeds = state._select_seeds()
+    assert seeds == seeds_by_document(state)
+    assert seeds[1] == "zz-copy"
+    if top_n == 3:
+        assert len(seeds) == 3
+    else:  # background documents pass, and the relevance gate drops some
+        assert 11 < len(seeds) < len(state.documents)
+
+
+def counted(counts: dict[str, int], name: str, fn):
+    """`fn`, adding one to `counts[name]` at each call."""
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("background", [0, 40])
+def test_seed_selection_is_one_search_and_one_matrix_build(
+        tmp_path, monkeypatch, background):
+    counts: dict[str, int] = {}
+    monkeypatch.setattr(EmbeddingStore, "search",
+                        counted(counts, "search", EmbeddingStore.search))
+    monkeypatch.setattr(EmbeddingStore, "_build_matrix",
+                        counted(counts, "build", EmbeddingStore._build_matrix))
+    state = run(GOLDEN_QUERY, background_corpus(tmp_path, background),
+                tmp_path / "run", PipelineConfig(), scripted_spec(),
+                stop_after="layer2")
+    assert len(state.documents) == 11 + background
+    assert counts == {"search": 1, "build": 1}
+
+
+def test_relation_edges_are_built_once_per_run(tmp_path, monkeypatch):
+    counts: dict[str, int] = {}
+    monkeypatch.setattr(pipeline, "relation_edge",
+                        counted(counts, "edge", pipeline.relation_edge))
+    state = run_golden(tmp_path / "run")
+    rows = state.relations.entity_rows()
+    assert rows and counts["edge"] == len(rows)
 
 
 def test_resume_completes_interrupted_run(tmp_path):
