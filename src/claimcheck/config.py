@@ -196,5 +196,29 @@ def _check_keys(section: Any, data: Any, prefix: str = "") -> None:
     for key, value in data.items():
         if key not in names:
             raise ClaimcheckError(f"unknown config key: {prefix}{key}")
-        if is_dataclass(getattr(section, key)):
-            _check_keys(getattr(section, key), value, f"{prefix}{key}.")
+        default = getattr(section, key)
+        if is_dataclass(default):
+            _check_keys(default, value, f"{prefix}{key}.")
+        else:
+            _check_type(default, value, f"{prefix}{key}")
+
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+def _check_type(default: Any, value: Any, key: str) -> None:
+    """`value` must have the JSON type of the field's default (an integer
+    passes as a number), and so must each member of a list or dict whose
+    default has members."""
+    want = _JSON_TYPES[type(default)]
+    got = _JSON_TYPES.get(type(value), "null")
+    if got != want and (want, got) != ("number", "integer"):
+        raise ClaimcheckError(f"config {key} must be a JSON {want}, not {got}")
+    if isinstance(default, dict) and default:
+        member = next(iter(default.values()))
+        for name, item in value.items():
+            _check_type(member, item, f"{key}.{name}")
+    elif isinstance(default, list) and default:
+        for i, item in enumerate(value):
+            _check_type(default[0], item, f"{key}[{i}]")

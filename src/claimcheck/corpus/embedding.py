@@ -115,6 +115,8 @@ class EmbeddingStore:
 
 def embed_texts(router: InferenceRouter, owners_texts: list[tuple[str, str]],
                 dim: int, model_tag: str) -> list[EmbeddingRecord]:
+    """One record per `(owner, text)`, in input order. The embed calls go
+    out as one wave of `router.map`, however many texts there are."""
     def one(pair: tuple[str, str]) -> EmbeddingRecord:
         owner, text = pair
         task = InferenceTask("embed", {"text": text, "dim": dim,
@@ -127,12 +129,19 @@ def embed_texts(router: InferenceRouter, owners_texts: list[tuple[str, str]],
     return router.map(one, owners_texts)
 
 
-def chunk_and_embed(doc: SourceDocument, router: InferenceRouter,
+def chunk_and_embed(docs: list[SourceDocument], router: InferenceRouter,
                     store: EmbeddingStore) -> list[EmbeddingRecord]:
-    """One record per passage and per described asset; appended to `store`."""
-    owners_texts = list(doc.passages())
-    owners_texts.extend((a.asset_id, a.description)
-                        for a in doc.described_assets())
+    """One record per passage and per described asset of each document.
+
+    Every document's texts go out as one wave, whatever the number of
+    documents. The records are appended to `store` in the order of `docs`,
+    so an owner that two documents share resolves to the later one.
+    """
+    owners_texts: list[tuple[str, str]] = []
+    for doc in docs:
+        owners_texts.extend(doc.passages())
+        owners_texts.extend((a.asset_id, a.description)
+                            for a in doc.described_assets())
     records = embed_texts(router, owners_texts, store.dim, store.model_tag)
     for record in records:
         store.add(record)

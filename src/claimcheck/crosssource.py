@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, Iterable
 
 from .config import CrossSourceConfig
 from .corpus.embedding import EmbeddingStore, semantic_searches
@@ -90,17 +90,27 @@ class RubricAssessment:
 def citation_neighbors(citations: set[tuple[str, str]], doc_id: str,
                        max_hops: int) -> set[str]:
     """Docs within `max_hops` undirected citation hops, direct edges included."""
+    return citation_neighbors_of(citations, [doc_id], max_hops)
+
+
+def citation_neighbors_of(citations: set[tuple[str, str]],
+                          doc_ids: Iterable[str], max_hops: int) -> set[str]:
+    """The union of `citation_neighbors` over `doc_ids`: the undirected
+    adjacency is built once, then each document's hops are walked over it."""
     adjacency: dict[str, set[str]] = {}
     for a, b in citations:
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
-    frontier = {doc_id}
-    seen = {doc_id}
-    for _ in range(max_hops):
-        frontier = {n for d in frontier for n in adjacency.get(d, ())} - seen
-        seen |= frontier
-    seen.discard(doc_id)
-    return seen
+    related: set[str] = set()
+    for doc_id in doc_ids:
+        frontier = {doc_id}
+        seen = {doc_id}
+        for _ in range(max_hops):
+            frontier = {n for d in frontier for n in adjacency.get(d, ())} - seen
+            seen |= frontier
+        seen.discard(doc_id)
+        related |= seen
+    return related
 
 
 def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
@@ -115,11 +125,9 @@ def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
     discovered document through Layers 1-3 before comparing claims.
     """
     cfg = cfg or CrossSourceConfig()
-    related: set[str] = set()
-
-    for doc_id in {claim.doc_id for claim in claims}:
-        related |= citation_neighbors(citations, doc_id,
-                                      cfg.discovery_citation_hops)
+    related = citation_neighbors_of(citations,
+                                    {claim.doc_id for claim in claims},
+                                    cfg.discovery_citation_hops)
 
     owner_to_doc: dict[str, str] = {}
     for doc_id in sorted(documents):

@@ -11,15 +11,17 @@ by `_flush_layer`) writes a layer's files and one loop in `resume` reloads
 them, through the dataclass codec of `records.py`. Adding a store file means
 adding one entry.
 
-Layers 2–4 and 6 send their provider calls in dependency waves. Each step
+Layers 1–4 and 6 send their provider calls in dependency waves. Each step
 collects the calls it is certain to need, sends them as one wave of
 `router.map` (`Run._wave`), and stores the results in the run's tables; the
 fold that follows reads those tables in sorted order, as a sequential run
-would. Layer 6 sends one wave over the evidence profiles, and each item makes
-its claim's hypothesis calls in order. Calls may finish in any order: the
-transcript is drained sorted, so the run directory does not depend on it.
-Entity and claim extraction alone go one document at a time, because claims
-resolve names through the registry that earlier documents fill.
+would. Layer 1 sends two waves whatever the corpus size: every asset
+description, then every passage and asset embedding. Layer 6 sends one wave
+over the evidence profiles, and each item makes its claim's hypothesis calls
+in order. Calls may finish in any order: the transcript is drained sorted, so
+the run directory does not depend on it. Entity and claim extraction alone go
+one document at a time, because claims resolve names through the registry
+that earlier documents fill.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ STORE = (
 
 # One call of a wave: (table, key, call). `Run._wave` stores the call's
 # result in the table under the key.
-Job = tuple[dict, Any, Callable[[], Any]]
+Job = tuple[dict | list, Any, Callable[[], Any]]
 
 # Run state kept in the manifest rather than the store.
 _MANIFEST_LISTS = ("seeds", "docs_processed", "queue", "gaps", "citation_gaps")
@@ -308,15 +310,19 @@ class Run:
             doc = ingest_document(raw, fmt, hints)
             self.documents[doc.doc_id] = doc
         self._index()
+        docs = [self.documents[doc_id] for doc_id in sorted(self.documents)]
+        jobs: list[Job] = []
+        for doc in docs:
+            doc.assets = sorted(doc.assets, key=attrgetter("asset_id"))
+            jobs += [(doc.assets, i, partial(describe_visual_asset, asset,
+                                             doc.slug, self.router))
+                     for i, asset in enumerate(doc.assets)
+                     if asset.caption.strip()]
+        self._wave(jobs)
         sells = sells_chains(self.relations.triples())
-        for doc_id in sorted(self.documents):
-            doc = self.documents[doc_id]
-            doc.assets = [
-                describe_visual_asset(asset, doc.slug, self.router)
-                if asset.caption.strip() else asset
-                for asset in sorted(doc.assets, key=lambda a: a.asset_id)]
+        for doc in docs:
             doc.quality = score_source(doc, sells, cfg=self.cfg.corpus)
-            chunk_and_embed(doc, self.router, self.store)
+        chunk_and_embed(docs, self.router, self.store)
         self._flush_layer("layer1")
 
     # --- relation-derived structures -----------------------------------------

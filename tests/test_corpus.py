@@ -166,7 +166,7 @@ def test_chunk_and_embed_counts():
                                          for i in range(10)]}]),
         "json-manifest")
     store = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
-    records = chunk_and_embed(doc, router, store)
+    records = chunk_and_embed([doc], router, store)
     assert len(records) == 10
     assert len(store) == 10
 
@@ -181,14 +181,14 @@ def test_chunk_and_embed_counts():
         with_assets.assets[i] = describe_visual_asset(
             asset, with_assets.slug, router)
     store2 = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
-    assert len(chunk_and_embed(with_assets, router, store2)) == 12
+    assert len(chunk_and_embed([with_assets], router, store2)) == 12
 
 
 def test_embedding_completeness_per_passage():
     router = scripted_router()
     doc = ingest_document(manifest_bytes(), "json-manifest")
     store = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
-    chunk_and_embed(doc, router, store)
+    chunk_and_embed([doc], router, store)
     for pid, _ in doc.passages():
         assert pid in store
 
@@ -199,7 +199,7 @@ def test_replay_miss_during_embed_names_fingerprint():
         {"heading": "Body", "passages": ["Only passage."]}]), "json-manifest")
     store = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
     with pytest.raises(ProviderFailure) as err:
-        chunk_and_embed(doc, router, store)
+        chunk_and_embed([doc], router, store)
     assert "fingerprint" in str(err.value) or "-" in str(err.value)
 
 

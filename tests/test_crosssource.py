@@ -16,6 +16,7 @@ from claimcheck.corpus import (DocumentMetadata, SourceDocument,
 from claimcheck.crosssource import (AgreementRecord, CorpusView,
                                     IndependenceRating, assess_independence,
                                     check_citation_fidelity, citation_neighbors,
+                                    citation_neighbors_of,
                                     compute_consensus,
                                     enumerate_rubric_criteria,
                                     evaluate_rubric,
@@ -228,6 +229,37 @@ def test_citation_helpers():
     assert citation_neighbors(citations, "s1", 2) == {"r1", "b1", "b2"}
     assert intermediary_citation_distance(citations, "s1", "b2") == 1
     assert intermediary_citation_distance(citations, "s1", "r1") is None
+
+
+def _within_hops(citations, doc_id, max_hops):
+    """Docs at undirected citation distance 1..max_hops from `doc_id`, by
+    relaxing distances over the edge list: the reference for the walks."""
+    distance = {doc_id: 0}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in citations:
+            for x, y in ((a, b), (b, a)):
+                if x in distance and distance[x] + 1 < distance.get(y, max_hops + 1):
+                    distance[y] = distance[x] + 1
+                    changed = True
+    return {d for d, hops in distance.items() if 0 < hops <= max_hops}
+
+
+_DOCS = ["a", "b", "c", "d", "e", "f"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(st.sampled_from(_DOCS), st.sampled_from(_DOCS)),
+               max_size=12),
+       st.sets(st.sampled_from(_DOCS + ["unknown"]), max_size=4),
+       st.integers(0, 4))
+def test_citation_neighbors_of_is_the_union_of_per_document_walks(
+        citations, doc_ids, max_hops):
+    union = citation_neighbors_of(citations, doc_ids, max_hops)
+    per_doc = [citation_neighbors(citations, d, max_hops) for d in doc_ids]
+    assert union == set().union(*per_doc)
+    assert per_doc == [_within_hops(citations, d, max_hops) for d in doc_ids]
 
 
 # --- contradiction root cause ----------------------------------------------------------

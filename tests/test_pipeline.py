@@ -22,6 +22,7 @@ from claimcheck.errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
 from claimcheck.jsonl import read_all, read_json
 from claimcheck.pipeline import (LAYERS, ProviderSpec, load_corpus_dir,
                                  resume, run)
+from claimcheck.provider import InferenceRouter
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, TRANSCRIPT,
                       dir_digest, run_golden, scripted_spec)
@@ -195,6 +196,23 @@ def test_seed_selection_is_one_search_and_one_matrix_build(
                 stop_after="layer2")
     assert len(state.documents) == 11 + background
     assert counts == {"search": 1, "build": 1}
+
+
+def test_layer1_sends_the_same_waves_whatever_the_corpus_size(tmp_path,
+                                                              monkeypatch):
+    counts: dict[str, int] = {}
+    monkeypatch.setattr(InferenceRouter, "map",
+                        counted(counts, "map", InferenceRouter.map))
+    waves = {}
+    for background in (0, 40):
+        counts.clear()
+        state = run(GOLDEN_QUERY,
+                    background_corpus(tmp_path / str(background), background),
+                    tmp_path / str(background) / "run", PipelineConfig(),
+                    scripted_spec(), stop_after="layer1")
+        assert len(state.documents) == 11 + background
+        waves[background] = counts["map"]
+    assert waves[0] == waves[40] == 2
 
 
 def test_relation_edges_are_built_once_per_run(tmp_path, monkeypatch):
@@ -393,10 +411,30 @@ def test_cli_layer_command_checks_a_given_config_against_the_run(tmp_path,
      "unknown config key: corpus.quality_priorr"),
     ({"corpus": 5}, "config corpus must be a JSON object"),
     ([1], "config file must be a JSON object"),
+    ({"corpus": {"quality_prior": "high"}},
+     "config corpus.quality_prior must be a JSON number, not string"),
+    ({"corpus": {"venue_tiers": 5}},
+     "config corpus.venue_tiers must be a JSON object, not integer"),
+    ({"corpus": {"venue_tiers": {"arxiv": "low"}}},
+     "config corpus.venue_tiers.arxiv must be a JSON number, not string"),
+    ({"assess": {"hypothesis_models": ["analyst-a", 3]}},
+     r"config assess.hypothesis_models\[1\] must be a JSON string, not integer"),
+    ({"document_budget": True},
+     "config document_budget must be a JSON integer, not boolean"),
+    ({"document_budget": 7.0},
+     "config document_budget must be a JSON integer, not number"),
 ])
 def test_config_rejects_unknown_keys_and_non_object_sections(data, message):
     with pytest.raises(ClaimcheckError, match=message):
         PipelineConfig.from_dict(data)
+
+
+def test_config_type_check_accepts_an_integer_for_a_number():
+    cfg = PipelineConfig.from_dict({"corpus": {"quality_prior": 1,
+                                               "venue_tiers": {"arxiv": 0}}})
+    assert cfg.corpus.quality_prior == 1
+    assert cfg.corpus.venue_tiers == {"arxiv": 0}
+    assert PipelineConfig().snapshot_hash() == "77ea7ef2ab5c4141"
 
 
 def test_config_from_dict_overrides_only_the_given_keys():
@@ -412,7 +450,9 @@ def test_config_from_dict_overrides_only_the_given_keys():
 
 @pytest.mark.parametrize("text", ['{"document_budgett": 1}', '{"corpus": 5}',
                                   '{"assess": {"n_samples": 0}}',
-                                  '{"assess": {"hypothesis_models": []}}'])
+                                  '{"assess": {"hypothesis_models": []}}',
+                                  '{"corpus": {"quality_prior": "high"}}',
+                                  '{"corpus": {"venue_tiers": 5}}'])
 def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")

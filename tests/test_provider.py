@@ -8,6 +8,7 @@ import threading
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from claimcheck.errors import ClaimcheckError, ProviderFailure, SchemaViolation
 from claimcheck.jsonl import dumps_record, write_records
 from claimcheck.provider import (InferenceResponse, InferenceRouter,
                                  InferenceTask, ReplayProvider,
-                                 ScriptedProvider, Transcript)
+                                 ScriptedProvider, Transcript, schemas)
 from claimcheck.provider.embedder import embed_text
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
 from claimcheck.provider.tasks import SCHEMA_VERSION
@@ -348,6 +349,18 @@ _CLAIM = {"subject": "X", "predicate": "p", "object": "o",
           "passages": [[0, 1]]}
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
 @pytest.mark.parametrize("kind,output", [
     ("embed", {"vector": [0.5, -1, 2.0], "model_tag": "t"}),
     ("embed", {"vector": [0.5, True], "model_tag": "t"}),
@@ -366,9 +379,55 @@ _CLAIM = {"subject": "X", "predicate": "p", "object": "o",
     ("nli-verdict", {"label": "perhaps"}),
     ("align-claims", {"relation": "matched", "stance": "maybe"}),
     ("describe-asset", {"description": "d", "trends": ["up", None]}),
+    # Items that the type-set test of `_items` leaves to the per-item loop.
+    ("embed", {"vector": [True], "model_tag": "t"}),
+    ("embed", {"vector": [0.5, np.float64(0.25)], "model_tag": "t"}),
+    ("embed", {"vector": [1, _Int(2)], "model_tag": "t"}),
+    ("embed", {"vector": [0.5, _Float(0.25)], "model_tag": "t"}),
+    ("embed", {"vector": [float("nan"), float("inf"), -float("inf")],
+               "model_tag": "t"}),
+    ("describe-asset", {"description": "d", "trends": ["up", 1.5]}),
+    ("describe-asset", {"description": "d", "trends": ["up", _Str("down")]}),
 ])
 def test_validate_output_named_mutations(kind, output):
     assert _message(kind, output) == _reference_message(kind, output)
+
+
+def _is_type_calls(kind, output):
+    """How many times validating `output` calls the validator's `is_type`."""
+    calls = []
+    original = schemas._OutputValidator.is_type
+
+    def counting(validator, instance, name):
+        calls.append(name)
+        return original(validator, instance, name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schemas._OutputValidator, "is_type", counting)
+        assert _message(kind, output) is None
+    return len(calls)
+
+
+def _embed(vector):
+    return {"vector": vector, "model_tag": "hashed-bow-v1"}
+
+
+def test_embed_validation_calls_is_type_independent_of_the_vector_length():
+    vector = embed_text("a passage about quantum annealing", 256)
+    assert len(vector) == 256
+    calls = _is_type_calls("embed", _embed(vector))
+    assert calls == _is_type_calls("embed", _embed(vector[:1]))
+    assert calls == _is_type_calls("embed", _embed([0, 1.5] * 128))
+    assert calls < 16
+
+
+@pytest.mark.parametrize("item", [np.float64(0.5), _Float(0.5), _Int(1)])
+def test_other_number_types_go_through_is_type_item_by_item(item):
+    # Only exact int and float pass the type-set test; the rest take the
+    # per-item loop, one `is_type` call per item.
+    short = _is_type_calls("embed", _embed([0.5] + [item] * 4))
+    long = _is_type_calls("embed", _embed([0.5] + [item] * 8))
+    assert long - short == 4
 
 
 @pytest.mark.parametrize("kind", _KINDS)
