@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .errors import ClaimcheckError
 from .ids import content_hash
@@ -174,7 +174,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
         """A config from JSON: omitted keys keep their defaults."""
-        _check_keys(cls(), data)
+        _check_keys(cls, data)
         cfg = from_record(cls, data)
         cfg.validate()
         return cfg
@@ -188,37 +188,38 @@ class PipelineConfig:
         return cls.from_dict(read_json(path))
 
 
-def _check_keys(section: Any, data: Any, prefix: str = "") -> None:
+def _check_keys(section: type, data: Any, prefix: str = "") -> None:
     if not isinstance(data, dict):
         raise ClaimcheckError(
             f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
     names = {f.name for f in fields(section)}
+    hints = get_type_hints(section)
     for key, value in data.items():
         if key not in names:
             raise ClaimcheckError(f"unknown config key: {prefix}{key}")
-        default = getattr(section, key)
-        if is_dataclass(default):
-            _check_keys(default, value, f"{prefix}{key}.")
+        if is_dataclass(hints[key]):
+            _check_keys(hints[key], value, f"{prefix}{key}.")
         else:
-            _check_type(default, value, f"{prefix}{key}")
+            _check_type(hints[key], value, f"{prefix}{key}")
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number",
                str: "string", list: "array", dict: "object"}
 
 
-def _check_type(default: Any, value: Any, key: str) -> None:
-    """`value` must have the JSON type of the field's default (an integer
-    passes as a number), and so must each member of a list or dict whose
-    default has members."""
-    want = _JSON_TYPES[type(default)]
+def _check_type(hint: Any, value: Any, key: str) -> None:
+    """`value` must have the JSON type of the field's annotation (an integer
+    passes as a number), and so must each member of a list or dict."""
+    origin = get_origin(hint) or hint
+    want = _JSON_TYPES[origin]
     got = _JSON_TYPES.get(type(value), "null")
     if got != want and (want, got) != ("number", "integer"):
         raise ClaimcheckError(f"config {key} must be a JSON {want}, not {got}")
-    if isinstance(default, dict) and default:
-        member = next(iter(default.values()))
+    if origin is dict:
+        member = get_args(hint)[1]
         for name, item in value.items():
             _check_type(member, item, f"{key}.{name}")
-    elif isinstance(default, list) and default:
+    elif origin is list:
+        member = get_args(hint)[0]
         for i, item in enumerate(value):
-            _check_type(default[0], item, f"{key}[{i}]")
+            _check_type(member, item, f"{key}[{i}]")

@@ -15,25 +15,19 @@ nothing here re-checks the schemas against the meta-schema on every call:
 they are constants of this module, and a test checks each of them once.
 
 The compiled validators replace the `items` keyword with one that first
-tries a fast pass when the item schema is exactly `{"type": <one type
-name>}` and there is no `prefixItems`. The stock keyword applies to each item
-that same schema, whose only check is `validator.is_type(item, name)`, so
-"every item passes `is_type`" is the stock keyword's accept condition. The
-pass has two steps, and neither can accept an array the stock keyword
-rejects:
-
-- For "number" and "string", one type-set test at C speed: the set of the
-  items' exact types is a subset of `_EXACT[name]`. Every exact `int` or
-  `float` passes the stock "number" check and every exact `str` passes
-  "string". A `bool`, a `numpy.float64` or a subclass of `int`, `float` or
-  `str` fails the test and goes on to the next step. "integer" has no entry,
-  because the stock check accepts `1.0` as an integer.
-- Otherwise, one `is_type` call per item.
-
-Any array that fails both steps, and every other item schema, goes to the
-stock keyword, so rejections and their messages are unchanged. This matters
-for 256-number embedding vectors, which the stock keyword checks one descent
-per element, and which the type-set test checks in one pass.
+tries a fast pass when the item schema is exactly `{"type": "number"}` or
+`{"type": "string"}` and there is no `prefixItems`. The stock keyword
+applies that schema to each item, whose only check is
+`validator.is_type(item, name)`. The fast pass is one type-set test at C
+speed: the set of the items' exact types is a subset of `_EXACT[name]`.
+Every exact `int` or `float` passes the stock "number" check and every exact
+`str` passes "string", so the test accepts no array that the stock keyword
+rejects. Any other array, with a `bool`, a `numpy.float64` or a subclass of
+`int`, `float` or `str` among its items, and every other item schema, goes
+to the stock keyword, so its result and messages are unchanged. "integer"
+has no entry, because the stock check accepts `1.0` as an integer. This
+matters for 256-number embedding vectors, which the stock keyword checks one
+descent per element, and which the type-set test checks in one pass.
 """
 
 from __future__ import annotations
@@ -167,17 +161,13 @@ _EXACT = {"number": {int, float}, "string": {str}}
 
 def _items(validator: Any, items: Any, instance: Any,
            schema: dict[str, Any]) -> Iterator[ValidationError]:
-    """`items` that accepts a flat array of one plain type in one pass."""
+    """`items` that accepts a flat array of one exact type in one pass."""
     if (isinstance(items, dict) and items.keys() == {"type"}
-            and isinstance(items["type"], str)
+            and isinstance(items["type"], str) and items["type"] in _EXACT
             and "prefixItems" not in schema
-            and validator.is_type(instance, "array")):
-        name = items["type"]
-        if name in _EXACT and set(map(type, instance)) <= _EXACT[name]:
-            return
-        is_type = validator.is_type
-        if all(is_type(item, name) for item in instance):
-            return
+            and validator.is_type(instance, "array")
+            and set(map(type, instance)) <= _EXACT[items["type"]]):
+        return
     yield from _stock_items(validator, items, instance, schema)
 
 

@@ -423,6 +423,9 @@ def test_cli_layer_command_checks_a_given_config_against_the_run(tmp_path,
      "config document_budget must be a JSON integer, not boolean"),
     ({"document_budget": 7.0},
      "config document_budget must be a JSON integer, not number"),
+    ({"knowledge": {"entity_aliases": {"bf-dcqo": 3}}},
+     "config knowledge.entity_aliases.bf-dcqo must be a JSON string, "
+     "not integer"),
 ])
 def test_config_rejects_unknown_keys_and_non_object_sections(data, message):
     with pytest.raises(ClaimcheckError, match=message):

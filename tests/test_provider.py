@@ -379,7 +379,7 @@ class _Str(str):
     ("nli-verdict", {"label": "perhaps"}),
     ("align-claims", {"relation": "matched", "stance": "maybe"}),
     ("describe-asset", {"description": "d", "trends": ["up", None]}),
-    # Items that the type-set test of `_items` leaves to the per-item loop.
+    # Items that the type-set test of `_items` leaves to the stock keyword.
     ("embed", {"vector": [True], "model_tag": "t"}),
     ("embed", {"vector": [0.5, np.float64(0.25)], "model_tag": "t"}),
     ("embed", {"vector": [1, _Int(2)], "model_tag": "t"}),
@@ -422,9 +422,9 @@ def test_embed_validation_calls_is_type_independent_of_the_vector_length():
 
 
 @pytest.mark.parametrize("item", [np.float64(0.5), _Float(0.5), _Int(1)])
-def test_other_number_types_go_through_is_type_item_by_item(item):
+def test_other_number_types_go_to_the_stock_keyword(item):
     # Only exact int and float pass the type-set test; the rest take the
-    # per-item loop, one `is_type` call per item.
+    # stock keyword, one descent and so one `is_type` call per item.
     short = _is_type_calls("embed", _embed([0.5] + [item] * 4))
     long = _is_type_calls("embed", _embed([0.5] + [item] * 8))
     assert long - short == 4
