@@ -4,22 +4,24 @@ Accepts pre-extracted text (pdf-text, plain), HTML, or a structured JSON
 manifest. Section boundaries come from heading heuristics for flat text and
 from explicit structure for manifests. The doc_id is a pure function of the
 raw input bytes, so re-ingesting an unchanged corpus is byte-identical.
-`load_corpus_dir` reads a corpus directory: document files, their
-`.meta.json` metadata sidecars, and the relation manifest.
+`read_corpus_dir` reads a corpus directory once, and `load_corpus_dir`
+sorts those bytes into document files, their `.meta.json` metadata
+sidecars, and the relation manifest.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
-from pathlib import Path
-from typing import Any
+from operator import attrgetter
+from pathlib import Path, PurePath
+from typing import Any, Iterable, Iterator
 
 from ..errors import EmptyInput, UnsupportedFormat
 from ..ids import content_hash, hash_bytes, make_id, normalize_text
-from ..jsonl import read_json
 from ..records import from_record
 from .model import (SOURCE_TYPES, DocumentMetadata, Section, SourceDocument,
                     VisualAsset)
@@ -234,24 +236,45 @@ def _row_key(value: Any) -> Any:
     return value
 
 
-def load_corpus_dir(corpus_dir: Path) -> tuple[list[tuple[str, bytes, str,
-                                                          DocumentMetadata | None]],
-                                               RelationSet]:
+def read_corpus_dir(corpus_dir: Path) -> Iterator[tuple[str, bytes]]:
+    """(name, bytes) of every regular file in `corpus_dir`, sorted by name,
+    each file read as it is reached.
+
+    Sorting names gives the order that sorting the paths would, since they
+    share a parent, without a `Path` comparison per step."""
+    with os.scandir(corpus_dir) as entries:
+        files = sorted((e for e in entries if e.is_file()),
+                       key=attrgetter("name"))
+    for entry in files:
+        yield entry.name, Path(entry.path).read_bytes()
+
+
+def load_corpus_dir(corpus_dir: Path,
+                    files: list[tuple[str, bytes]] | None = None
+                    ) -> tuple[list[tuple[str, bytes, str,
+                                          DocumentMetadata | None]],
+                               RelationSet]:
     """Collect (name, raw, format, hints) for every document file plus the
-    relation records. Deterministic: files sorted by name."""
+    relation records. Deterministic: files sorted by name.
+
+    `files` is the directory as `read_corpus_dir` gives it, when the caller
+    holds it already; sidecars and manifests are parsed from those bytes."""
+    if files is None:
+        files = list(read_corpus_dir(corpus_dir))
+    raw_by_name = dict(files)
     documents = []
     relations = RelationSet()
     seen_rows: set[Any] = set()
     format_map = {".txt": "plain", ".html": "html", ".json": "json-manifest"}
-    for path in sorted(corpus_dir.iterdir()):
-        if not path.is_file() or path.name.endswith(".meta.json"):
+    for name, raw in files:
+        if name.endswith(".meta.json"):
             continue
+        path = PurePath(name)
         fmt = format_map.get(path.suffix)
         if fmt is None:
             continue
-        raw = path.read_bytes()
         if fmt == "json-manifest":
-            data = read_json(path)
+            data = json.loads(raw.decode("utf-8"))
             if data.get("manifest_kind") == "relations":
                 for row in data.get("records", []):
                     key = _row_key(row)
@@ -260,16 +283,15 @@ def load_corpus_dir(corpus_dir: Path) -> tuple[list[tuple[str, bytes, str,
                         relations.rows.append(row)
                 continue
         hints = None
-        sidecar = path.with_name(path.stem + ".meta.json")
-        if sidecar.exists():
-            hints = from_record(DocumentMetadata, read_json(sidecar))
-        documents.append((path.name, raw, fmt, hints))
+        sidecar = raw_by_name.get(path.stem + ".meta.json")
+        if sidecar is not None:
+            hints = from_record(DocumentMetadata,
+                                json.loads(sidecar.decode("utf-8")))
+        documents.append((name, raw, fmt, hints))
     return documents, relations
 
 
-def corpus_fingerprint(corpus_dir: Path) -> str:
-    parts = []
-    for path in sorted(corpus_dir.iterdir()):
-        if path.is_file():
-            parts.append([path.name, hash_bytes(path.read_bytes())])
-    return content_hash(parts)
+def corpus_fingerprint(files: Iterable[tuple[str, bytes]]) -> str:
+    """Hash of every file that `read_corpus_dir` lists, whatever its
+    suffix: sidecars and files that no loader reads change it too."""
+    return content_hash([[name, hash_bytes(raw)] for name, raw in files])

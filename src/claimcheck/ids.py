@@ -5,21 +5,40 @@ ingestion or extraction over unchanged inputs yields byte-identical files.
 Canonicalization sorts keys and collapses whitespace inside string values
 before hashing, which makes fingerprints independent of field ordering and
 incidental formatting.
+
+`canonical_json` encodes a value once, as it is, and keeps that text when
+no string value in it needs collapsing. The test reads the text alone and is
+exact. With these separators every space in the text is inside a string,
+and every `"` is a string delimiter unless a backslash escapes it. So a
+string that starts or ends with a space shows as `" ` or ` "`, and a run of
+spaces shows as two spaces. Every whitespace character other than U+0020 is
+either escaped with a backslash by the encoder (`\\t`, `\\n`, the other
+controls) or is not printable (U+0085, U+00A0, U+2028 and the rest of
+`str.isspace`). `str.isspace`, `str.split()`, `str.strip()` and the `\\s`
+of `re` agree on every code point, so `normalize_text` leaves a string alone
+exactly when it has none of these. Tuples and subclasses of `str`, `dict`
+and `list` encode as their plain forms, and the encoder sorts keys as
+`_canonicalize` does. Any text that fails the test is encoded again from
+`_canonicalize`, which is always right; dict keys are not collapsed, so a
+key with a double space only takes that slower path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from typing import Any
 
-_WS = re.compile(r"\s+")
+# Sorted keys, no spaces, UTF-8 text: the encoding of every value the run
+# hashes and of every record line it writes. `encode` builds no state that
+# outlives a call, so one encoder serves every thread.
+encode_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                 ensure_ascii=False).encode
 
 
 def normalize_text(value: str) -> str:
     """Collapse whitespace runs and strip ends; used before hashing text."""
-    return _WS.sub(" ", value).strip()
+    return " ".join(value.split())
 
 
 def _canonicalize(value: Any) -> Any:
@@ -34,8 +53,11 @@ def _canonicalize(value: Any) -> Any:
 
 def canonical_json(value: Any) -> str:
     """Deterministic JSON used for hashing and config snapshots."""
-    return json.dumps(_canonicalize(value), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=False)
+    text = encode_sorted(value)
+    if (text.isprintable() and "\\" not in text and "  " not in text
+            and '" ' not in text and ' "' not in text):
+        return text
+    return encode_sorted(_canonicalize(value))
 
 
 def content_hash(value: Any, length: int = 16) -> str:

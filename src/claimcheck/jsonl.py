@@ -14,10 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
-
-def dumps_record(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
+from .ids import encode_sorted as dumps_record
 
 
 @contextmanager
@@ -31,9 +28,7 @@ def _atomic(path: Path) -> Iterator[TextIO]:
 
 def write_records(path: Path, records: Iterable[dict[str, Any]]) -> None:
     with _atomic(path) as fh:
-        for record in records:
-            fh.write(dumps_record(record))
-            fh.write("\n")
+        fh.writelines(dumps_record(record) + "\n" for record in records)
 
 
 def read_records(path: Path) -> Iterator[dict[str, Any]]:

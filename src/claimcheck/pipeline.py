@@ -41,7 +41,7 @@ from .config import PipelineConfig
 from .corpus.embedding import (EmbeddingStore, chunk_and_embed, embed_query,
                                semantic_searches)
 from .corpus.ingest import (RelationSet, corpus_fingerprint, ingest_document,
-                            load_corpus_dir)
+                            load_corpus_dir, read_corpus_dir)
 from .corpus.model import EmbeddingRecord, SourceDocument
 from .corpus.scoring import score_source, sells_chains
 from .corpus.visuals import describe_visual_asset
@@ -156,7 +156,7 @@ class Run:
 
     def __init__(self, run_dir: Path, corpus_dir: Path, query: str,
                  cfg: PipelineConfig, provider_spec: ProviderSpec,
-                 target_doc: str | None = None):
+                 target_doc: str | None = None, *, keep_corpus: bool = True):
         self.run_dir = Path(run_dir)
         self.corpus_dir = Path(corpus_dir)
         self.query = query
@@ -206,7 +206,15 @@ class Run:
         self.citation_gaps: list[str] = []
         self.layers_done: dict[str, bool] = {layer: False for layer in LAYERS}
 
-        self.corpus_hash = corpus_fingerprint(self.corpus_dir)
+        # The corpus is read once. Kept, its bytes give the hash here and
+        # the documents in layer 1, which drops them. A run whose layer 1 is
+        # done hashes one file at a time and keeps none: holding them only
+        # to hash them raises a bulk resume's peak RSS by about 1 MB.
+        self._corpus_files: list[tuple[str, bytes]] | None = None
+        files = read_corpus_dir(self.corpus_dir)
+        if keep_corpus:
+            files = self._corpus_files = list(files)
+        self.corpus_hash = corpus_fingerprint(files)
         self.run_id = make_id("run", query, self.corpus_hash,
                               cfg.snapshot_hash())
 
@@ -303,12 +311,15 @@ class Run:
     # --- layer 1: corpus ------------------------------------------------------
 
     def layer1(self) -> None:
-        files, self.relations = load_corpus_dir(self.corpus_dir)
+        files, self.relations = load_corpus_dir(self.corpus_dir,
+                                                self._corpus_files)
+        self._corpus_files = None
         if not files:
             raise EmptyCorpus(f"no documents in {self.corpus_dir}")
         for _, raw, fmt, hints in files:
             doc = ingest_document(raw, fmt, hints)
             self.documents[doc.doc_id] = doc
+        del files  # no raw corpus bytes past ingest
         self._index()
         docs = [self.documents[doc_id] for doc_id in sorted(self.documents)]
         jobs: list[Job] = []
@@ -1038,7 +1049,8 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
 
     state = Run(Path(run_dir), Path(manifest["corpus_dir"]),
                 manifest["query"], cfg, provider_spec,
-                manifest.get("target_doc"))
+                manifest.get("target_doc"),
+                keep_corpus=not manifest["layers"].get("layer1"))
     if state.corpus_hash != manifest["corpus_hash"]:
         raise ConfigDrift("corpus changed since the run was started")
     state.layers_done = {layer: bool(manifest["layers"].get(layer))

@@ -7,34 +7,36 @@ Responses are validated before any caller sees them; a malformed provider
 output is a SchemaViolation, never a silent pass-through. Schemas are the
 contract that keeps differently-styled inference backends interchangeable.
 
-Each schema is compiled into a validator once, at import. The draft is
-2020-12, the one `jsonschema.validate` picks for a schema without
-`$schema`, and a violation is reported through the same `best_match`, so
-messages are the ones `jsonschema.validate` gives. Unlike that function,
-nothing here re-checks the schemas against the meta-schema on every call:
-they are constants of this module, and a test checks each of them once.
+Each schema is compiled once, at import, into two checks. The first is an
+acceptor: a plain-Python predicate that knows only the keywords these
+schemas use (`type`, `enum`, `required`, `properties`,
+`additionalProperties: true`, `items`, `minItems`/`maxItems`, `minLength`
+and `minimum`/`maximum`). It is True only for an instance made of exact
+`str`, `int`, `float`, `bool`, `None`, `list` and `dict` that meets every
+keyword, and every such instance is valid for the stock checks too: an
+exact `int` or `float` is a "number", an exact `int` an "integer", and so
+on. Items of a bare scalar type, such as the 256 numbers of an embedding
+vector, take one type-set test at C speed. `build_acceptor` raises at
+import on any other keyword or value, so a new keyword cannot be skipped
+without notice.
 
-The compiled validators replace the `items` keyword with one that first
-tries a fast pass when the item schema is exactly `{"type": "number"}` or
-`{"type": "string"}` and there is no `prefixItems`. The stock keyword
-applies that schema to each item, whose only check is
-`validator.is_type(item, name)`. The fast pass is one type-set test at C
-speed: the set of the items' exact types is a subset of `_EXACT[name]`.
-Every exact `int` or `float` passes the stock "number" check and every exact
-`str` passes "string", so the test accepts no array that the stock keyword
-rejects. Any other array, with a `bool`, a `numpy.float64` or a subclass of
-`int`, `float` or `str` among its items, and every other item schema, goes
-to the stock keyword, so its result and messages are unchanged. "integer"
-has no entry, because the stock check accepts `1.0` as an integer. This
-matters for 256-number embedding vectors, which the stock keyword checks one
-descent per element, and which the type-set test checks in one pass.
+When the acceptor says no, the second check decides: the stock
+`Draft202012Validator`, the draft that `jsonschema.validate` picks for a
+schema without `$schema`, reporting through the same `best_match`. So every
+accept or reject result and every message is the one `jsonschema.validate`
+gives. The acceptor says no to what it cannot show valid cheaply: a `bool`
+or a `numpy.float64` where a number goes, `1.0` as an integer, a tuple, a
+subclass of `str` or `dict`, and every invalid output. Unlike
+`jsonschema.validate`, nothing here re-checks the schemas against the
+meta-schema on every call: they are constants of this module, and a test
+checks each of them once.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable
 
-from jsonschema import Draft202012Validator, ValidationError, validators
+from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from ..errors import SchemaViolation
@@ -153,36 +155,142 @@ OUTPUT_SCHEMAS: dict[str, dict[str, Any]] = {
 }
 
 
-_stock_items = Draft202012Validator.VALIDATORS["items"]
+# The exact Python types that each JSON type name accepts here: no `bool`
+# as "integer" or "number", and no subclass of anything.
+_EXACT = {"object": {dict}, "array": {list}, "string": {str},
+          "integer": {int}, "number": {int, float}, "boolean": {bool},
+          "null": {type(None)}}
+_PLAIN = frozenset().union(*_EXACT.values())
 
-# The exact Python types that the stock type checker accepts as each name.
-_EXACT = {"number": {int, float}, "string": {str}}
+# The keywords an acceptor compiles besides `type`, by the one type name
+# that allows them. A schema of several type names allows none.
+_KEYWORDS = {"object": {"properties", "required", "additionalProperties"},
+             "array": {"items", "minItems", "maxItems"},
+             "string": {"minLength"},
+             "integer": {"minimum", "maximum"},
+             "number": {"minimum", "maximum"}}
+
+Acceptor = Callable[[Any], bool]
 
 
-def _items(validator: Any, items: Any, instance: Any,
-           schema: dict[str, Any]) -> Iterator[ValidationError]:
-    """`items` that accepts a flat array of one exact type in one pass."""
-    if (isinstance(items, dict) and items.keys() == {"type"}
-            and isinstance(items["type"], str) and items["type"] in _EXACT
-            and "prefixItems" not in schema
-            and validator.is_type(instance, "array")
-            and set(map(type, instance)) <= _EXACT[items["type"]]):
-        return
-    yield from _stock_items(validator, items, instance, schema)
+def _plain(value: Any) -> bool:
+    """True when `value` is made of exact JSON types only."""
+    kind = type(value)
+    if kind is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if kind is list:
+        return all(map(_plain, value))
+    return kind in _PLAIN
 
 
-_OutputValidator = validators.extend(Draft202012Validator, {"items": _items})
+def _refuse(what: str, value: Any) -> ValueError:
+    return ValueError(f"no acceptor for {what} {value!r}")
 
-_VALIDATORS = {kind: _OutputValidator(schema)
+
+def _exact_types(schema: dict[str, Any]) -> tuple[list[str], frozenset]:
+    """The type names of `schema` and the exact types they accept."""
+    names = schema.get("type")
+    names = [names] if isinstance(names, str) else names
+    if not isinstance(names, list) or not names or any(
+            not isinstance(name, str) or name not in _EXACT for name in names) \
+            or len(names) > 1 and {"object", "array"} & set(names):
+        raise _refuse("type", names)
+    allowed = _KEYWORDS.get(names[0], set()) if len(names) == 1 else set()
+    if schema.keys() - allowed - {"type"}:
+        raise _refuse("keywords", sorted(schema.keys() - {"type"}))
+    return names, frozenset().union(*(_EXACT[name] for name in names))
+
+
+def _keyword(schema: dict[str, Any], key: str, kinds: tuple,
+             default: Any) -> Any:
+    """`schema[key]`, which must be of an exact type in `kinds`."""
+    if key not in schema:
+        return default
+    if type(schema[key]) not in kinds:
+        raise _refuse(key, schema[key])
+    return schema[key]
+
+
+def build_acceptor(schema: dict[str, Any]) -> Acceptor:
+    """A predicate that is True only for plain instances `schema` accepts.
+
+    False means "not shown valid here", and the stock validator decides.
+    A keyword or value that this function does not know raises ValueError.
+    """
+    if type(schema) is not dict:
+        raise _refuse("schema", schema)
+    if "enum" in schema:
+        values = schema["enum"]
+        if schema.keys() != {"enum"} or type(values) is not list or \
+                not values or any(type(v) is not str for v in values):
+            raise _refuse("enum schema", schema)
+        members = frozenset(values)
+        return lambda x: type(x) is str and x in members
+    names, types = _exact_types(schema)
+    if names == ["object"]:
+        return _object(schema)
+    if names == ["array"]:
+        return _array(schema)
+    if "minLength" in schema:
+        least = _keyword(schema, "minLength", (int,), 0)
+        return lambda x: type(x) is str and len(x) >= least
+    if "minimum" in schema or "maximum" in schema:
+        low = _keyword(schema, "minimum", (int, float), -float("inf"))
+        high = _keyword(schema, "maximum", (int, float), float("inf"))
+        return lambda x: type(x) in types and low <= x <= high
+    return lambda x: type(x) in types
+
+
+def _object(schema: dict[str, Any]) -> Acceptor:
+    if schema.get("additionalProperties", True) is not True:
+        raise _refuse("additionalProperties", schema["additionalProperties"])
+    properties = _keyword(schema, "properties", (dict,), {})
+    properties = {key: build_acceptor(sub) for key, sub in properties.items()}
+    required = _keyword(schema, "required", (list,), [])
+    if any(type(key) is not str for key in required):
+        raise _refuse("required", required)
+    required = frozenset(required)
+
+    def accept(x: Any) -> bool:
+        if type(x) is not dict or not required <= x.keys():
+            return False
+        for key, value in x.items():
+            sub = properties.get(key)
+            if type(key) is not str or \
+                    not (_plain(value) if sub is None else sub(value)):
+                return False
+        return True
+    return accept
+
+
+def _array(schema: dict[str, Any]) -> Acceptor:
+    low = _keyword(schema, "minItems", (int,), 0)
+    high = _keyword(schema, "maxItems", (int,), float("inf"))
+    items = schema.get("items")
+    item_ok = build_acceptor(items)
+    if items.keys() == {"type"} and items["type"] not in ("object", "array"):
+        # Items of bare scalar types: one type-set test at C speed.
+        exact = _exact_types(items)[1]
+        return lambda x: (type(x) is list and low <= len(x) <= high
+                          and set(map(type, x)) <= exact)
+    return lambda x: (type(x) is list and low <= len(x) <= high
+                      and all(map(item_ok, x)))
+
+
+_ACCEPTORS = {kind: build_acceptor(schema)
+              for kind, schema in OUTPUT_SCHEMAS.items()}
+_VALIDATORS = {kind: Draft202012Validator(schema)
                for kind, schema in OUTPUT_SCHEMAS.items()}
 
 
 def validate_output(kind: str, output: Any) -> None:
-    validator = _VALIDATORS.get(kind)
-    if validator is None:
+    accept = _ACCEPTORS.get(kind)
+    if accept is None:
         raise SchemaViolation(f"no output schema for task kind {kind!r} "
                               f"(schema set {SCHEMA_VERSION})")
-    error = best_match(validator.iter_errors(output))
+    if accept(output):
+        return
+    error = best_match(_VALIDATORS[kind].iter_errors(output))
     if error is not None:
         raise SchemaViolation(
             f"{kind} output failed schema {SCHEMA_VERSION}: {error.message}"

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -222,6 +225,57 @@ def test_relation_edges_are_built_once_per_run(tmp_path, monkeypatch):
     state = run_golden(tmp_path / "run")
     rows = state.relations.entity_rows()
     assert rows and counts["edge"] == len(rows)
+
+
+def _corpus_with_notes(tmp_path: Path) -> Path:
+    """The golden corpus plus a file that no loader reads."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    (corpus / "notes.xyz").write_text("hashed, never loaded\n",
+                                      encoding="utf-8")
+    return corpus
+
+
+def test_construction_and_layer1_read_each_corpus_file_once(tmp_path,
+                                                            monkeypatch):
+    corpus = _corpus_with_notes(tmp_path)
+    opened: dict[str, int] = {}
+    original = io.open
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and \
+                Path(file).parent == corpus:
+            opened[Path(file).name] = opened.get(Path(file).name, 0) + 1
+        return original(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    state = run(GOLDEN_QUERY, corpus, tmp_path / "run", PipelineConfig(),
+                scripted_spec(), target_doc="s1-target", stop_after="layer1")
+    monkeypatch.undo()
+    assert len(state.documents) == 11
+    assert opened == {path.name: 1 for path in corpus.iterdir()}
+    assert state._corpus_files is None
+
+
+def test_editing_a_file_no_loader_reads_is_corpus_drift(tmp_path):
+    corpus = _corpus_with_notes(tmp_path)
+    state = run(GOLDEN_QUERY, corpus, tmp_path / "run", PipelineConfig(),
+                scripted_spec(), target_doc="s1-target", stop_after="layer1")
+    (corpus / "notes.xyz").write_text("edited\n", encoding="utf-8")
+    with pytest.raises(ConfigDrift, match="corpus changed"):
+        resume(tmp_path / "run")
+    (corpus / "notes.xyz").write_text("hashed, never loaded\n",
+                                      encoding="utf-8")
+    assert resume(tmp_path / "run", stop_after="layer2").corpus_hash == \
+        state.corpus_hash
+
+
+def test_resume_past_layer1_keeps_no_corpus_bytes(tmp_path):
+    run_golden(tmp_path / "a", stop_after="layer1")
+    state = resume(tmp_path / "a", stop_after="layer2")
+    assert state.layers_done["layer2"]
+    assert state._corpus_files is None
 
 
 def test_resume_completes_interrupted_run(tmp_path):

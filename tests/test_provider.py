@@ -379,7 +379,7 @@ class _Str(str):
     ("nli-verdict", {"label": "perhaps"}),
     ("align-claims", {"relation": "matched", "stance": "maybe"}),
     ("describe-asset", {"description": "d", "trends": ["up", None]}),
-    # Items that the type-set test of `_items` leaves to the stock keyword.
+    # Items that the acceptor leaves to the stock validator.
     ("embed", {"vector": [True], "model_tag": "t"}),
     ("embed", {"vector": [0.5, np.float64(0.25)], "model_tag": "t"}),
     ("embed", {"vector": [1, _Int(2)], "model_tag": "t"}),
@@ -394,16 +394,17 @@ def test_validate_output_named_mutations(kind, output):
 
 
 def _is_type_calls(kind, output):
-    """How many times validating `output` calls the validator's `is_type`."""
+    """How many times validating `output` calls the stock validator's
+    `is_type`."""
     calls = []
-    original = schemas._OutputValidator.is_type
+    original = Draft202012Validator.is_type
 
     def counting(validator, instance, name):
         calls.append(name)
         return original(validator, instance, name)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(schemas._OutputValidator, "is_type", counting)
+        patch.setattr(Draft202012Validator, "is_type", counting)
         assert _message(kind, output) is None
     return len(calls)
 
@@ -423,11 +424,98 @@ def test_embed_validation_calls_is_type_independent_of_the_vector_length():
 
 @pytest.mark.parametrize("item", [np.float64(0.5), _Float(0.5), _Int(1)])
 def test_other_number_types_go_to_the_stock_keyword(item):
-    # Only exact int and float pass the type-set test; the rest take the
-    # stock keyword, one descent and so one `is_type` call per item.
+    # Only exact int and float pass the acceptor's type-set test; the rest
+    # take the stock validator, one descent and so one `is_type` call per
+    # item.
     short = _is_type_calls("embed", _embed([0.5] + [item] * 4))
     long = _is_type_calls("embed", _embed([0.5] + [item] * 8))
     assert long - short == 4
+
+
+# --- the acceptor: True only where jsonschema.validate passes ----------------
+
+def _accepts(kind, output):
+    """The acceptor's answer; when it is True, jsonschema.validate passes."""
+    accepted = schemas._ACCEPTORS[kind](output)
+    assert type(accepted) is bool
+    if accepted:
+        jsonschema.validate(output, OUTPUT_SCHEMAS[kind])
+    return accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.one_of(_valid(OUTPUT_SCHEMAS[kind]), _mutated(kind)))))
+def test_acceptor_accepts_only_what_jsonschema_accepts(case):
+    _accepts(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_KINDS).flatmap(lambda kind: st.tuples(
+    st.just(kind), _valid(OUTPUT_SCHEMAS[kind]))))
+def test_acceptor_accepts_every_valid_output_of_exact_types(case):
+    assert _accepts(*case)
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize("kind,output,accepted,valid", [
+    ("classify-provenance", {"level": True}, False, False),
+    ("embed", {"vector": [0.5, True], "model_tag": "t"}, False, False),
+    ("classify-provenance", {"level": 1.0}, False, True),
+    ("classify-provenance", {"level": 6}, False, False),
+    ("embed", {"vector": (0.5, 1.0), "model_tag": "t"}, False, False),
+    ("classify-provenance", _Dict(level=2), False, True),
+    ("nli-verdict", {"label": _Str("supports")}, False, True),
+    ("embed", {"vector": [np.float64(0.5)], "model_tag": "t"}, False, True),
+    ("embed", {"vector": [float("nan")], "model_tag": "t"}, True, True),
+    ("classify-provenance", {"level": float("nan")}, False, False),
+    ("nli-verdict", {"label": "neutral", "extra": (1, 2)}, False, True),
+    ("nli-verdict", {"label": "neutral", "extra": {"a": [1, None]}}, True, True),
+    ("nli-verdict", {"label": "neutral", 3: "x"}, False, True),
+])
+def test_acceptor_named_cases(kind, output, accepted, valid):
+    assert _accepts(kind, output) is accepted
+    assert (_reference_message(kind, output) is None) is valid
+    assert _message(kind, output) == _reference_message(kind, output)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^a"},
+    {"type": "object", "properties": {}, "additionalProperties": False},
+    {"type": "object", "properties": {"a": {"type": "string",
+                                            "format": "date"}}},
+    {"type": "array", "items": {"type": "integer", "multipleOf": 2}},
+    {"type": "integer", "minimum": True},
+    {"type": ["object", "null"]},
+    {"enum": ["a", 1]},
+    {"const": "a"},
+])
+def test_acceptor_refuses_to_compile_unknown_keywords_and_values(schema):
+    with pytest.raises(ValueError, match="no acceptor"):
+        schemas.build_acceptor(schema)
+
+
+def test_golden_replay_validates_without_jsonschema(tmp_path):
+    calls = []
+
+    def counting(original):
+        def iter_errors(validator, *args, **kwargs):
+            calls.append(1)
+            return original(validator, *args, **kwargs)
+        return iter_errors
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in {type(v) for v in schemas._VALIDATORS.values()}:
+            patch.setattr(cls, "iter_errors", counting(cls.iter_errors))
+        with pytest.raises(SchemaViolation):
+            validate_output("nli-verdict", {"label": "perhaps"})
+        assert len(calls) == 1   # the counter sees the stock validator
+        calls.clear()
+        run_golden(tmp_path / "run")
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", _KINDS)
