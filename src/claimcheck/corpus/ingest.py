@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from operator import attrgetter
 from pathlib import Path, PurePath
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from ..errors import EmptyInput, UnsupportedFormat
 from ..ids import content_hash, hash_bytes, make_id, normalize_text
@@ -236,31 +236,25 @@ def _row_key(value: Any) -> Any:
     return value
 
 
-def read_corpus_dir(corpus_dir: Path) -> Iterator[tuple[str, bytes]]:
-    """(name, bytes) of every regular file in `corpus_dir`, sorted by name,
-    each file read as it is reached.
+def read_corpus_dir(corpus_dir: Path) -> list[tuple[str, bytes]]:
+    """(name, bytes) of every regular file in `corpus_dir`, sorted by name.
 
     Sorting names gives the order that sorting the paths would, since they
     share a parent, without a `Path` comparison per step."""
     with os.scandir(corpus_dir) as entries:
         files = sorted((e for e in entries if e.is_file()),
                        key=attrgetter("name"))
-    for entry in files:
-        yield entry.name, Path(entry.path).read_bytes()
+    return [(entry.name, Path(entry.path).read_bytes()) for entry in files]
 
 
-def load_corpus_dir(corpus_dir: Path,
-                    files: list[tuple[str, bytes]] | None = None
+def load_corpus_dir(files: list[tuple[str, bytes]]
                     ) -> tuple[list[tuple[str, bytes, str,
                                           DocumentMetadata | None]],
                                RelationSet]:
     """Collect (name, raw, format, hints) for every document file plus the
-    relation records. Deterministic: files sorted by name.
-
-    `files` is the directory as `read_corpus_dir` gives it, when the caller
-    holds it already; sidecars and manifests are parsed from those bytes."""
-    if files is None:
-        files = list(read_corpus_dir(corpus_dir))
+    relation records, from a directory as `read_corpus_dir` gives it.
+    Sidecars and manifests are parsed from those bytes; the order is that
+    of `files`."""
     raw_by_name = dict(files)
     documents = []
     relations = RelationSet()

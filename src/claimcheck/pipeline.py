@@ -156,7 +156,7 @@ class Run:
 
     def __init__(self, run_dir: Path, corpus_dir: Path, query: str,
                  cfg: PipelineConfig, provider_spec: ProviderSpec,
-                 target_doc: str | None = None, *, keep_corpus: bool = True):
+                 target_doc: str | None = None):
         self.run_dir = Path(run_dir)
         self.corpus_dir = Path(corpus_dir)
         self.query = query
@@ -206,15 +206,12 @@ class Run:
         self.citation_gaps: list[str] = []
         self.layers_done: dict[str, bool] = {layer: False for layer in LAYERS}
 
-        # The corpus is read once. Kept, its bytes give the hash here and
-        # the documents in layer 1, which drops them. A run whose layer 1 is
-        # done hashes one file at a time and keeps none: holding them only
-        # to hash them raises a bulk resume's peak RSS by about 1 MB.
-        self._corpus_files: list[tuple[str, bytes]] | None = None
-        files = read_corpus_dir(self.corpus_dir)
-        if keep_corpus:
-            files = self._corpus_files = list(files)
-        self.corpus_hash = corpus_fingerprint(files)
+        # The corpus is read once: its bytes give the hash here and the
+        # documents in layer 1, which drops them (as does a resume that
+        # skips layer 1).
+        self._corpus_files: list[tuple[str, bytes]] | None = \
+            read_corpus_dir(self.corpus_dir)
+        self.corpus_hash = corpus_fingerprint(self._corpus_files)
         self.run_id = make_id("run", query, self.corpus_hash,
                               cfg.snapshot_hash())
 
@@ -311,8 +308,7 @@ class Run:
     # --- layer 1: corpus ------------------------------------------------------
 
     def layer1(self) -> None:
-        files, self.relations = load_corpus_dir(self.corpus_dir,
-                                                self._corpus_files)
+        files, self.relations = load_corpus_dir(self._corpus_files)
         self._corpus_files = None
         if not files:
             raise EmptyCorpus(f"no documents in {self.corpus_dir}")
@@ -1049,12 +1045,13 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
 
     state = Run(Path(run_dir), Path(manifest["corpus_dir"]),
                 manifest["query"], cfg, provider_spec,
-                manifest.get("target_doc"),
-                keep_corpus=not manifest["layers"].get("layer1"))
+                manifest.get("target_doc"))
     if state.corpus_hash != manifest["corpus_hash"]:
         raise ConfigDrift("corpus changed since the run was started")
     state.layers_done = {layer: bool(manifest["layers"].get(layer))
                          for layer in LAYERS}
+    if state.layers_done["layer1"]:
+        state._corpus_files = None
     for name in _MANIFEST_LISTS:
         setattr(state, name, list(manifest.get(name, [])))
     for entry in (e for e in STORE if e.reload and state.layers_done[e.layer]):

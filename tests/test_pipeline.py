@@ -24,7 +24,7 @@ from claimcheck.errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
                                CorruptManifest, EmptyCorpus, ProviderFailure)
 from claimcheck.jsonl import read_all, read_json
 from claimcheck.pipeline import (LAYERS, ProviderSpec, load_corpus_dir,
-                                 resume, run)
+                                 read_corpus_dir, resume, run)
 from claimcheck.provider import InferenceRouter
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, TRANSCRIPT,
@@ -410,7 +410,7 @@ def test_relation_rows_deduplicated_by_equality_in_first_seen_order(a, b):
             (corpus / name).write_text(json.dumps(
                 {"manifest_kind": "relations", "records": rows}),
                 encoding="utf-8")
-        _, relations = load_corpus_dir(corpus)
+        _, relations = load_corpus_dir(read_corpus_dir(corpus))
     expected: list = []
     for row in a + b:
         if row not in expected:

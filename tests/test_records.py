@@ -19,7 +19,8 @@ from claimcheck.crosssource import IndependenceRating, RubricAssessment
 from claimcheck.jsonl import dumps_record
 from claimcheck.knowledge.model import (ClaimTriple, MetricValue,
                                         OverheadEntry, ProvenanceLevel)
-from claimcheck.pipeline import LAYERS, STORE, load_corpus_dir, resume
+from claimcheck.pipeline import (LAYERS, STORE, load_corpus_dir,
+                                 read_corpus_dir, resume)
 from claimcheck.records import from_record, to_record
 
 from conftest import CORPUS_DIR
@@ -138,7 +139,7 @@ def test_metadata_sidecar_with_unknown_key_is_rejected(tmp_path):
     (tmp_path / "s1-target.meta.json").write_text(
         json.dumps({"venue": "v", "sponsor": "x"}), encoding="utf-8")
     with pytest.raises(TypeError):
-        load_corpus_dir(tmp_path)
+        load_corpus_dir(read_corpus_dir(tmp_path))
 
 
 def test_store_table_names_every_store_file_once(golden):
