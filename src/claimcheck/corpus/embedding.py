@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from ..errors import (ClaimcheckError, DimensionMismatch, EmptyStore,
@@ -21,11 +23,12 @@ _SHORTLIST_MARGIN = 1e-9
 class EmbeddingStore:
     """Fixed-dimension vector store; one model_tag per store.
 
-    The records are the store's content: `records()` and persistence read
-    only them. For search the store also keeps, in sorted-owner order, a
-    float64 matrix of the vectors, an owner -> row index and each row's norm.
-    All three are built at the first search after an `add`, so a run builds
-    them once, or once per resume.
+    A record names its vector by the fingerprint of its `embed` call. The
+    store keeps each vector only as a float64 row of its search matrix, in
+    sorted-owner order, with an owner -> row index and each row's norm, all
+    built at the first search after an `add`: once per run, or once per
+    resume that searches. Until then it holds the vectors given to `add`; a
+    record added without one, as a resume adds it, gets it from `lookup`.
 
     Appends go through `add`, which the pipeline serializes per store.
     Searches run on the calling thread: each is one small product, so a pool
@@ -33,13 +36,17 @@ class EmbeddingStore:
     threads.
     """
 
-    def __init__(self, dim: int, model_tag: str):
+    def __init__(self, dim: int, model_tag: str,
+                 lookup: Callable[[list[EmbeddingRecord]],
+                                  list[Sequence[float]]] | None = None):
         self.dim = dim
         self.model_tag = model_tag
+        self.lookup = lookup
         self._records: dict[str, EmbeddingRecord] = {}
+        self._pending: dict[str, Sequence[float] | None] = {}  # no row yet
         self._owners: list[str] = []
         self._rows: dict[str, int] = {}
-        self._matrix: np.ndarray | None = None  # None: stale since an add
+        self._matrix = np.zeros((0, dim))
         self._norms = np.zeros(0)
 
     def __len__(self) -> int:
@@ -48,27 +55,35 @@ class EmbeddingStore:
     def __contains__(self, owner: str) -> bool:
         return owner in self._records
 
-    def add(self, record: EmbeddingRecord) -> None:
-        if len(record.vector) != self.dim:
+    def add(self, record: EmbeddingRecord,
+            vector: Sequence[float] | None = None) -> None:
+        if vector is not None and len(vector) != self.dim:
             raise DimensionMismatch(
-                f"record {record.owner} has dim {len(record.vector)}, "
+                f"record {record.owner} has dim {len(vector)}, "
                 f"store expects {self.dim}")
         if record.model_tag != self.model_tag:
             raise ModelTagMismatch(
                 f"record {record.owner} tagged {record.model_tag!r}, "
                 f"store expects {self.model_tag!r}")
         self._records[record.owner] = record
-        self._matrix = None
+        self._pending[record.owner] = vector
 
     def records(self) -> list[EmbeddingRecord]:
         return [self._records[owner] for owner in sorted(self._records)]
 
     def _build_matrix(self) -> None:
+        missing = [self._records[owner]
+                   for owner, vector in self._pending.items() if vector is None]
+        if missing:
+            self._pending.update(zip((r.owner for r in missing),
+                                     self.lookup(missing)))
+        vectors = {owner: self._matrix[row] for owner, row in self._rows.items()}
+        vectors.update(self._pending)
+        self._pending = {}
         self._owners = sorted(self._records)
         self._rows = {owner: row for row, owner in enumerate(self._owners)}
-        self._matrix = np.array(
-            [self._records[owner].vector for owner in self._owners],
-            dtype=np.float64).reshape(len(self._owners), self.dim)
+        self._matrix = np.array([vectors[owner] for owner in self._owners],
+                                dtype=np.float64)
         # Row by row, so each norm is bit-for-bit the one of a lone vector.
         self._norms = np.array([np.linalg.norm(v) for v in self._matrix])
 
@@ -83,7 +98,7 @@ class EmbeddingStore:
         """
         if k < 1:
             raise ClaimcheckError("search needs k >= 1")
-        if self._matrix is None:
+        if self._pending:
             self._build_matrix()
         if owner_filter is None:
             rows = np.arange(len(self._owners))
@@ -113,46 +128,39 @@ class EmbeddingStore:
         return scored[:k]
 
 
-def embed_texts(router: InferenceRouter, owners_texts: list[tuple[str, str]],
-                dim: int, model_tag: str) -> list[EmbeddingRecord]:
-    """One record per `(owner, text)`, in input order. The embed calls go
-    out as one wave of `router.map`, however many texts there are."""
-    def one(pair: tuple[str, str]) -> EmbeddingRecord:
-        owner, text = pair
-        task = InferenceTask("embed", {"text": text, "dim": dim,
-                                       "model_tag": model_tag})
-        response = router.invoke(task)
-        return EmbeddingRecord(owner=owner,
-                               vector=tuple(response.output["vector"]),
-                               model_tag=response.output["model_tag"])
-
-    return router.map(one, owners_texts)
+def _embed(router: InferenceRouter, text: str, dim: int, model_tag: str):
+    return router.invoke(InferenceTask("embed", {"text": text, "dim": dim,
+                                                 "model_tag": model_tag}))
 
 
 def chunk_and_embed(docs: list[SourceDocument], router: InferenceRouter,
                     store: EmbeddingStore) -> list[EmbeddingRecord]:
     """One record per passage and per described asset of each document.
 
-    Every document's texts go out as one wave, whatever the number of
-    documents. The records are appended to `store` in the order of `docs`,
-    so an owner that two documents share resolves to the later one.
+    Every document's texts go out as one wave of `embed` calls, whatever the
+    number of documents. The records and their vectors are appended to
+    `store` in the order of `docs`, so an owner that two documents share
+    resolves to the later one.
     """
     owners_texts: list[tuple[str, str]] = []
     for doc in docs:
         owners_texts.extend(doc.passages())
         owners_texts.extend((a.asset_id, a.description)
                             for a in doc.described_assets())
-    records = embed_texts(router, owners_texts, store.dim, store.model_tag)
-    for record in records:
-        store.add(record)
+    responses = router.map(
+        lambda pair: _embed(router, pair[1], store.dim, store.model_tag),
+        owners_texts)
+    records = []
+    for (owner, _), response in zip(owners_texts, responses):
+        records.append(EmbeddingRecord(owner, response.fingerprint,
+                                       response.output["model_tag"]))
+        store.add(records[-1], response.output["vector"])
     return records
 
 
 def embed_query(router: InferenceRouter, text: str, dim: int,
                 model_tag: str) -> list[float]:
-    task = InferenceTask("embed", {"text": text, "dim": dim,
-                                   "model_tag": model_tag})
-    return list(router.invoke(task).output["vector"])
+    return list(_embed(router, text, dim, model_tag).output["vector"])
 
 
 def semantic_search(query: str, k: int, store: EmbeddingStore,

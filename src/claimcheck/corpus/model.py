@@ -107,5 +107,5 @@ class SourceDocument:
 @dataclass(frozen=True)
 class EmbeddingRecord:
     owner: str  # passage_id or asset_id
-    vector: tuple[float, ...]
+    fingerprint: str  # of the `embed` call whose output is the vector
     model_tag: str

@@ -45,10 +45,10 @@ from .corpus.ingest import (RelationSet, corpus_fingerprint, ingest_document,
 from .corpus.model import EmbeddingRecord, SourceDocument
 from .corpus.scoring import score_source, sells_chains
 from .corpus.visuals import describe_visual_asset
-from .errors import (BudgetExceeded, ConfigDrift, CorruptManifest,
-                     EmptyCorpus)
-from .ids import content_hash, make_id
-from .jsonl import read_all, read_json, write_json, write_records, write_text
+from .errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
+                     CorruptManifest, EmptyCorpus)
+from .ids import make_id
+from .jsonl import read_json, read_records, write_json, write_records, write_text
 from .knowledge.extraction import (EntityRegistry, classify_provenance,
                                    extract_claims, extract_entities)
 from .knowledge.graph import Edge, KnowledgeGraph, build_graph, relation_edge
@@ -92,11 +92,11 @@ class StoreFile:
 _by = attrgetter
 
 # Every file of the run store, declared once: (layer that writes it, file,
-# Run attribute, record type, sort key).
+# Run attribute, record type, sort key). No fact is stored twice: vectors are
+# in `transcript/layer1.jsonl`, and the relations in the corpus.
 STORE = (
     StoreFile("layer1", "documents.jsonl", "documents", SourceDocument, _by("doc_id")),
     StoreFile("layer1", "embeddings.jsonl", "embeddings", EmbeddingRecord),
-    StoreFile("layer1", "relations.jsonl", "relation_rows", key=content_hash),
     StoreFile("layer2", "entities.jsonl", "entities", Entity),
     StoreFile("layer2", "claims.jsonl", "claims", ClaimTriple, _by("claim_id")),
     StoreFile("layer2", "doc_claims.json", "doc_claims"),
@@ -132,8 +132,6 @@ STORE = (
               lambda c: (c.dependent, len(c.chain), str(c.chain))),
     StoreFile("layer5", "timeline.jsonl", "timeline", sig.StrategicEvent),
     StoreFile("layer5", "correlations.jsonl", "correlations"),
-    StoreFile("layer5", "signal_profiles.jsonl", "signal_profiles", sig.SignalProfile,
-              _by("entity_id"), reload=False),
     StoreFile("layer6", "profiles.jsonl", "profiles", assess_mod.EvidenceProfile,
               lambda p: p.claim.claim_id, reload=False),
     StoreFile("layer6", "matrix.jsonl", "matrix", assess_mod.HypothesisRow, reload=False),
@@ -144,7 +142,7 @@ STORE = (
 Job = tuple[dict | list, Any, Callable[[], Any]]
 
 # Run state kept in the manifest rather than the store.
-_MANIFEST_LISTS = ("seeds", "docs_processed", "queue", "gaps", "citation_gaps")
+_MANIFEST_LISTS = ("seeds", "docs_processed", "gaps", "citation_gaps")
 
 # Layer 4 extracts and verifies the documents it discovers, so it rewrites
 # the knowledge and intradoc stores along with its own.
@@ -170,7 +168,10 @@ class Run:
         self.docs_by_slug: dict[str, SourceDocument] = {}
         self.relations = RelationSet()
         self.store = EmbeddingStore(cfg.corpus.embedding_dim,
-                                    cfg.corpus.embedding_model_tag)
+                                    cfg.corpus.embedding_model_tag,
+                                    lookup=partial(_transcript_vectors,
+                                                   self.run_dir / "transcript"
+                                                   / "layer1.jsonl"))
         self.registry = EntityRegistry(cfg.knowledge)
         self.claims: dict[str, ClaimTriple] = {}
         self.doc_claims: dict[str, list[str]] = {}
@@ -193,7 +194,6 @@ class Run:
         self.supply_chains: list[sig.SupplyChainDependency] = []
         self.timeline: list[sig.StrategicEvent] = []
         self.correlations: list[dict[str, Any]] = []
-        self.signal_profiles: list[sig.SignalProfile] = []
         self.profiles: list[assess_mod.EvidenceProfile] = []
         self.matrix: list[assess_mod.HypothesisRow] = []
         self.maturity: assess_mod.MaturityAssessment | None = None
@@ -285,15 +285,7 @@ class Run:
     @embeddings.setter
     def embeddings(self, records: list[EmbeddingRecord]) -> None:
         for record in records:
-            self.store.add(record)
-
-    @property
-    def relation_rows(self) -> list[dict[str, Any]]:
-        return self.relations.rows
-
-    @relation_rows.setter
-    def relation_rows(self, rows: list[dict[str, Any]]) -> None:
-        self.relations = RelationSet(rows=rows)
+            self.store.add(record)  # the store looks the vector up
 
     @property
     def entities(self) -> list[Entity]:
@@ -865,22 +857,6 @@ class Run:
             self._strategic_events(graph),
             self.cfg.signals.correlation_window_days, related_pairs)
 
-        profiled = sorted(
-            set(self.financial)
-            | {f.organization for f in self.coi_flags}
-            | {w.entity_id for w in self.conflict_webs})
-        for entity_id in profiled:
-            self.signal_profiles.append(sig.compose_signal_profile(
-                entity_id, graph,
-                self.financial.get(entity_id, sig.FinancialProfile(
-                    entity_id=entity_id, events=[], dominance="unknown",
-                    summary="no financial events")),
-                self.coi_flags,
-                next((w for w in self.conflict_webs
-                      if w.entity_id == entity_id), None),
-                [c for c in self.supply_chains if c.dependent == entity_id],
-                self.timeline, self.correlations))
-
         self._flush_layer("layer5")
 
     # --- layer 6: assessment --------------------------------------------------------
@@ -1007,6 +983,20 @@ class Run:
         return self.run_dir
 
 
+def _transcript_vectors(path: Path, records: list[EmbeddingRecord]
+                        ) -> list[list[float]]:
+    """The vectors of reloaded embedding records: the outputs of their
+    `embed` calls in the layer-1 transcript at `path`. The store asks at its
+    first search, so a resume that runs only layers 5 and 6 never reads it."""
+    vectors = {row["fingerprint"]: row["output"].get("vector")
+               for row in read_records(path)}
+    for record in records:
+        if vectors.get(record.fingerprint) is None:
+            raise ClaimcheckError(f"{path} holds no embed output for "
+                                  f"{record.owner} ({record.fingerprint})")
+    return [vectors[record.fingerprint] for record in records]
+
+
 def _record_precedence(label: str) -> int:
     return {"corroborates": 1, "misrepresents": 2, "contradicts": 3}[label]
 
@@ -1051,6 +1041,7 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
     state.layers_done = {layer: bool(manifest["layers"].get(layer))
                          for layer in LAYERS}
     if state.layers_done["layer1"]:
+        _, state.relations = load_corpus_dir(state._corpus_files)  # as layer 1
         state._corpus_files = None
     for name in _MANIFEST_LISTS:
         setattr(state, name, list(manifest.get(name, [])))
@@ -1059,12 +1050,12 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
         if entry.name.endswith(".json"):
             setattr(state, entry.attr, read_json(path))
             continue
-        rows = read_all(path)
+        rows = read_records(path)  # each record is built as its line is read
         if entry.record is not None:
-            rows = [from_record(entry.record, row) for row in rows]
-        if isinstance(getattr(state, entry.attr), dict):
-            rows = {entry.key(row): row for row in rows}
-        setattr(state, entry.attr, rows)
+            rows = (from_record(entry.record, row) for row in rows)
+        held = getattr(state, entry.attr)
+        setattr(state, entry.attr, {entry.key(row): row for row in rows}
+                if isinstance(held, dict) else list(rows))
     state._index()
     state.execute(stop_after=stop_after)
     return state

@@ -205,11 +205,11 @@ def test_replay_miss_during_embed_names_fingerprint():
 
 def test_store_dimension_and_tag_mismatch():
     store = EmbeddingStore(dim=4, model_tag="m1")
-    store.add(EmbeddingRecord("p1", (1.0, 0.0, 0.0, 0.0), "m1"))
+    store.add(EmbeddingRecord("p1", "fp1", "m1"), (1.0, 0.0, 0.0, 0.0))
     with pytest.raises(DimensionMismatch):
-        store.add(EmbeddingRecord("p2", (1.0, 0.0), "m1"))
+        store.add(EmbeddingRecord("p2", "fp2", "m1"), (1.0, 0.0))
     with pytest.raises(ModelTagMismatch):
-        store.add(EmbeddingRecord("p3", (0.0, 1.0, 0.0, 0.0), "m2"))
+        store.add(EmbeddingRecord("p3", "fp3", "m2"), (0.0, 1.0, 0.0, 0.0))
 
 
 def test_search_self_similarity_ranks_first():
@@ -218,8 +218,8 @@ def test_search_self_similarity_ranks_first():
              "quantum runtime advantage evaluation"]
     store = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
     for i, text in enumerate(texts):
-        store.add(EmbeddingRecord(f"p{i}", tuple(embed_text(text, 256)),
-                                  "hashed-bow-v1"))
+        store.add(EmbeddingRecord(f"p{i}", f"fp{i}", "hashed-bow-v1"),
+                  tuple(embed_text(text, 256)))
     hits = semantic_search("quantum runtime advantage evaluation", 3, store,
                            router)
     assert hits[0][0] == "p2"
@@ -229,8 +229,8 @@ def test_search_self_similarity_ranks_first():
 def test_search_k_larger_than_store():
     router = scripted_router()
     store = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
-    store.add(EmbeddingRecord("p0", tuple(embed_text("alpha", 256)),
-                              "hashed-bow-v1"))
+    store.add(EmbeddingRecord("p0", "fp0", "hashed-bow-v1"),
+              tuple(embed_text("alpha", 256)))
     assert len(semantic_search("alpha", 10, store, router)) == 1
 
 
@@ -239,7 +239,7 @@ def test_search_ties_broken_by_owner():
     store = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
     vec = tuple(embed_text("identical text", 256))
     for owner in ("pz", "pa", "pm"):
-        store.add(EmbeddingRecord(owner, vec, "hashed-bow-v1"))
+        store.add(EmbeddingRecord(owner, "fp", "hashed-bow-v1"), vec)
     hits = semantic_search("identical text", 3, store, router)
     assert [h[0] for h in hits] == ["pa", "pm", "pz"]
 
@@ -274,10 +274,10 @@ def test_search_finds_rebuttal_passages(golden):
     assert owner_docs & rebuttals
 
 
-def search_by_loop(store, query_vector, k, owner_filter=None):
+def search_by_loop(vectors, query_vector, k, owner_filter=None):
     """The per-record search that the store's matrix search replaced, kept
-    as the oracle: every record scored as `q @ v`, then sorted."""
-    vectors = {r.owner: r.vector for r in store.records()}
+    as the oracle: every vector added, by owner, scored as `q @ v`, then
+    sorted."""
     owners = sorted(vectors)
     if owner_filter is not None:
         owners = [o for o in owners if o in owner_filter]
@@ -361,12 +361,14 @@ ZERO_TIES = (8, [
 def test_search_matches_the_per_record_loop(case):
     dim, items, split, searches = case
     store = EmbeddingStore(dim=dim, model_tag="m")
+    added = {}
     for batch in (items[:split], items[split:]):
         for owner, vector in batch:
-            store.add(EmbeddingRecord(owner, vector, "m"))
+            store.add(EmbeddingRecord(owner, f"fp-{owner}", "m"), vector)
+            added[owner] = vector
         for query, k, owner_filter in searches:
             try:
-                expected = search_by_loop(store, query, k, owner_filter)
+                expected = search_by_loop(added, query, k, owner_filter)
             except EmptyStore:
                 with pytest.raises(EmptyStore):
                     store.search(list(query), k, owner_filter)

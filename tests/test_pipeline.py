@@ -8,14 +8,16 @@ import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck import pipeline
+from claimcheck import ids, pipeline
 from claimcheck.cli import main
 from claimcheck.config import PipelineConfig
 from claimcheck.corpus.embedding import EmbeddingStore, embed_query
@@ -276,6 +278,103 @@ def test_resume_past_layer1_keeps_no_corpus_bytes(tmp_path):
     state = resume(tmp_path / "a", stop_after="layer2")
     assert state.layers_done["layer2"]
     assert state._corpus_files is None
+
+
+def test_golden_store_keeps_each_fact_once(golden, tmp_path, monkeypatch):
+    """A stored embedding's vector is only in the layer-1 transcript, the
+    relations and the signal profiles are not copied into the store, and
+    writing the store hashes nothing."""
+    run_dir = golden.run_dir
+    stored = {r["fingerprint"]
+              for r in read_all(run_dir / "store" / "embeddings.jsonl")}
+    holders = set()
+    for path in run_dir.rglob("*"):
+        if not path.is_file():
+            continue
+        rel = path.relative_to(run_dir).as_posix()
+        text = path.read_text(encoding="utf-8")
+        if rel.startswith("transcript/"):
+            if any(json.loads(line)["fingerprint"] in stored
+                   for line in text.splitlines()):
+                holders.add(rel)
+        elif '"vector"' in text:
+            holders.add(rel)
+    assert stored and holders == {"transcript/layer1.jsonl"}
+    store = {path.name for path in (run_dir / "store").iterdir()}
+    assert "relations.jsonl" not in store
+    assert "signal_profiles.jsonl" not in store
+
+    shutil.copytree(run_dir, tmp_path / "run")
+    state = resume(tmp_path / "run")
+    counts: dict[str, int] = {}
+    original = ids.content_hash
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("claimcheck") and \
+                vars(module).get("content_hash") is original:
+            monkeypatch.setattr(module, "content_hash", counted(
+                counts, "content_hash", original))
+    for layer in LAYERS:
+        state._persist(layer)
+    assert counts == {}
+
+
+def test_resume_after_layer1_rebuilds_the_search_matrix(tmp_path):
+    corpus = background_corpus(tmp_path, 40)
+    cfg = PipelineConfig()
+    cfg.document_budget = 100  # every document may be discovered
+    whole = run(GOLDEN_QUERY, corpus, tmp_path / "whole", cfg,
+                scripted_spec())
+    run(GOLDEN_QUERY, corpus, tmp_path / "resumed", cfg, scripted_spec(),
+        stop_after="layer1")
+    resumed = resume(tmp_path / "resumed")
+    assert resumed.store._owners == whole.store._owners
+    assert np.array_equal(resumed.store._matrix, whole.store._matrix)
+    assert dir_digest(tmp_path / "resumed") == dir_digest(tmp_path / "whole")
+
+
+def test_resume_after_layer4_reads_no_transcript(tmp_path, monkeypatch):
+    run_golden(tmp_path / "a", stop_after="layer4")
+    transcripts = tmp_path / "a" / "transcript"
+    read: list[str] = []
+    original = io.open
+
+    def recording(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and \
+                Path(file).parent == transcripts and "r" in mode:
+            read.append(Path(file).name)
+        return original(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording)
+    monkeypatch.setattr(builtins, "open", recording)
+    state = resume(tmp_path / "a")
+    monkeypatch.undo()
+    assert state.layers_done["layer6"]
+    assert read == []
+
+
+def test_resume_accepts_a_manifest_with_the_old_queue_key(golden, tmp_path):
+    run_golden(tmp_path / "a", stop_after="layer3")
+    manifest = read_json(tmp_path / "a" / "manifest.json")
+    assert "queue" not in manifest
+    (tmp_path / "a" / "manifest.json").write_text(
+        json.dumps({**manifest, "queue": []}), encoding="utf-8")
+    resume(tmp_path / "a")
+    assert dir_digest(tmp_path / "a") == dir_digest(golden.run_dir)
+
+
+def test_resume_without_a_stored_vector_exits_2_naming_the_file(tmp_path,
+                                                                capsys):
+    run_golden(tmp_path / "a", stop_after="layer1")
+    path = tmp_path / "a" / "transcript" / "layer1.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [json.loads(line) for line in lines]
+    fingerprints = [row["fingerprint"] for row in rows]
+    dropped = next(i for i, row in enumerate(rows) if row["kind"] == "embed"
+                   and fingerprints.count(row["fingerprint"]) == 1)
+    path.write_text("".join(lines[:dropped] + lines[dropped + 1:]),
+                    encoding="utf-8")
+    assert cli("resume", "--run-dir", tmp_path / "a") == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_resume_completes_interrupted_run(tmp_path):

@@ -275,8 +275,11 @@ def test_golden_timeline_correlations(golden):
 
 def test_golden_kipu_signal_profile(golden):
     kipu = golden.registry.get("Kipu Quantum").entity_id
-    profile = next(p for p in golden.signal_profiles
-                   if p.entity_id == kipu)
+    profile = compose_signal_profile(
+        kipu, golden.graph(), golden.financial[kipu], golden.coi_flags,
+        next((w for w in golden.conflict_webs if w.entity_id == kipu), None),
+        [c for c in golden.supply_chains if c.dependent == kipu],
+        golden.timeline, golden.correlations)
     assert profile.financial.dominance == "opex-dominant"
     assert len(profile.coi_flags) == 1
     assert len(profile.timeline) >= 3
