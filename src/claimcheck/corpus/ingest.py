@@ -6,7 +6,8 @@ from explicit structure for manifests. The doc_id is a pure function of the
 raw input bytes, so re-ingesting an unchanged corpus is byte-identical.
 `read_corpus_dir` reads a corpus directory once, and `load_corpus_dir`
 sorts those bytes into document files, their `.meta.json` metadata
-sidecars, and the relation manifest.
+sidecars, and the relation manifest; a missing directory or a malformed
+JSON file or sidecar is a `ClaimcheckError` that names it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import attrgetter
 from pathlib import Path, PurePath
 from typing import Any, Iterable
 
-from ..errors import EmptyInput, UnsupportedFormat
+from ..errors import ClaimcheckError, EmptyInput, UnsupportedFormat
 from ..ids import content_hash, hash_bytes, make_id, normalize_text
 from ..records import from_record
 from .model import (SOURCE_TYPES, DocumentMetadata, Section, SourceDocument,
@@ -241,10 +242,23 @@ def read_corpus_dir(corpus_dir: Path) -> list[tuple[str, bytes]]:
 
     Sorting names gives the order that sorting the paths would, since they
     share a parent, without a `Path` comparison per step."""
-    with os.scandir(corpus_dir) as entries:
-        files = sorted((e for e in entries if e.is_file()),
-                       key=attrgetter("name"))
-    return [(entry.name, Path(entry.path).read_bytes()) for entry in files]
+    try:
+        with os.scandir(corpus_dir) as entries:
+            files = sorted((e for e in entries if e.is_file()),
+                           key=attrgetter("name"))
+        return [(entry.name, Path(entry.path).read_bytes()) for entry in files]
+    except OSError as exc:
+        raise ClaimcheckError(f"cannot read corpus path {exc.filename}: "
+                              f"{exc.strerror}") from exc
+
+
+def _decode(name: str, raw: bytes, cls: type | None = None) -> Any:
+    """The JSON value of corpus file `name`, as a `cls` record if given."""
+    try:
+        data = json.loads(raw.decode("utf-8"))
+        return data if cls is None else from_record(cls, data)
+    except (ValueError, TypeError) as exc:
+        raise ClaimcheckError(f"corpus file {name} is malformed: {exc}") from exc
 
 
 def load_corpus_dir(files: list[tuple[str, bytes]]
@@ -268,7 +282,7 @@ def load_corpus_dir(files: list[tuple[str, bytes]]
         if fmt is None:
             continue
         if fmt == "json-manifest":
-            data = json.loads(raw.decode("utf-8"))
+            data = _decode(name, raw)
             if data.get("manifest_kind") == "relations":
                 for row in data.get("records", []):
                     key = _row_key(row)
@@ -276,11 +290,9 @@ def load_corpus_dir(files: list[tuple[str, bytes]]
                         seen_rows.add(key)
                         relations.rows.append(row)
                 continue
-        hints = None
-        sidecar = raw_by_name.get(path.stem + ".meta.json")
-        if sidecar is not None:
-            hints = from_record(DocumentMetadata,
-                                json.loads(sidecar.decode("utf-8")))
+        sidecar = path.stem + ".meta.json"
+        hints = _decode(sidecar, raw_by_name[sidecar], DocumentMetadata) \
+            if sidecar in raw_by_name else None
         documents.append((name, raw, fmt, hints))
     return documents, relations
 

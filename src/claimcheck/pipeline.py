@@ -598,13 +598,17 @@ class Run:
     def _alignment(self, a: str, b: str) -> cross.ClaimAlignment | None:
         return self.alignments.get((a, b)) or self.alignments.get((b, a))
 
-    def _align_jobs(self, claims: list[ClaimTriple]) -> list[Job]:
-        """An `align-claims` job for each pair the walk from `claims` meets
-        that is not aligned yet, oriented as first met: the orientation is
-        part of the task payload."""
+    def _walk(self, claims: list[ClaimTriple]) -> tuple[
+            list[tuple[ClaimTriple, ClaimTriple]], list[Job]]:
+        """The counter-claim walk from each of `claims`, once: the
+        `(claim, counter)` pairs it meets, in walk order, and an
+        `align-claims` job for each pair not aligned yet, oriented as first
+        met (the orientation is part of the task payload)."""
+        pairs = []
         jobs: dict[tuple[str, str], Job] = {}
         for claim in claims:
             for counter in self._counters(claim):
+                pairs.append((claim, counter))
                 key = (claim.claim_id, counter.claim_id)
                 if key in jobs or key[::-1] in jobs \
                         or self._alignment(*key) is not None:
@@ -612,56 +616,36 @@ class Run:
                 jobs[key] = (self.alignments, key, partial(
                     cross.align_claims, claim, counter, self.router,
                     self.slug_of(claim.doc_id), self.slug_of(counter.doc_id)))
-        return list(jobs.values())
+        return pairs, list(jobs.values())
 
-    def _matches(self, claim: ClaimTriple) -> list[
+    def _matched(self, pairs: list[tuple[ClaimTriple, ClaimTriple]]) -> list[
             tuple[ClaimTriple, ClaimTriple, cross.ClaimAlignment]]:
-        """`(claim, counter, alignment)` for each counter-claim in another
-        processed document that aligns with `claim` as matched. Reads the
-        alignments of an earlier `_align_jobs` wave."""
-        out = []
-        for counter in self._counters(claim):
-            alignment = self._alignment(claim.claim_id, counter.claim_id)
-            if alignment.relation == "matched":
-                out.append((claim, counter, alignment))
-        return out
-
-    @staticmethod
-    def _cited_slug(citing: ClaimTriple) -> str | None:
-        """Slug of the document a provenance-4 claim cites first; None for a
-        claim that gets no citation-fidelity check."""
-        if citing.provenance is None or citing.provenance.level != 4 \
-                or not citing.cited_refs:
-            return None
-        return citing.cited_refs[0].removeprefix("doc:")
+        """The walked pairs aligned as matched, with their alignments."""
+        return [(claim, counter, alignment) for claim, counter in pairs
+                if (alignment := self._alignment(
+                    claim.claim_id, counter.claim_id)).relation == "matched"]
 
     def _fidelity_jobs(self, claims: list[ClaimTriple]) -> list[Job]:
-        """A `citation-fidelity` job for each provenance-4 claim whose cited
-        document is in the corpus and that has no finding yet."""
+        """A `citation-fidelity` job for each provenance-4 claim that has no
+        finding yet, against the document it cites first. A cited document
+        missing from the corpus is recorded as a discovery gap instead,
+        once per claim passed."""
         jobs: dict[str, Job] = {}
         for citing in claims:
-            slug = self._cited_slug(citing)
-            cited = None if slug is None else self.doc_by_slug(slug)
-            if cited is None or citing.claim_id in self.fidelity \
-                    or citing.claim_id in jobs:
+            if citing.provenance is None or citing.provenance.level != 4 \
+                    or not citing.cited_refs:
                 continue
-            jobs[citing.claim_id] = (self.fidelity, citing.claim_id, partial(
-                cross.check_citation_fidelity, citing,
-                [self.claims[c] for c in self.doc_claims.get(cited.doc_id, [])],
-                self.router, self.slug_of(citing.doc_id), cited.slug))
+            slug = citing.cited_refs[0].removeprefix("doc:")
+            cited = self.doc_by_slug(slug)
+            if cited is None:
+                self.citation_gaps.append(f"{citing.claim_id} -> {slug}")
+            elif citing.claim_id not in self.fidelity \
+                    and citing.claim_id not in jobs:
+                jobs[citing.claim_id] = (self.fidelity, citing.claim_id, partial(
+                    cross.check_citation_fidelity, citing,
+                    [self.claims[c] for c in self.doc_claims.get(cited.doc_id, [])],
+                    self.router, self.slug_of(citing.doc_id), cited.slug))
         return list(jobs.values())
-
-    def _fidelity_of(self, citing: ClaimTriple) -> cross.CitationFidelityFinding | None:
-        """The finding of a provenance-4 claim, checked by an earlier
-        `_fidelity_jobs` wave; a cited document missing from the corpus is
-        recorded as a discovery gap on every call."""
-        slug = self._cited_slug(citing)
-        if slug is None:
-            return None
-        if self.doc_by_slug(slug) is None:
-            self.citation_gaps.append(f"{citing.claim_id} -> {slug}")
-            return None
-        return self.fidelity[citing.claim_id]
 
     def _cites(self, counter: ClaimTriple, claim: ClaimTriple) -> bool:
         """Whether a provenance-4 counter-claim cites the claim's document."""
@@ -682,36 +666,30 @@ class Run:
                     self._rating_for(seed, doc_id, view)
         focus = sorted(focus_claims, key=lambda c: c.claim_id)
         # Wave A: the focus claims' pairs and their own citation checks.
-        self._wave(self._align_jobs(focus) + self._fidelity_jobs(focus))
-        matched_pairs = []
-        for claim in focus:
-            self._fidelity_of(claim)
-            matched_pairs += self._matches(claim)
+        walked, align = self._walk(focus)
+        self._wave(align + self._fidelity_jobs(focus))
+        matched = self._matched(walked)
         cluster = {c.claim_id: c for c in focus_claims}
-        counters = {counter.claim_id: counter
-                    for _, counter, _ in matched_pairs
+        counters = {counter.claim_id: counter for _, counter, _ in matched
                     if counter.claim_id not in cluster}
         cluster |= counters
         # Wave B: matched counter-claims get their own consensus so Layer 6
         # can hypothesize over both sides of a contested proposition.
-        second = [counters[c] for c in sorted(counters)]
-        self._wave(self._align_jobs(second))
-        for counter in second:
-            matched_pairs += self._matches(counter)
+        walked, align = self._walk([counters[c] for c in sorted(counters)])
+        self._wave(align)
+        matched += self._matched(walked)
         # Wave C: counter-claims that cite the claim they match.
+        cites = [self._cites(counter, claim) for claim, counter, _ in matched]
         self._wave(self._fidelity_jobs([
-            counter for claim, counter, _ in matched_pairs
-            if self._cites(counter, claim)]))
+            counter for (_, counter, _), cited in zip(matched, cites) if cited]))
 
         labelled = []
-        for claim, counter, alignment in matched_pairs:
+        for (claim, counter, alignment), cited in zip(matched, cites):
             label = ("corroborates" if alignment.stance == "agrees"
                      else "contradicts")
-            fidelity = None
-            if self._cites(counter, claim):
-                fidelity = self._fidelity_of(counter)
-                if fidelity is not None and not fidelity.faithful:
-                    label = "misrepresents"
+            fidelity = self.fidelity.get(counter.claim_id) if cited else None
+            if fidelity is not None and not fidelity.faithful:
+                label = "misrepresents"
             labelled.append((claim, counter, label, fidelity))
         # Wave D: the root cause of every contradicting pair.
         roots: dict[int, cross.RootCause] = {}

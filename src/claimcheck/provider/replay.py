@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from ..errors import ProviderFailure
+from ..errors import ClaimcheckError, ProviderFailure
 from ..jsonl import read_records
 from ..records import from_record
 from .tasks import InferenceResponse, InferenceTask
@@ -27,6 +27,8 @@ class ReplayProvider:
     @classmethod
     def from_path(cls, path: Path) -> "ReplayProvider":
         """Load a transcript file, or a directory of transcript files."""
+        if not path.exists():
+            raise ClaimcheckError(f"replay fixtures {path} do not exist")
         files: list[Path]
         if path.is_dir():
             files = sorted(path.glob("*.jsonl"))

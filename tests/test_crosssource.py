@@ -31,7 +31,7 @@ from claimcheck.pipeline import Run
 from claimcheck.provider import ReplayProvider, ScriptedProvider
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, StubProvider,
-                      make_router, replay_spec)
+                      make_router, replay_spec, run_golden)
 from test_intradoc import make_claim
 from test_corpus import manifest_bytes
 from test_knowledge import classical_metric, quantum_metric
@@ -297,15 +297,40 @@ def test_fidelity_missing_cited_doc():
         check_citation_fidelity(citing, [], router, "doc-a", None)
 
 
-def test_fidelity_of_missing_cited_doc_records_a_gap(tmp_path):
+def test_fidelity_jobs_missing_cited_doc_records_a_gap(tmp_path):
     state = Run(tmp_path / "run", CORPUS_DIR, GOLDEN_QUERY, PipelineConfig(),
                 replay_spec())
     citing = make_claim()
     citing.provenance = ProvenanceLevel(4)
     citing.cited_refs = ["doc:gone"]
-    assert state._fidelity_of(citing) is None
+    assert state._fidelity_jobs([citing]) == []
     assert state.citation_gaps == ["clm-t -> gone"]
     assert state.fidelity == {}
+
+
+def test_counter_claim_citing_a_missing_doc_records_a_gap_per_matched_pair(
+        tmp_path):
+    """A provenance-4 counter-claim that cites the matched claim's document,
+    but whose first cited document is missing, records one gap for each
+    matched pair it is the counter of and is labelled from no finding."""
+    state = run_golden(tmp_path / "run", stop_after="layer4")
+    by_key = {f"{state.slug_of(c.doc_id)}:{c.subject_name}|{c.predicate}": c
+              for c in state.claims.values()}
+    counter = by_key["r1-wallclock-rebuttal:BF-DCQO|shows-runtime"]
+    matched = [by_key["s1-target:BF-DCQO|achieves-runtime"].claim_id,
+               by_key["s1-target:BF-DCQO|achieves"].claim_id]
+    assert counter.claim_id not in state.fidelity
+    counter.provenance = ProvenanceLevel(4)
+    counter.cited_refs = ["doc:gone", "doc:s1-target"]
+    state.citation_gaps = []
+    focus = [state.claims[c] for c in state.doc_claims[state.seeds[0]]]
+    state._compare_claims(focus, state.corpus_view(state.citation_edges()))
+    assert state.citation_gaps == [f"{counter.claim_id} -> gone"] * 2
+    records = sorted((r.claim_id, r.label, r.fidelity) for r in state.agreements
+                     if r.counter_claim == counter.claim_id)
+    assert records == [(claim_id, "contradicts", None)
+                       for claim_id in sorted(matched)]
+    assert counter.claim_id not in state.fidelity
 
 
 def test_fidelity_faithful_and_distorted(golden, golden_claims):

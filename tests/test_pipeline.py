@@ -229,6 +229,19 @@ def test_relation_edges_are_built_once_per_run(tmp_path, monkeypatch):
     assert rows and counts["edge"] == len(rows)
 
 
+def test_layer4_walks_each_claim_once_and_tests_each_citation_once(
+        tmp_path, monkeypatch):
+    """Each claim's counter-claims are walked once in its alignment wave,
+    and each matched pair's citation test is evaluated once."""
+    counts: dict[str, int] = {}
+    for name in ("_counters", "_cites"):
+        monkeypatch.setattr(pipeline.Run, name,
+                            counted(counts, name, getattr(pipeline.Run, name)))
+    state = run_golden(tmp_path / "run", stop_after="layer4")
+    assert counts["_counters"] == len(state.consensus) == 34
+    assert counts["_cites"] == 35
+
+
 def _corpus_with_notes(tmp_path: Path) -> Path:
     """The golden corpus plus a file that no loader reads."""
     corpus = tmp_path / "corpus"
@@ -617,4 +630,39 @@ def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
                "--playbook", PLAYBOOK, "--config", bad)
     assert code == 2
     assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name, text, message", [
+    pytest.param(None, None, "cannot read corpus path {corpus}: ",
+                 id="missing-dir"),
+    pytest.param("broken.json", '{"title": ',
+                 "corpus file broken.json is malformed: ", id="document-json"),
+    pytest.param("s1-target.meta.json", "{",
+                 "corpus file s1-target.meta.json is malformed: ",
+                 id="sidecar-json"),
+    pytest.param("s1-target.meta.json", '{"sponsor": "x"}',
+                 "corpus file s1-target.meta.json is malformed: ",
+                 id="sidecar-unknown-key")])
+def test_cli_run_with_bad_corpus_input_exits_2_naming_it(tmp_path, capsys,
+                                                         name, text, message):
+    corpus = tmp_path / "corpus"
+    if name is not None:
+        shutil.copytree(CORPUS_DIR, corpus)
+        (corpus / name).write_text(text, encoding="utf-8")
+    code = cli("run", "--query", GOLDEN_QUERY, "--corpus-dir", corpus,
+               "--out", tmp_path / "run", "--provider", "scripted",
+               "--playbook", PLAYBOOK)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: " + message.format(corpus=corpus))
+
+
+def test_cli_replay_with_missing_fixtures_exits_2(tmp_path, capsys):
+    missing = tmp_path / "transcript.jsonl"
+    code = cli("run", "--query", GOLDEN_QUERY, "--corpus-dir", CORPUS_DIR,
+               "--out", tmp_path / "run", "--provider", "replay",
+               "--fixtures", missing)
+    assert code == 2
+    assert f"replay fixtures {missing} do not exist" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

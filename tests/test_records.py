@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from claimcheck.assess import EvidenceProfile, HypothesisRow
 from claimcheck.corpus.model import DocumentMetadata, SourceDocument
 from claimcheck.crosssource import IndependenceRating, RubricAssessment
+from claimcheck.errors import ClaimcheckError
 from claimcheck.jsonl import dumps_record
 from claimcheck.knowledge.model import (ClaimTriple, MetricValue,
                                         OverheadEntry, ProvenanceLevel)
@@ -138,7 +139,8 @@ def test_metadata_sidecar_with_unknown_key_is_rejected(tmp_path):
     shutil.copy(CORPUS_DIR / "s1-target.json", tmp_path / "s1-target.json")
     (tmp_path / "s1-target.meta.json").write_text(
         json.dumps({"venue": "v", "sponsor": "x"}), encoding="utf-8")
-    with pytest.raises(TypeError):
+    with pytest.raises(ClaimcheckError,
+                       match="s1-target.meta.json is malformed.*sponsor"):
         load_corpus_dir(read_corpus_dir(tmp_path))
 
 
