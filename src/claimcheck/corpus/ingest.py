@@ -231,7 +231,10 @@ def _row_key(value: Any) -> Any:
     """Hashable form of a JSON value: two values get equal keys exactly when
     they compare equal with `==`."""
     if isinstance(value, dict):
-        return frozenset((k, _row_key(v)) for k, v in value.items())
+        try:  # only scalar values: the same key, built at C speed
+            return frozenset(value.items())
+        except TypeError:  # a nested value
+            return frozenset((k, _row_key(v)) for k, v in value.items())
     if isinstance(value, list):
         return tuple(_row_key(v) for v in value)
     return value
@@ -256,6 +259,8 @@ def _decode(name: str, raw: bytes, cls: type | None = None) -> Any:
     """The JSON value of corpus file `name`, as a `cls` record if given."""
     try:
         data = json.loads(raw.decode("utf-8"))
+        if type(data) is not dict:
+            raise ValueError("its top level is not a JSON object")
         return data if cls is None else from_record(cls, data)
     except (ValueError, TypeError) as exc:
         raise ClaimcheckError(f"corpus file {name} is malformed: {exc}") from exc

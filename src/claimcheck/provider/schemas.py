@@ -24,20 +24,20 @@ When the acceptor says no, the second check decides: the stock
 `Draft202012Validator`, the draft that `jsonschema.validate` picks for a
 schema without `$schema`, reporting through the same `best_match`. So every
 accept or reject result and every message is the one `jsonschema.validate`
-gives. The acceptor says no to what it cannot show valid cheaply: a `bool`
-or a `numpy.float64` where a number goes, `1.0` as an integer, a tuple, a
-subclass of `str` or `dict`, and every invalid output. Unlike
-`jsonschema.validate`, nothing here re-checks the schemas against the
-meta-schema on every call: they are constants of this module, and a test
-checks each of them once.
+gives. jsonschema is imported, and a kind's validator built, only when the
+acceptor first says no to an output of that kind: a run whose outputs are
+all accepted, such as a golden replay, never loads it. The acceptor says no
+to what it cannot show valid cheaply: a `bool` or a `numpy.float64` where a
+number goes, `1.0` as an integer, a tuple, a subclass of `str` or `dict`,
+and every invalid output. Unlike `jsonschema.validate`, nothing here
+re-checks the schemas against the meta-schema on every call: they are
+constants of this module, and a test checks each of them once.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable
-
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from ..errors import SchemaViolation
 
@@ -279,8 +279,13 @@ def _array(schema: dict[str, Any]) -> Acceptor:
 
 _ACCEPTORS = {kind: build_acceptor(schema)
               for kind, schema in OUTPUT_SCHEMAS.items()}
-_VALIDATORS = {kind: Draft202012Validator(schema)
-               for kind, schema in OUTPUT_SCHEMAS.items()}
+
+
+@functools.cache
+def _validator(kind: str) -> Any:
+    """The stock validator of `kind`'s schema, built on first need."""
+    from jsonschema import Draft202012Validator
+    return Draft202012Validator(OUTPUT_SCHEMAS[kind])
 
 
 def validate_output(kind: str, output: Any) -> None:
@@ -290,7 +295,8 @@ def validate_output(kind: str, output: Any) -> None:
                               f"(schema set {SCHEMA_VERSION})")
     if accept(output):
         return
-    error = best_match(_VALIDATORS[kind].iter_errors(output))
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator(kind).iter_errors(output))
     if error is not None:
         raise SchemaViolation(
             f"{kind} output failed schema {SCHEMA_VERSION}: {error.message}"

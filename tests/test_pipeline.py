@@ -27,7 +27,7 @@ from claimcheck.errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
 from claimcheck.jsonl import read_all, read_json
 from claimcheck.pipeline import (LAYERS, ProviderSpec, load_corpus_dir,
                                  read_corpus_dir, resume, run)
-from claimcheck.provider import InferenceRouter
+from claimcheck.provider import InferenceRouter, ReplayProvider, replay
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, TRANSCRIPT,
                       dir_digest, run_golden, scripted_spec)
@@ -365,6 +365,34 @@ def test_resume_after_layer4_reads_no_transcript(tmp_path, monkeypatch):
     assert read == []
 
 
+def test_golden_resume_after_layer5_decodes_only_the_lines_it_serves(
+        tmp_path, monkeypatch):
+    run_golden(tmp_path / "a", stop_after="layer5")
+    decoded, served = [], []
+    decode, complete = replay._Line.decode, ReplayProvider.complete
+
+    def counting_decode(line):
+        response = decode(line)
+        decoded.append((response.fingerprint, response.provider_tag,
+                        response.sample_index))
+        return response
+
+    def counting_complete(provider, task, tag, index):
+        served.append((task.fingerprint, tag, index))
+        return complete(provider, task, tag, index)
+
+    monkeypatch.setattr(replay._Line, "decode", counting_decode)
+    monkeypatch.setattr(ReplayProvider, "complete", counting_complete)
+    state = resume(tmp_path / "a")
+    monkeypatch.undo()
+    assert state.layers_done["layer6"]
+    layer6 = read_all(tmp_path / "a" / "transcript" / "layer6.jsonl")
+    assert len(served) == len(layer6) == 106
+    # Two workers may decode one line at once; no line is decoded unserved.
+    assert set(decoded) == set(served)
+    assert len(decoded) <= len(served)
+
+
 def test_resume_accepts_a_manifest_with_the_old_queue_key(golden, tmp_path):
     run_golden(tmp_path / "a", stop_after="layer3")
     manifest = read_json(tmp_path / "a" / "manifest.json")
@@ -505,15 +533,25 @@ def test_manifest_records_config_snapshot(tmp_path):
     assert manifest["run_id"].startswith("run-")
 
 
-_ROW_VALUES = st.sampled_from(["a", "a  b", "a b", 1, 1.0, True, None,
-                               {"value": 1, "currency": "EUR"},
+_ROW_VALUES = st.sampled_from(["a", "a  b", "a b", 1, 1.0, True, 0, False,
+                               None, {"value": 1, "currency": "EUR"},
                                {"value": 1.0, "currency": "EUR"}, [1, "a"]])
 _ROWS = st.lists(st.dictionaries(st.sampled_from(["subject", "object",
                                                   "amount"]), _ROW_VALUES),
                  max_size=12)
 
 
-@settings(max_examples=60, deadline=None)
+def _old_row_key(value):
+    """The equality key every relation row had, without the fast path for
+    a row of scalars: the reference."""
+    if isinstance(value, dict):
+        return frozenset((k, _old_row_key(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return tuple(_old_row_key(v) for v in value)
+    return value
+
+
+@settings(max_examples=100, deadline=None)
 @given(_ROWS, _ROWS)
 def test_relation_rows_deduplicated_by_equality_in_first_seen_order(a, b):
     with tempfile.TemporaryDirectory() as tmp:
@@ -530,6 +568,12 @@ def test_relation_rows_deduplicated_by_equality_in_first_seen_order(a, b):
     assert relations.rows == expected
     assert [type(v) for r in relations.rows for v in r.values()] == \
         [type(v) for r in expected for v in r.values()]
+    kept, seen = [], set()
+    for row in a + b:
+        if _old_row_key(row) not in seen:
+            seen.add(_old_row_key(row))
+            kept.append(row)
+    assert json.dumps(relations.rows) == json.dumps(kept)
 
 
 def test_shared_slug_resolves_alike_in_fresh_and_resumed_runs(tmp_path):
@@ -643,7 +687,10 @@ def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
                  id="sidecar-json"),
     pytest.param("s1-target.meta.json", '{"sponsor": "x"}',
                  "corpus file s1-target.meta.json is malformed: ",
-                 id="sidecar-unknown-key")])
+                 id="sidecar-unknown-key"),
+    pytest.param("listed.json", "[1, 2]",
+                 "corpus file listed.json is malformed: its top level is not "
+                 "a JSON object", id="document-not-an-object")])
 def test_cli_run_with_bad_corpus_input_exits_2_naming_it(tmp_path, capsys,
                                                          name, text, message):
     corpus = tmp_path / "corpus"
@@ -666,3 +713,50 @@ def test_cli_replay_with_missing_fixtures_exits_2(tmp_path, capsys):
     assert code == 2
     assert f"replay fixtures {missing} do not exist" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+
+def _first_line_edited(edit):
+    def write(path):
+        lines = TRANSCRIPT.read_text(encoding="utf-8").splitlines()
+        lines[0] = edit(lines[0])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+    return write
+
+
+def _line_appended(path):
+    path.write_text(TRANSCRIPT.read_text(encoding="utf-8") + '{"fingerprint"',
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("fixtures, message, built", [
+    pytest.param(lambda path: path.mkdir() or path,
+                 "replay fixtures {path} hold no *.jsonl file", False,
+                 id="empty-dir"),
+    pytest.param(lambda path: path.write_bytes(b"\xff\n") and path,
+                 "cannot read replay fixtures {path}: ", False,
+                 id="not-utf8"),
+    pytest.param(_line_appended, "replay fixtures {path} line 1284 is "
+                 "malformed: ", False, id="line-outside-the-layout"),
+    pytest.param(_first_line_edited(
+        lambda line: line.replace('"output":{', '"output":{{', 1)),
+                 "replay fixtures {path} line 1 is malformed: ", True,
+                 id="layout-line-not-json"),
+    pytest.param(_first_line_edited(
+        lambda line: line.replace(',"provider_tag":',
+                                  ',"fingerprint":"x","provider_tag":', 1)),
+                 "replay fixtures {path} line 1 is malformed: it decodes to "
+                 "key ('x', ", True, id="layout-line-of-another-key")])
+def test_cli_run_with_bad_replay_fixtures_exits_2_naming_them(
+        tmp_path, capsys, fixtures, message, built):
+    path = fixtures(tmp_path / "transcript.jsonl")
+    code = cli("run", "--query", GOLDEN_QUERY, "--corpus-dir", CORPUS_DIR,
+               "--out", tmp_path / "run", "--provider", "replay",
+               "--fixtures", path, "--target-doc", "s1-target")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: " + message.format(path=path))
+    # A line in the layout is decoded, and so refused, when first served.
+    assert (tmp_path / "run").exists() is built

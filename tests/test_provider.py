@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -16,17 +22,17 @@ from jsonschema import Draft202012Validator
 
 from claimcheck.config import PipelineConfig, ProviderConfig
 from claimcheck.errors import ClaimcheckError, ProviderFailure, SchemaViolation
-from claimcheck.jsonl import dumps_record, write_records
+from claimcheck.jsonl import dumps_record, read_records, write_records
 from claimcheck.provider import (InferenceResponse, InferenceRouter,
                                  InferenceTask, ReplayProvider,
-                                 ScriptedProvider, Transcript, schemas)
+                                 ScriptedProvider, Transcript, replay, schemas)
 from claimcheck.provider.embedder import embed_text
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
 from claimcheck.provider.tasks import SCHEMA_VERSION
 from claimcheck.records import from_record, to_record
 
-from conftest import (PLAYBOOK, TRANSCRIPT, StubProvider, make_router,
-                      run_golden)
+from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, ROOT, TRANSCRIPT,
+                      StubProvider, make_router, run_golden)
 
 
 def test_fingerprint_independent_of_field_order():
@@ -108,6 +114,142 @@ def test_replay_miss_names_fingerprint():
     with pytest.raises(ProviderFailure) as err:
         router.invoke(task)
     assert task.fingerprint in str(err.value)
+
+
+def _eager_responses(files):
+    """The replay loader that decoded every line at load: the reference."""
+    responses = {}
+    for file in files:
+        for record in read_records(file):
+            response = from_record(InferenceResponse, record)
+            responses[response.fingerprint, response.provider_tag,
+                      response.sample_index] = response
+    return responses
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    # text that looks like the tail of a transcript line
+    st.just('","provider_tag":"analyst-a","sample_index":0,'
+            '"schema_version":"v1"}'))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+_RESPONSE_RECORDS = st.fixed_dictionaries({
+    "fingerprint": st.sampled_from(["f0", "f1", "f2", 'f"3', "f\\4"]),
+    "kind": st.sampled_from(["embed", "nli-verdict"]),
+    "output": st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=3),
+    "provider_tag": st.sampled_from(["analyst-a", "analyst-b", "é"]),
+    "sample_index": st.integers(-1, 11),
+    "schema_version": st.sampled_from([SCHEMA_VERSION, "v0"])})
+# How a line is written: as `write_records` does, or in another layout.
+_RENDERINGS = {
+    "layout": dumps_record,
+    "spaced": lambda record: json.dumps(record, sort_keys=True),
+    "unsorted": lambda record: json.dumps(dict(reversed(record.items())),
+                                          separators=(",", ":")),
+    "padded": lambda record: "  " + dumps_record(record) + " \t"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_RESPONSE_RECORDS, st.sampled_from(sorted(
+    _RENDERINGS)), st.booleans()), max_size=14), st.data())
+def test_replay_loader_serves_what_the_eager_loader_did(lines, data):
+    text = [_RENDERINGS[how](record) + ("\n" if blank else "")
+            for record, how, blank in lines]
+    cut = data.draw(st.integers(0, len(text)))
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        files = [folder / "a.jsonl", folder / "b.jsonl"]
+        files[0].write_text("\n".join(text[:cut]), encoding="utf-8")
+        files[1].write_text("\n".join(text[cut:]) + "\n", encoding="utf-8")
+        for path, expected in ((folder, _eager_responses(files)),
+                               (files[1], _eager_responses(files[1:]))):
+            provider = ReplayProvider.from_path(path)
+            assert len(provider) == len(expected)
+            for (fingerprint, tag, index), response in expected.items():
+                task = SimpleNamespace(fingerprint=fingerprint,
+                                       kind=response.kind)
+                for _ in range(2):   # the first serve decodes, then the store
+                    output = provider.complete(task, tag, index)
+                    assert dumps_record(output) == \
+                        dumps_record(response.output)
+
+
+def test_replay_keeps_layout_lines_as_text_until_served(tmp_path):
+    task = InferenceTask("nli-verdict", {"claim": {}, "passage": {"text": "x"}})
+    record = to_record(InferenceResponse(
+        fingerprint=task.fingerprint, kind=task.kind,
+        output={"label": "supports", "rationale": ""},
+        provider_tag="analyst-a"))
+    write_records(tmp_path / "t.jsonl", [record])
+    decoded = []
+    decode = replay._Line.decode
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay._Line, "decode",
+                      lambda line: decoded.append(line.number) or decode(line))
+        provider = ReplayProvider.from_path(tmp_path / "t.jsonl")
+        assert decoded == []
+        for _ in range(3):
+            assert provider.complete(task, "analyst-a", 0) == record["output"]
+    assert decoded == [1]
+
+
+def test_one_wave_asking_one_key_from_many_items_always_succeeds(
+        tmp_path, monkeypatch):
+    task = InferenceTask("embed", {"text": "x", "dim": 256,
+                                   "model_tag": "hashed-bow-v1"})
+    output = {"model_tag": "hashed-bow-v1", "vector": [0.5] * 256}
+    path = tmp_path / "t.jsonl"
+    write_records(path, [to_record(InferenceResponse(
+        fingerprint=task.fingerprint, kind=task.kind, output=output,
+        provider_tag="analyst-a"))])
+    decode = replay._Line.decode
+
+    def slow(line):   # gives the other workers the GIL mid-decode
+        time.sleep(0.002)
+        return decode(line)
+
+    monkeypatch.setattr(replay._Line, "decode", slow)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):   # 4 workers on one key at once
+            router = make_router(ReplayProvider.from_path(path))
+            served = router.map(lambda _: router.invoke(task, "analyst-a"),
+                                range(16))
+            assert [response.output for response in served] == [output] * 16
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    pytest.param(lambda line: line.replace('"output":{', '"output":{{', 1),
+                 "Expecting property name", id="not-json"),
+    pytest.param(lambda line: line.replace(
+        ',"provider_tag":', ',"fingerprint":"other","provider_tag":', 1),
+                 "it decodes to key ('other', 'analyst-a', 0)",
+                 id="another-key")])
+def test_bad_layout_line_is_reported_when_first_served(tmp_path, edit,
+                                                       reason):
+    task = InferenceTask("nli-verdict", {"claim": {}, "passage": {"text": "x"}})
+    record = to_record(InferenceResponse(
+        fingerprint=task.fingerprint, kind=task.kind,
+        output={"label": "supports", "rationale": ""},
+        provider_tag="analyst-a"))
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n" + edit(dumps_record(record)) + "\n", encoding="utf-8")
+    provider = ReplayProvider.from_path(path)
+    assert len(provider) == 1
+    with pytest.raises(ClaimcheckError,
+                       match=f"replay fixtures {path} line 2 is malformed: "
+                       f"{re.escape(reason)}") as err:
+        make_router(provider).invoke(task, "analyst-a")
+    assert type(err.value) is ClaimcheckError
 
 
 # --- the router's bounded pool -----------------------------------------------
@@ -498,24 +640,36 @@ def test_acceptor_refuses_to_compile_unknown_keywords_and_values(schema):
         schemas.build_acceptor(schema)
 
 
-def test_golden_replay_validates_without_jsonschema(tmp_path):
-    calls = []
+_FRESH_GOLDEN_REPLAY = """
+import sys
+from pathlib import Path
+from claimcheck.config import PipelineConfig
+from claimcheck.errors import SchemaViolation
+from claimcheck.pipeline import ProviderSpec, run
+from claimcheck.provider.schemas import validate_output
 
-    def counting(original):
-        def iter_errors(validator, *args, **kwargs):
-            calls.append(1)
-            return original(validator, *args, **kwargs)
-        return iter_errors
+query, corpus, transcript, out = sys.argv[1:]
+run(query, Path(corpus), Path(out), PipelineConfig(),
+    ProviderSpec(mode="replay", fixtures=transcript), target_doc="s1-target")
+print("jsonschema" in sys.modules)
+try:
+    validate_output("nli-verdict", {"label": "perhaps"})
+except SchemaViolation as exc:
+    print(exc)
+print("jsonschema" in sys.modules)
+"""
 
-    with pytest.MonkeyPatch.context() as patch:
-        for cls in {type(v) for v in schemas._VALIDATORS.values()}:
-            patch.setattr(cls, "iter_errors", counting(cls.iter_errors))
-        with pytest.raises(SchemaViolation):
-            validate_output("nli-verdict", {"label": "perhaps"})
-        assert len(calls) == 1   # the counter sees the stock validator
-        calls.clear()
-        run_golden(tmp_path / "run")
-    assert calls == []
+
+def test_golden_replay_never_imports_jsonschema(tmp_path):
+    # A fresh interpreter, so nothing this test process imported counts.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_GOLDEN_REPLAY, GOLDEN_QUERY,
+         str(CORPUS_DIR), str(TRANSCRIPT), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines() == [
+        "False", _reference_message("nli-verdict", {"label": "perhaps"}),
+        "True"]
 
 
 @pytest.mark.parametrize("kind", _KINDS)
