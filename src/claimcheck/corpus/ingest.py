@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from ..errors import ClaimcheckError, EmptyInput, UnsupportedFormat
 from ..ids import content_hash, hash_bytes, make_id, normalize_text
-from ..records import from_record
+from ..records import check_record, from_record
 from .model import (SOURCE_TYPES, DocumentMetadata, Section, SourceDocument,
                     VisualAsset)
 
@@ -102,18 +102,27 @@ def _from_manifest(doc_id: str, raw: bytes) -> SourceDocument:
         caption = normalize_text(asset.get("caption", ""))
         refs = []
         for si, pi in asset.get("inline_refs", []):
-            section = sections[si]
-            refs.append(section.passages[pi][0])
+            section = _at(sections, si, f"asset {a_index} section")
+            refs.append(_at(section.passages, pi,
+                            f"asset {a_index} passage")[0])
         assets.append(VisualAsset(
             asset_id=make_id("ast", doc_id, a_index, caption),
             kind=asset.get("kind", "figure"), caption=caption,
             inline_refs=refs,
-            section_id=(sections[asset["section"]].section_id
+            section_id=(_at(sections, asset["section"],
+                            f"asset {a_index} section").section_id
                         if "section" in asset else None)))
 
     return SourceDocument(doc_id=doc_id, source_type=source_type,
                           title=normalize_text(data.get("title", "")),
                           sections=sections, assets=assets, metadata=metadata)
+
+
+def _at(rows: list[Any], index: Any, what: str) -> Any:
+    """`rows[index]`, for an index in `range(len(rows))` only."""
+    if type(index) is not int or not 0 <= index < len(rows):
+        raise UnsupportedFormat(f"{what} {index!r} does not exist")
+    return rows[index]
 
 
 def _from_plain(doc_id: str, raw: bytes) -> SourceDocument:
@@ -261,8 +270,10 @@ def _decode(name: str, raw: bytes, cls: type | None = None) -> Any:
         data = json.loads(raw.decode("utf-8"))
         if type(data) is not dict:
             raise ValueError("its top level is not a JSON object")
+        if cls is not None:
+            check_record(cls, data, "metadata")
         return data if cls is None else from_record(cls, data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, ClaimcheckError) as exc:
         raise ClaimcheckError(f"corpus file {name} is malformed: {exc}") from exc
 
 

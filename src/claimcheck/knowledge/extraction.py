@@ -5,7 +5,8 @@ from __future__ import annotations
 import logging
 
 from ..config import KnowledgeConfig
-from ..errors import AlreadyClassified, UnparseableMetric, UnresolvedSubject
+from ..errors import (AlreadyClassified, SchemaViolation, UnparseableMetric,
+                      UnresolvedSubject)
 from ..ids import make_id, normalize_text
 from ..provider import InferenceRouter, InferenceTask
 from ..corpus.model import SourceDocument
@@ -145,6 +146,10 @@ def extract_claims(doc: SourceDocument, entities: list[Entity],
         passage_ids: list[str] = []
         section_id = doc.sections[0].section_id if doc.sections else ""
         for si, pi in row["passages"]:
+            if not (0 <= si < len(doc.sections)
+                    and 0 <= pi < len(doc.sections[si].passages)):
+                raise SchemaViolation(f"extract-claims output for {doc.slug} "
+                                      f"names no passage: [{si}, {pi}]")
             section = doc.sections[si]
             passage_ids.append(section.passages[pi][0])
             section_id = section.section_id

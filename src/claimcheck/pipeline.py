@@ -304,8 +304,11 @@ class Run:
         self._corpus_files = None
         if not files:
             raise EmptyCorpus(f"no documents in {self.corpus_dir}")
-        for _, raw, fmt, hints in files:
-            doc = ingest_document(raw, fmt, hints)
+        for name, raw, fmt, hints in files:
+            try:
+                doc = ingest_document(raw, fmt, hints)
+            except ClaimcheckError as exc:
+                raise type(exc)(f"corpus file {name}: {exc}") from exc
             self.documents[doc.doc_id] = doc
         del files  # no raw corpus bytes past ingest
         self._index()

@@ -7,18 +7,15 @@ Responses are validated before any caller sees them; a malformed provider
 output is a SchemaViolation, never a silent pass-through. Schemas are the
 contract that keeps differently-styled inference backends interchangeable.
 
-Each schema is compiled once, at import, into two checks. The first is an
-acceptor: a plain-Python predicate that knows only the keywords these
-schemas use (`type`, `enum`, `required`, `properties`,
-`additionalProperties: true`, `items`, `minItems`/`maxItems`, `minLength`
-and `minimum`/`maximum`). It is True only for an instance made of exact
-`str`, `int`, `float`, `bool`, `None`, `list` and `dict` that meets every
-keyword, and every such instance is valid for the stock checks too: an
-exact `int` or `float` is a "number", an exact `int` an "integer", and so
-on. Items of a bare scalar type, such as the 256 numbers of an embedding
-vector, take one type-set test at C speed. `build_acceptor` raises at
-import on any other keyword or value, so a new keyword cannot be skipped
-without notice.
+Each schema node is built by one of four constructors, `_obj`, `_array`,
+`_enum` and `_type`, which return the JSON-schema dict together with its
+acceptor, `.accept`: a plain-Python predicate that is True only for an
+instance made of exact `str`, `int`, `float`, `bool`, `None`, `list` and
+`dict` that meets every keyword of the node. Every such instance is valid
+for the stock checks too: an exact `int` or `float` is a "number", an exact
+`int` an "integer", and so on. Items of a bare scalar type, such as the 256
+numbers of an embedding vector, take one type-set test at C speed. A node
+cannot be built without its acceptor, so no keyword goes unchecked.
 
 When the acceptor says no, the second check decides: the stock
 `Draft202012Validator`, the draft that `jsonschema.validate` picks for a
@@ -58,103 +55,6 @@ _ROOT_CAUSES = ["methodological-difference", "incompatible-experimental-conditio
                 "baseline-selection", "statistical-sampling", "other"]
 _RUBRIC_MET = ["yes", "partial", "no"]
 
-
-def _obj(properties: dict[str, Any], required: list[str]) -> dict[str, Any]:
-    return {"type": "object", "properties": properties,
-            "required": required, "additionalProperties": True}
-
-
-OUTPUT_SCHEMAS: dict[str, dict[str, Any]] = {
-    "extract-entities": _obj({
-        "entities": {"type": "array", "items": _obj({
-            "name": {"type": "string", "minLength": 1},
-            "kind": {"enum": _ENTITY_KINDS},
-            "aliases": {"type": "array", "items": {"type": "string"}},
-        }, ["name", "kind"])},
-    }, ["entities"]),
-    "extract-claims": _obj({
-        "claims": {"type": "array", "items": _obj({
-            "subject": {"type": "string", "minLength": 1},
-            "predicate": {"type": "string", "minLength": 1},
-            "object": {"type": "string", "minLength": 1},
-            "object_is_entity": {"type": "boolean"},
-            "passages": {"type": "array",
-                         "items": {"type": "array",
-                                   "items": {"type": "integer"},
-                                   "minItems": 2, "maxItems": 2}},
-            "metric_text": {"type": ["string", "null"]},
-            "methodology": {"type": ["string", "null"]},
-            "included_overheads": {"type": "array", "items": {"type": "string"}},
-            "excluded_overheads": {"type": "array", "items": _obj({
-                "name": {"type": "string"},
-                "magnitude": {"type": ["string", "null"]},
-            }, ["name"])},
-            "cited_refs": {"type": "array", "items": {"type": "string"}},
-        }, ["subject", "predicate", "object", "passages"])},
-    }, ["claims"]),
-    "classify-provenance": _obj({
-        "level": {"type": "integer", "minimum": 1, "maximum": 5},
-    }, ["level"]),
-    "nli-verdict": _obj({
-        "label": {"enum": _NLI_LABELS},
-        "rationale": {"type": "string"},
-    }, ["label"]),
-    "coherence": _obj({
-        "flags": {"type": "array", "items": _obj({
-            "dimension": {"enum": _COHERENCE_DIMS},
-            "severity": {"enum": _SEVERITIES},
-            "note": {"type": "string"},
-        }, ["dimension", "severity", "note"])},
-    }, ["flags"]),
-    "overclaim": _obj({
-        "annotations": {"type": "array", "items": _obj({
-            "subject": {"type": "string"},
-            "predicate": {"type": "string"},
-            "issue": {"enum": _OVERCLAIM_ISSUES},
-            "severity": {"enum": ["moderate", "severe"]},
-            "claim_text": {"type": "string"},
-            "evidence_text": {"type": "string"},
-        }, ["subject", "predicate", "issue", "severity",
-            "claim_text", "evidence_text"])},
-    }, ["annotations"]),
-    "align-claims": _obj({
-        "relation": {"enum": _ALIGN_RELATIONS},
-        "stance": {"enum": _STANCES},
-        "rationale": {"type": "string"},
-    }, ["relation", "stance"]),
-    "citation-fidelity": _obj({
-        "faithful": {"type": "boolean"},
-        "distortion_note": {"type": ["string", "null"]},
-    }, ["faithful"]),
-    "root-cause": _obj({
-        "category": {"enum": _ROOT_CAUSES},
-        "explanation": {"type": "string"},
-    }, ["category", "explanation"]),
-    "rubric": _obj({
-        "criteria": {"type": "array", "items": _obj({
-            "name": {"type": "string"},
-            "met": {"enum": _RUBRIC_MET},
-            "note": {"type": "string"},
-        }, ["name", "met", "note"])},
-    }, ["criteria"]),
-    "describe-asset": _obj({
-        "description": {"type": "string", "minLength": 1},
-        "trends": {"type": "array", "items": {"type": "string"}},
-    }, ["description"]),
-    "hypothesize": _obj({
-        "statement": {"type": ["string", "null"]},
-        "conclusion": {"type": ["string", "null"]},
-    }, ["statement", "conclusion"]),
-    "counter-hypothesize": _obj({
-        "statement": {"type": "string", "minLength": 1},
-    }, ["statement"]),
-    "embed": _obj({
-        "vector": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "model_tag": {"type": "string"},
-    }, ["vector", "model_tag"]),
-}
-
-
 # The exact Python types that each JSON type name accepts here: no `bool`
 # as "integer" or "number", and no subclass of anything.
 _EXACT = {"object": {dict}, "array": {list}, "string": {str},
@@ -162,15 +62,17 @@ _EXACT = {"object": {dict}, "array": {list}, "string": {str},
           "null": {type(None)}}
 _PLAIN = frozenset().union(*_EXACT.values())
 
-# The keywords an acceptor compiles besides `type`, by the one type name
-# that allows them. A schema of several type names allows none.
-_KEYWORDS = {"object": {"properties", "required", "additionalProperties"},
-             "array": {"items", "minItems", "maxItems"},
-             "string": {"minLength"},
-             "integer": {"minimum", "maximum"},
-             "number": {"minimum", "maximum"}}
 
-Acceptor = Callable[[Any], bool]
+class _Schema(dict):
+    """A JSON-schema node; `accept` is True only for plain instances that
+    the node accepts. False means "not shown valid here", and the stock
+    validator decides."""
+
+    __slots__ = ("accept",)
+
+    def __init__(self, accept: Callable[[Any], bool], **node: Any):
+        super().__init__(node)
+        self.accept = accept
 
 
 def _plain(value: Any) -> bool:
@@ -183,102 +85,155 @@ def _plain(value: Any) -> bool:
     return kind in _PLAIN
 
 
-def _refuse(what: str, value: Any) -> ValueError:
-    return ValueError(f"no acceptor for {what} {value!r}")
-
-
-def _exact_types(schema: dict[str, Any]) -> tuple[list[str], frozenset]:
-    """The type names of `schema` and the exact types they accept."""
-    names = schema.get("type")
+def _exact(names: str | list[str]) -> frozenset:
+    """The exact types that the JSON type name or names accept."""
     names = [names] if isinstance(names, str) else names
-    if not isinstance(names, list) or not names or any(
-            not isinstance(name, str) or name not in _EXACT for name in names) \
-            or len(names) > 1 and {"object", "array"} & set(names):
-        raise _refuse("type", names)
-    allowed = _KEYWORDS.get(names[0], set()) if len(names) == 1 else set()
-    if schema.keys() - allowed - {"type"}:
-        raise _refuse("keywords", sorted(schema.keys() - {"type"}))
-    return names, frozenset().union(*(_EXACT[name] for name in names))
+    return frozenset().union(*(_EXACT[name] for name in names))
 
 
-def _keyword(schema: dict[str, Any], key: str, kinds: tuple,
-             default: Any) -> Any:
-    """`schema[key]`, which must be of an exact type in `kinds`."""
-    if key not in schema:
-        return default
-    if type(schema[key]) not in kinds:
-        raise _refuse(key, schema[key])
-    return schema[key]
+def _type(*names: str, **bounds: int) -> _Schema:
+    """A scalar of the JSON types `names`: a bare type, a "string" with
+    `minLength`, or an "integer" with `minimum` and `maximum`."""
+    node_type = names[0] if len(names) == 1 else list(names)
+    types = _exact(node_type)
+    if "minLength" in bounds:
+        least = bounds["minLength"]
+        return _Schema(lambda x: type(x) is str and len(x) >= least,
+                       type=node_type, **bounds)
+    if bounds:
+        low, high = bounds["minimum"], bounds["maximum"]
+        return _Schema(lambda x: type(x) in types and low <= x <= high,
+                       type=node_type, **bounds)
+    return _Schema(lambda x: type(x) in types, type=node_type)
 
 
-def build_acceptor(schema: dict[str, Any]) -> Acceptor:
-    """A predicate that is True only for plain instances `schema` accepts.
-
-    False means "not shown valid here", and the stock validator decides.
-    A keyword or value that this function does not know raises ValueError.
-    """
-    if type(schema) is not dict:
-        raise _refuse("schema", schema)
-    if "enum" in schema:
-        values = schema["enum"]
-        if schema.keys() != {"enum"} or type(values) is not list or \
-                not values or any(type(v) is not str for v in values):
-            raise _refuse("enum schema", schema)
-        members = frozenset(values)
-        return lambda x: type(x) is str and x in members
-    names, types = _exact_types(schema)
-    if names == ["object"]:
-        return _object(schema)
-    if names == ["array"]:
-        return _array(schema)
-    if "minLength" in schema:
-        least = _keyword(schema, "minLength", (int,), 0)
-        return lambda x: type(x) is str and len(x) >= least
-    if "minimum" in schema or "maximum" in schema:
-        low = _keyword(schema, "minimum", (int, float), -float("inf"))
-        high = _keyword(schema, "maximum", (int, float), float("inf"))
-        return lambda x: type(x) in types and low <= x <= high
-    return lambda x: type(x) in types
+def _enum(values: list[str]) -> _Schema:
+    members = frozenset(values)
+    return _Schema(lambda x: type(x) is str and x in members, enum=values)
 
 
-def _object(schema: dict[str, Any]) -> Acceptor:
-    if schema.get("additionalProperties", True) is not True:
-        raise _refuse("additionalProperties", schema["additionalProperties"])
-    properties = _keyword(schema, "properties", (dict,), {})
-    properties = {key: build_acceptor(sub) for key, sub in properties.items()}
-    required = _keyword(schema, "required", (list,), [])
-    if any(type(key) is not str for key in required):
-        raise _refuse("required", required)
-    required = frozenset(required)
+def _array(items: _Schema, **bounds: int) -> _Schema:
+    """An array of `items`, with `minItems` and `maxItems` if given."""
+    low = bounds.get("minItems", 0)
+    high = bounds.get("maxItems", float("inf"))
+    if items.keys() == {"type"}:
+        # Items of bare scalar types: one type-set test at C speed.
+        types = _exact(items["type"])
+        accept = lambda x: (type(x) is list and low <= len(x) <= high
+                            and set(map(type, x)) <= types)
+    else:
+        item_ok = items.accept
+        accept = lambda x: (type(x) is list and low <= len(x) <= high
+                            and all(map(item_ok, x)))
+    return _Schema(accept, type="array", items=items, **bounds)
+
+
+def _obj(properties: dict[str, _Schema], required: list[str]) -> _Schema:
+    subs = {key: sub.accept for key, sub in properties.items()}
+    needed = frozenset(required)
 
     def accept(x: Any) -> bool:
-        if type(x) is not dict or not required <= x.keys():
+        if type(x) is not dict or not needed <= x.keys():
             return False
         for key, value in x.items():
-            sub = properties.get(key)
+            sub = subs.get(key)
             if type(key) is not str or \
                     not (_plain(value) if sub is None else sub(value)):
                 return False
         return True
-    return accept
+    return _Schema(accept, type="object", properties=properties,
+                   required=required, additionalProperties=True)
 
 
-def _array(schema: dict[str, Any]) -> Acceptor:
-    low = _keyword(schema, "minItems", (int,), 0)
-    high = _keyword(schema, "maxItems", (int,), float("inf"))
-    items = schema.get("items")
-    item_ok = build_acceptor(items)
-    if items.keys() == {"type"} and items["type"] not in ("object", "array"):
-        # Items of bare scalar types: one type-set test at C speed.
-        exact = _exact_types(items)[1]
-        return lambda x: (type(x) is list and low <= len(x) <= high
-                          and set(map(type, x)) <= exact)
-    return lambda x: (type(x) is list and low <= len(x) <= high
-                      and all(map(item_ok, x)))
+OUTPUT_SCHEMAS: dict[str, _Schema] = {
+    "extract-entities": _obj({
+        "entities": _array(_obj({
+            "name": _type("string", minLength=1),
+            "kind": _enum(_ENTITY_KINDS),
+            "aliases": _array(_type("string")),
+        }, ["name", "kind"])),
+    }, ["entities"]),
+    "extract-claims": _obj({
+        "claims": _array(_obj({
+            "subject": _type("string", minLength=1),
+            "predicate": _type("string", minLength=1),
+            "object": _type("string", minLength=1),
+            "object_is_entity": _type("boolean"),
+            "passages": _array(_array(_type("integer"),
+                                      minItems=2, maxItems=2)),
+            "metric_text": _type("string", "null"),
+            "methodology": _type("string", "null"),
+            "included_overheads": _array(_type("string")),
+            "excluded_overheads": _array(_obj({
+                "name": _type("string"),
+                "magnitude": _type("string", "null"),
+            }, ["name"])),
+            "cited_refs": _array(_type("string")),
+        }, ["subject", "predicate", "object", "passages"])),
+    }, ["claims"]),
+    "classify-provenance": _obj({
+        "level": _type("integer", minimum=1, maximum=5),
+    }, ["level"]),
+    "nli-verdict": _obj({
+        "label": _enum(_NLI_LABELS),
+        "rationale": _type("string"),
+    }, ["label"]),
+    "coherence": _obj({
+        "flags": _array(_obj({
+            "dimension": _enum(_COHERENCE_DIMS),
+            "severity": _enum(_SEVERITIES),
+            "note": _type("string"),
+        }, ["dimension", "severity", "note"])),
+    }, ["flags"]),
+    "overclaim": _obj({
+        "annotations": _array(_obj({
+            "subject": _type("string"),
+            "predicate": _type("string"),
+            "issue": _enum(_OVERCLAIM_ISSUES),
+            "severity": _enum(["moderate", "severe"]),
+            "claim_text": _type("string"),
+            "evidence_text": _type("string"),
+        }, ["subject", "predicate", "issue", "severity",
+            "claim_text", "evidence_text"])),
+    }, ["annotations"]),
+    "align-claims": _obj({
+        "relation": _enum(_ALIGN_RELATIONS),
+        "stance": _enum(_STANCES),
+        "rationale": _type("string"),
+    }, ["relation", "stance"]),
+    "citation-fidelity": _obj({
+        "faithful": _type("boolean"),
+        "distortion_note": _type("string", "null"),
+    }, ["faithful"]),
+    "root-cause": _obj({
+        "category": _enum(_ROOT_CAUSES),
+        "explanation": _type("string"),
+    }, ["category", "explanation"]),
+    "rubric": _obj({
+        "criteria": _array(_obj({
+            "name": _type("string"),
+            "met": _enum(_RUBRIC_MET),
+            "note": _type("string"),
+        }, ["name", "met", "note"])),
+    }, ["criteria"]),
+    "describe-asset": _obj({
+        "description": _type("string", minLength=1),
+        "trends": _array(_type("string")),
+    }, ["description"]),
+    "hypothesize": _obj({
+        "statement": _type("string", "null"),
+        "conclusion": _type("string", "null"),
+    }, ["statement", "conclusion"]),
+    "counter-hypothesize": _obj({
+        "statement": _type("string", minLength=1),
+    }, ["statement"]),
+    "embed": _obj({
+        "vector": _array(_type("number"), minItems=1),
+        "model_tag": _type("string"),
+    }, ["vector", "model_tag"]),
+}
 
-
-_ACCEPTORS = {kind: build_acceptor(schema)
-              for kind, schema in OUTPUT_SCHEMAS.items()}
+_ACCEPTORS = {kind: schema.accept for kind, schema in OUTPUT_SCHEMAS.items()}
 
 
 @functools.cache

@@ -10,6 +10,9 @@ one call rather than walked item by item.
 A class whose stored form is not just its fields defines `to_record(self)`
 and the classmethod `from_record(cls, data)`, which the codec calls instead;
 they can use `encode_fields`/`decode_fields` for the plain-field part.
+
+`from_record` trusts the JSON types of its input: `check_record` checks input
+from outside the program (a config file, a metadata sidecar) first.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import functools
 import types
 import typing
 from typing import Any, Callable
+
+from .errors import ClaimcheckError
 
 Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
 
@@ -50,9 +55,12 @@ def decode_fields(cls: type, data: dict[str, Any]) -> Any:
     return cls(**fields)
 
 
+_hints = functools.cache(typing.get_type_hints)
+
+
 @functools.cache
 def _plan(cls: type) -> dict[str, Codec]:
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     return {f.name: _codec(hints[f.name]) for f in dataclasses.fields(cls)}
 
 
@@ -113,3 +121,56 @@ def _union_codec(args: tuple[Any, ...]) -> Codec:
                 _codec(arg)
     return (lambda value: encoders.get(type(value), _same)(value),
             lambda data: decoders.get(type(data), _same)(data))
+
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number",
+               str: "string", list: "array", tuple: "array", dict: "object"}
+
+
+def check_record(cls: type, data: Any, what: str, prefix: str = "") -> None:
+    """Raise ClaimcheckError unless `data` is a JSON object whose keys are
+    fields of dataclass `cls` and whose values have the JSON types of their
+    fields' annotations. Each message names the input, `what` ("config",
+    say), and the key."""
+    if not isinstance(data, dict):
+        raise ClaimcheckError(
+            f"{what} {prefix.rstrip('.') or 'file'} must be a JSON object")
+    fields, hints = _plan(cls), _hints(cls)
+    for key, value in data.items():
+        if key not in fields:
+            raise ClaimcheckError(f"unknown {what} key: {prefix}{key}")
+        if dataclasses.is_dataclass(hints[key]):
+            check_record(hints[key], value, what, f"{prefix}{key}.")
+        else:
+            _check_type(hints[key], value, what, f"{prefix}{key}")
+
+
+@functools.cache
+def _shape(hint: Any) -> tuple[Any, tuple[Any, ...]]:
+    return typing.get_origin(hint) or hint, typing.get_args(hint)
+
+
+def _check_type(hint: Any, value: Any, what: str, key: str) -> None:
+    """`value` must have the JSON type of `hint` (an integer passes as a
+    number, and null as `X | None`), and so must each member of a list,
+    fixed-length tuple or dict."""
+    origin, args = _shape(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if value is not None:
+            (arm,) = set(args) - {type(None)}
+            _check_type(arm, value, what, key)
+        return
+    want = _JSON_TYPES[origin]
+    got = _JSON_TYPES.get(type(value), "null")
+    if got != want and (want, got) != ("number", "integer"):
+        raise ClaimcheckError(f"{what} {key} must be a JSON {want}, not {got}")
+    if origin is dict:
+        for name, item in value.items():
+            _check_type(args[1], item, what, f"{key}.{name}")
+    elif origin is tuple and len(value) != len(args):
+        raise ClaimcheckError(f"{what} {key} must be a JSON array of "
+                              f"{len(args)} items, not {len(value)}")
+    elif origin in (list, tuple):
+        for i, item in enumerate(value):
+            member = args[i] if origin is tuple else args[0]
+            _check_type(member, item, what, f"{key}[{i}]")

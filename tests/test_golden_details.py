@@ -3,10 +3,12 @@ root causes, overclaim issues, hypothesis bundles, transcript closure."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from claimcheck.assess import generate_hypotheses
-from claimcheck.errors import UnresolvedSubject
+from claimcheck.errors import SchemaViolation, UnresolvedSubject
 from claimcheck.knowledge import EntityRegistry, extract_claims
 from claimcheck.corpus import ingest_document
 from claimcheck.pipeline import ProviderSpec
@@ -42,6 +44,22 @@ def test_extract_claims_unresolved_subject():
         {"subject": "Unknown Thing", "predicate": "does", "object": "x",
          "passages": [[0, 0]]}]}))
     with pytest.raises(UnresolvedSubject):
+        extract_claims(doc, [known], router, registry)
+
+
+@pytest.mark.parametrize("pair", [[99, 0], [0, 2], [-1, 0], [0, -1]])
+def test_extract_claims_rejects_a_passage_the_document_lacks(pair):
+    # "mini" has one section of two passages; a negative index does not
+    # count from the end.
+    doc = ingest_document(manifest_bytes(), "json-manifest")
+    registry = EntityRegistry()
+    known = registry.register("Known Thing", "other")
+    router = make_router(ScriptedProvider({"extract-claims": {"mini": {
+        "claims": [{"subject": "Known Thing", "predicate": "does",
+                    "object": "x", "passages": [[0, 0], pair]}]}}}))
+    message = (f"extract-claims output for mini names no passage: "
+               f"[{pair[0]}, {pair[1]}]")
+    with pytest.raises(SchemaViolation, match=re.escape(message)):
         extract_claims(doc, [known], router, registry)
 
 

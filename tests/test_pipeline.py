@@ -677,6 +677,12 @@ def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
+def _s2_with_asset(asset):
+    """s2-algorithm-intro.json (three sections) with one visual asset."""
+    data = json.loads((CORPUS_DIR / "s2-algorithm-intro.json").read_bytes())
+    return json.dumps({**data, "assets": [{"caption": "A plot", **asset}]})
+
+
 @pytest.mark.parametrize("name, text, message", [
     pytest.param(None, None, "cannot read corpus path {corpus}: ",
                  id="missing-dir"),
@@ -686,11 +692,36 @@ def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
                  "corpus file s1-target.meta.json is malformed: ",
                  id="sidecar-json"),
     pytest.param("s1-target.meta.json", '{"sponsor": "x"}',
-                 "corpus file s1-target.meta.json is malformed: ",
-                 id="sidecar-unknown-key"),
+                 "corpus file s1-target.meta.json is malformed: "
+                 "unknown metadata key: sponsor", id="sidecar-unknown-key"),
+    pytest.param("s1-target.meta.json", '{"citation_count": "many"}',
+                 "corpus file s1-target.meta.json is malformed: metadata "
+                 "citation_count must be a JSON integer, not string",
+                 id="sidecar-wrong-type"),
+    pytest.param("s1-target.meta.json", '{"authors": [["A"]]}',
+                 "corpus file s1-target.meta.json is malformed: metadata "
+                 "authors[0] must be a JSON array of 2 items, not 1",
+                 id="sidecar-short-author"),
     pytest.param("listed.json", "[1, 2]",
                  "corpus file listed.json is malformed: its top level is not "
-                 "a JSON object", id="document-not-an-object")])
+                 "a JSON object", id="document-not-an-object"),
+    pytest.param("s2-algorithm-intro.json",
+                 _s2_with_asset({"inline_refs": [[99, 0]]}),
+                 "corpus file s2-algorithm-intro.json: asset 0 section 99 "
+                 "does not exist", id="asset-ref-section"),
+    pytest.param("s2-algorithm-intro.json",
+                 _s2_with_asset({"inline_refs": [[0, -1]]}),
+                 "corpus file s2-algorithm-intro.json: asset 0 passage -1 "
+                 "does not exist", id="asset-ref-negative-passage"),
+    pytest.param("s2-algorithm-intro.json", _s2_with_asset({"section": 3}),
+                 "corpus file s2-algorithm-intro.json: asset 0 section 3 "
+                 "does not exist", id="asset-section"),
+    pytest.param("blank.txt", "  \n",
+                 "corpus file blank.txt: document contains no usable text",
+                 id="empty-input"),
+    pytest.param("novel.json", '{"source_type": "novel"}',
+                 "corpus file novel.json: unknown source_type 'novel'",
+                 id="unsupported-format")])
 def test_cli_run_with_bad_corpus_input_exits_2_naming_it(tmp_path, capsys,
                                                          name, text, message):
     corpus = tmp_path / "corpus"
