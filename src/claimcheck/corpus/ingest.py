@@ -35,14 +35,26 @@ _ALLCAPS = re.compile(r"^[A-Z][A-Z0-9 \-&]{2,60}$")
 
 
 def ingest_document(raw: bytes, format: str,
-                    hints: DocumentMetadata | None = None) -> SourceDocument:
+                    hints: DocumentMetadata | None = None,
+                    manifest: dict[str, Any] | None = None) -> SourceDocument:
+    """The document of `raw`. For a json-manifest, `manifest` may give the
+    JSON object of `raw` where the caller has decoded it already."""
     if format not in FORMATS:
         raise UnsupportedFormat(f"format {format!r} not one of {FORMATS}")
     if not raw or not raw.decode("utf-8", errors="replace").strip():
         raise EmptyInput("document contains no usable text")
     doc_id = f"doc-{hash_bytes(raw)}"
     if format == "json-manifest":
-        doc = _from_manifest(doc_id, raw)
+        try:
+            if manifest is None:
+                manifest = json.loads(raw.decode("utf-8"))
+            doc = _from_manifest(doc_id, manifest)
+        except json.JSONDecodeError as exc:
+            raise UnsupportedFormat(
+                f"manifest is not valid JSON: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise UnsupportedFormat(f"manifest is malformed: "
+                                    f"{type(exc).__name__}: {exc}") from exc
     elif format == "html":
         doc = _from_html(doc_id, raw)
     else:  # plain and pdf-text share the heading heuristics
@@ -66,11 +78,7 @@ def _section_from(doc_id: str, index: int, heading: str, level: int,
                    passages=rows)
 
 
-def _from_manifest(doc_id: str, raw: bytes) -> SourceDocument:
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UnsupportedFormat(f"manifest is not valid JSON: {exc}") from exc
+def _from_manifest(doc_id: str, data: dict[str, Any]) -> SourceDocument:
     if data.get("manifest_kind", "document") != "document":
         raise UnsupportedFormat(
             f"manifest_kind {data.get('manifest_kind')!r} is not a document")
@@ -279,12 +287,14 @@ def _decode(name: str, raw: bytes, cls: type | None = None) -> Any:
 
 def load_corpus_dir(files: list[tuple[str, bytes]]
                     ) -> tuple[list[tuple[str, bytes, str,
-                                          DocumentMetadata | None]],
+                                          DocumentMetadata | None,
+                                          dict[str, Any] | None]],
                                RelationSet]:
-    """Collect (name, raw, format, hints) for every document file plus the
-    relation records, from a directory as `read_corpus_dir` gives it.
-    Sidecars and manifests are parsed from those bytes; the order is that
-    of `files`."""
+    """Collect (name, raw, format, hints, manifest) for every document file
+    plus the relation records, from a directory as `read_corpus_dir` gives
+    it. Sidecars and manifests are parsed from those bytes, each once: a
+    document manifest's JSON object goes on as `manifest`, None for other
+    formats. The order is that of `files`."""
     raw_by_name = dict(files)
     documents = []
     relations = RelationSet()
@@ -297,19 +307,18 @@ def load_corpus_dir(files: list[tuple[str, bytes]]
         fmt = format_map.get(path.suffix)
         if fmt is None:
             continue
-        if fmt == "json-manifest":
-            data = _decode(name, raw)
-            if data.get("manifest_kind") == "relations":
-                for row in data.get("records", []):
-                    key = _row_key(row)
-                    if key not in seen_rows:
-                        seen_rows.add(key)
-                        relations.rows.append(row)
-                continue
+        data = _decode(name, raw) if fmt == "json-manifest" else None
+        if data is not None and data.get("manifest_kind") == "relations":
+            for row in data.get("records", []):
+                key = _row_key(row)
+                if key not in seen_rows:
+                    seen_rows.add(key)
+                    relations.rows.append(row)
+            continue
         sidecar = path.stem + ".meta.json"
         hints = _decode(sidecar, raw_by_name[sidecar], DocumentMetadata) \
             if sidecar in raw_by_name else None
-        documents.append((name, raw, fmt, hints))
+        documents.append((name, raw, fmt, hints, data))
     return documents, relations
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+from functools import partial
+from typing import Callable
 
 from ..config import KnowledgeConfig
 from ..errors import (AlreadyClassified, SchemaViolation, UnparseableMetric,
@@ -78,22 +80,6 @@ class EntityRegistry:
         return entity
 
 
-def extract_entities(doc: SourceDocument, router: InferenceRouter,
-                     registry: EntityRegistry) -> list[Entity]:
-    """Provider-extracted entities, deduplicated and merged into the registry."""
-    task = InferenceTask("extract-entities", {
-        "doc": {"slug": doc.slug, "title": doc.title, "text": doc.full_text()},
-    })
-    output = router.invoke(task).output
-    seen: dict[str, Entity] = {}
-    for row in output["entities"]:
-        entity = registry.register(row["name"], row["kind"],
-                                   aliases=row.get("aliases", []),
-                                   first_seen_doc=doc.doc_id)
-        seen.setdefault(entity.entity_id, entity)
-    return sorted(seen.values(), key=lambda e: e.entity_id)
-
-
 def _build_metric(row: dict) -> MetricValue | None:
     metric_text = row.get("metric_text")
     if not metric_text:
@@ -120,38 +106,100 @@ def _build_metric(row: dict) -> MetricValue | None:
     return metric
 
 
-def extract_claims(doc: SourceDocument, entities: list[Entity],
-                   router: InferenceRouter, registry: EntityRegistry,
-                   cfg: KnowledgeConfig | None = None) -> list[ClaimTriple]:
-    """Decompose the document's assertions into resolved claim triples."""
+def extract_docs(docs: list[SourceDocument], router: InferenceRouter,
+                 registry: EntityRegistry, cfg: KnowledgeConfig | None = None
+                 ) -> list[tuple[list[Entity], list[ClaimTriple]]]:
+    """Each document's entities and claim triples, from two waves of
+    `router.map`: every `extract-entities` call, then every `extract-claims`
+    call.
+
+    The results and the registry are those of extracting the documents one
+    at a time in the given order, and so is the first error that a fold
+    raises. The entity outputs are registered in document order. A claim
+    payload names only its document's own entities, and a name is fixed at
+    first registration, so every payload is known once they are registered.
+    Each document's claims then resolve against the registry as of that
+    document: an entity that only a later document registers is absent for
+    it.
+    """
     cfg = cfg or KnowledgeConfig()
-    task = InferenceTask("extract-claims", {
-        "doc": {"slug": doc.slug, "title": doc.title, "text": doc.full_text()},
-        "entities": sorted(e.name for e in entities),
-    })
-    output = router.invoke(task).output
+    texts = [{"slug": doc.slug, "title": doc.title, "text": doc.full_text()}
+             for doc in docs]
+
+    def ask(task: InferenceTask) -> dict:
+        return router.invoke(task).output
+
+    outputs = router.map(ask, [InferenceTask("extract-entities", {"doc": text})
+                               for text in texts])
+    # Position in `docs` of the document that registered each entity first;
+    # an entity registered before this batch has no entry: it counts as -1.
+    born: dict[str, int] = {}
+    entities = [_register_entities(doc, output, registry, born, i)
+                for i, (doc, output) in enumerate(zip(docs, outputs))]
+    outputs = router.map(ask, [
+        InferenceTask("extract-claims", {
+            "doc": text, "entities": sorted(e.name for e in found)})
+        for text, found in zip(texts, entities)])
+    return [(found, _resolve_claims(doc, output,
+                                    partial(_as_of, registry, born, i), cfg))
+            for i, (doc, output, found)
+            in enumerate(zip(docs, outputs, entities))]
+
+
+def _register_entities(doc: SourceDocument, output: dict,
+                       registry: EntityRegistry, born: dict[str, int],
+                       position: int) -> list[Entity]:
+    """Merge one `extract-entities` output into the registry; the document's
+    entities, deduplicated. Each entity it registers first gets `position`
+    in `born`."""
+    seen: dict[str, Entity] = {}
+    for row in output["entities"]:
+        size = len(registry)
+        entity = registry.register(row["name"], row["kind"],
+                                   aliases=row.get("aliases", []),
+                                   first_seen_doc=doc.doc_id)
+        if len(registry) > size:
+            born[entity.entity_id] = position
+        seen.setdefault(entity.entity_id, entity)
+    return sorted(seen.values(), key=lambda e: e.entity_id)
+
+
+def _as_of(registry: EntityRegistry, born: dict[str, int], position: int,
+           name: str) -> Entity | None:
+    """`registry.get(name)` as the document at `position` sees it: None for
+    an entity that only a later document registers."""
+    entity = registry.get(name)
+    if entity is None or born.get(entity.entity_id, -1) > position:
+        return None
+    return entity
+
+
+def _resolve_claims(doc: SourceDocument, output: dict,
+                    lookup: Callable[[str], Entity | None],
+                    cfg: KnowledgeConfig) -> list[ClaimTriple]:
+    """One `extract-claims` output as claim triples, with subject and object
+    names resolved through `lookup`."""
     claims: list[ClaimTriple] = []
     for row in output["claims"]:
-        subject = registry.get(row["subject"])
+        subject = lookup(row["subject"])
         if subject is None:
             raise UnresolvedSubject(
                 f"claim subject {row['subject']!r} not in registry "
                 f"(doc {doc.slug})")
-        object_is_entity = bool(row.get("object_is_entity", False))
-        object_entity = registry.get(row["object"]) if object_is_entity else None
-        if object_is_entity and object_entity is None:
-            object_is_entity = False
+        object_entity = lookup(row["object"]) \
+            if row.get("object_is_entity") else None
         predicate = normalize_predicate(row["predicate"], cfg)
 
         passage_ids: list[str] = []
         section_id = doc.sections[0].section_id if doc.sections else ""
         for si, pi in row["passages"]:
-            if not (0 <= si < len(doc.sections)
-                    and 0 <= pi < len(doc.sections[si].passages)):
+            # jsonschema's "integer" admits 1.0, which cannot index a list.
+            section = doc.sections[int(si)] \
+                if 0 <= si < len(doc.sections) else None
+            if section is None or not 0 <= pi < len(section.passages):
                 raise SchemaViolation(f"extract-claims output for {doc.slug} "
                                       f"names no passage: [{si}, {pi}]")
-            section = doc.sections[si]
-            passage_ids.append(section.passages[pi][0])
+            passage_ids.append(section.passages[int(pi)][0])
             section_id = section.section_id
 
         claim_id = make_id("clm", doc.doc_id, subject.entity_id, predicate,

@@ -16,12 +16,14 @@ collects the calls it is certain to need, sends them as one wave of
 `router.map` (`Run._wave`), and stores the results in the run's tables; the
 fold that follows reads those tables in sorted order, as a sequential run
 would. Layer 1 sends two waves whatever the corpus size: every asset
-description, then every passage and asset embedding. Layer 6 sends one wave
-over the evidence profiles, and each item makes its claim's hypothesis calls
-in order. Calls may finish in any order: the transcript is drained sorted, so
-the run directory does not depend on it. Entity and claim extraction alone go
-one document at a time, because claims resolve names through the registry
-that earlier documents fill.
+description, then every passage and asset embedding. Layer 2, and layer 4
+for the documents it discovers, sends three: every entity extraction, every
+claim extraction, then every provenance classification; claims resolve names
+against the registry as of their own document, so no document sees entities
+that only a later one registers. Layer 6 sends one wave over the evidence
+profiles, and each item makes its claim's hypothesis calls in order. Calls
+may finish in any order: the transcript is drained sorted, so the run
+directory does not depend on it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
 from .ids import make_id
 from .jsonl import read_json, read_records, write_json, write_records, write_text
 from .knowledge.extraction import (EntityRegistry, classify_provenance,
-                                   extract_claims, extract_entities)
+                                   extract_docs)
 from .knowledge.graph import Edge, KnowledgeGraph, build_graph, relation_edge
 from .knowledge.model import ClaimTriple, Entity
 from .provider import Transcript
@@ -304,9 +306,9 @@ class Run:
         self._corpus_files = None
         if not files:
             raise EmptyCorpus(f"no documents in {self.corpus_dir}")
-        for name, raw, fmt, hints in files:
+        for name, raw, fmt, hints, manifest in files:
             try:
-                doc = ingest_document(raw, fmt, hints)
+                doc = ingest_document(raw, fmt, hints, manifest)
             except ClaimcheckError as exc:
                 raise type(exc)(f"corpus file {name}: {exc}") from exc
             self.documents[doc.doc_id] = doc
@@ -442,19 +444,18 @@ class Run:
             table[key] = result
 
     def _extract_docs(self, doc_ids: list[str]) -> None:
-        """Layer 2 for `doc_ids`. Extraction goes one document at a time, in
-        the given order: claims resolve names through the registry, so a
-        document must not see entities that only a later one registers. The
-        provenance calls of all their claims then go as one wave."""
+        """Layer 2 for `doc_ids`, in three waves whatever their number: every
+        document's entity extraction, every claim extraction, then the
+        provenance calls of all their claims. `extract_docs` folds the first
+        two in the given order, so a document does not see entities that only
+        a later one registers."""
+        docs = [self.documents[doc_id] for doc_id in doc_ids]
         claims: list[ClaimTriple] = []
-        for doc_id in doc_ids:
-            doc = self.documents[doc_id]
-            entities = extract_entities(doc, self.router, self.registry)
-            self.doc_entities[doc_id] = [e.entity_id for e in entities]
-            found = sorted(extract_claims(doc, entities, self.router,
-                                          self.registry, self.cfg.knowledge),
-                           key=lambda c: c.claim_id)
-            self.doc_claims[doc_id] = [c.claim_id for c in found]
+        for doc, (entities, found) in zip(docs, extract_docs(
+                docs, self.router, self.registry, self.cfg.knowledge)):
+            self.doc_entities[doc.doc_id] = [e.entity_id for e in entities]
+            found.sort(key=attrgetter("claim_id"))
+            self.doc_claims[doc.doc_id] = [c.claim_id for c in found]
             claims += found
 
         def classify(claim: ClaimTriple) -> None:

@@ -21,10 +21,10 @@ from conftest import (CORPUS_DIR, GOLDEN_QUERY, TRANSCRIPT, dir_digest,
 from test_golden_digest import DIGESTS, PINNED_DIRS
 
 # Task kinds that layers 1-4 and 6 send only in waves of `router.map`.
-WAVE_KINDS = ("describe-asset", "align-claims", "classify-provenance",
-              "nli-verdict", "embed", "coherence", "overclaim", "root-cause",
-              "citation-fidelity", "rubric", "hypothesize",
-              "counter-hypothesize")
+WAVE_KINDS = ("describe-asset", "extract-entities", "extract-claims",
+              "align-claims", "classify-provenance", "nli-verdict", "embed",
+              "coherence", "overclaim", "root-cause", "citation-fidelity",
+              "rubric", "hypothesize", "counter-hypothesize")
 
 
 def golden_state(run_dir) -> Run:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from claimcheck import records
 from claimcheck.config import CorpusConfig
+from claimcheck.corpus import ingest
 from claimcheck.corpus import (DocumentMetadata, EmbeddingRecord,
                                EmbeddingStore, VisualAsset, chunk_and_embed,
                                describe_visual_asset, ingest_document,
@@ -21,7 +23,7 @@ from claimcheck.errors import (DimensionMismatch, EmptyInput, EmptyStore,
 from claimcheck.provider import ReplayProvider, ScriptedProvider, Transcript
 from claimcheck.provider.embedder import embed_text
 
-from conftest import CORPUS_DIR, PLAYBOOK, make_router
+from conftest import CORPUS_DIR, PLAYBOOK, make_router, run_golden
 
 
 def manifest_bytes(slug="mini", sections=None, assets=None):
@@ -61,6 +63,34 @@ def test_ingest_whitespace_only_is_empty_input():
 def test_ingest_unknown_format_rejected():
     with pytest.raises(UnsupportedFormat):
         ingest_document(b"text", "docx")
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"sections": [5]}, "AttributeError"),
+    ({"metadata": {"authors": [{"affiliation": "Lab"}]}}, "KeyError: 'name'"),
+    ({"sections": [{"passages": 7}]}, "TypeError"),
+    ({"sections": [{"level": "one", "passages": ["Text."]}]}, "ValueError"),
+    ({"metadata": []}, "AttributeError"),
+    ({"assets": [3]}, "AttributeError")])
+def test_ingest_malformed_manifest_structure_is_unsupported(change, error):
+    raw = json.dumps({**json.loads(manifest_bytes()), **change}).encode()
+    with pytest.raises(UnsupportedFormat,
+                       match=f"^manifest is malformed: {error}"):
+        ingest_document(raw, "json-manifest")
+
+
+def test_layer1_decodes_each_json_file_once(tmp_path, monkeypatch):
+    decoded = []
+
+    def loads(text):
+        decoded.append(text)
+        return json.loads(text)
+    monkeypatch.setattr(ingest, "json", types.SimpleNamespace(
+        loads=loads, JSONDecodeError=json.JSONDecodeError))
+    state = run_golden(tmp_path / "run", stop_after="layer1")
+    names = [p.name for p in CORPUS_DIR.iterdir() if p.suffix == ".json"]
+    assert len(decoded) == len(names) == len(set(decoded))
+    assert len(state.documents) == 11
 
 
 def test_ingest_same_bytes_same_doc_id():

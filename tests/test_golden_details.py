@@ -9,7 +9,7 @@ import pytest
 
 from claimcheck.assess import generate_hypotheses
 from claimcheck.errors import SchemaViolation, UnresolvedSubject
-from claimcheck.knowledge import EntityRegistry, extract_claims
+from claimcheck.knowledge import EntityRegistry, extract_docs
 from claimcheck.corpus import ingest_document
 from claimcheck.pipeline import ProviderSpec
 from claimcheck.provider import ScriptedProvider
@@ -36,15 +36,25 @@ def test_doc_without_assertive_text_yields_no_claims(golden):
     assert report.consistency_score == 0.0
 
 
+def _claims_router(*passages):
+    """A router whose `extract-claims` output for "mini" is one claim by
+    "Known Thing" citing `passages`."""
+    return make_router(ScriptedProvider({"extract-claims": {"mini": {
+        "claims": [{"subject": "Known Thing", "predicate": "does",
+                    "object": "x", "passages": list(passages)}]}}}))
+
+
 def test_extract_claims_unresolved_subject():
     doc = ingest_document(manifest_bytes(), "json-manifest")
     registry = EntityRegistry()
-    known = registry.register("Known Thing", "other")
-    router = make_router(StubProvider(lambda t, tag, i: {"claims": [
-        {"subject": "Unknown Thing", "predicate": "does", "object": "x",
-         "passages": [[0, 0]]}]}))
+    registry.register("Known Thing", "other")
+    router = make_router(StubProvider(lambda t, tag, i: {
+        "extract-entities": {"entities": []},
+        "extract-claims": {"claims": [
+            {"subject": "Unknown Thing", "predicate": "does", "object": "x",
+             "passages": [[0, 0]]}]}}[t.kind]))
     with pytest.raises(UnresolvedSubject):
-        extract_claims(doc, [known], router, registry)
+        extract_docs([doc], router, registry)
 
 
 @pytest.mark.parametrize("pair", [[99, 0], [0, 2], [-1, 0], [0, -1]])
@@ -53,14 +63,25 @@ def test_extract_claims_rejects_a_passage_the_document_lacks(pair):
     # count from the end.
     doc = ingest_document(manifest_bytes(), "json-manifest")
     registry = EntityRegistry()
-    known = registry.register("Known Thing", "other")
-    router = make_router(ScriptedProvider({"extract-claims": {"mini": {
-        "claims": [{"subject": "Known Thing", "predicate": "does",
-                    "object": "x", "passages": [[0, 0], pair]}]}}}))
+    registry.register("Known Thing", "other")
     message = (f"extract-claims output for mini names no passage: "
                f"[{pair[0]}, {pair[1]}]")
     with pytest.raises(SchemaViolation, match=re.escape(message)):
-        extract_claims(doc, [known], router, registry)
+        extract_docs([doc], _claims_router([0, 0], pair), registry)
+
+
+def test_extract_claims_takes_an_integral_float_as_a_passage_index():
+    # jsonschema's "integer" accepts 1.0, so the output reaches the fold.
+    doc = ingest_document(manifest_bytes(), "json-manifest")
+    claims = []
+    for index in (1.0, 1):
+        registry = EntityRegistry()
+        registry.register("Known Thing", "other")
+        [(_, found)] = extract_docs([doc], _claims_router([0, index]),
+                                    registry)
+        claims += found
+    assert claims[0].passage_ids == [doc.sections[0].passages[1][0]]
+    assert claims[0] == claims[1]
 
 
 def test_golden_provenance_spread(golden, golden_claims):

@@ -6,19 +6,28 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck.config import KnowledgeConfig
 from claimcheck.errors import (AlreadyClassified, DanglingEndpoint,
                                DuplicateEdge, UnitFamilyMismatch,
                                UnknownEntity, UnparseableMetric,
                                UnresolvedSubject)
+from claimcheck.corpus import ingest_document
+from claimcheck.ids import normalize_text
 from claimcheck.knowledge import (ClaimTriple, Entity, EntityRegistry,
                                   KnowledgeGraph, MetricValue, OverheadEntry,
                                   ProvenanceLevel, build_graph,
-                                  compare_metric_definitions, find_paths,
-                                  normalize_metric, normalize_predicate,
-                                  relation_edge, render_metric)
+                                  compare_metric_definitions, extract_docs,
+                                  find_paths, normalize_metric,
+                                  normalize_predicate, relation_edge,
+                                  render_metric)
 from claimcheck.knowledge.graph import Edge
+from claimcheck.provider import ScriptedProvider
+
+from conftest import make_router
+from test_corpus import manifest_bytes
 
 
 # --- metric normalization ------------------------------------------------------
@@ -179,6 +188,155 @@ def test_registry_aliases_exclude_canonical_name():
 def test_registry_resolve_unknown():
     with pytest.raises(UnresolvedSubject):
         EntityRegistry().resolve("Nobody")
+
+
+# --- extraction in waves: the registry as of each document -------------------
+
+_ALIASES = KnowledgeConfig(entity_aliases={
+    "international business machines": "IBM"})
+_NAMES = ["Alpha", "alpha", "ALPHA", "Beta", "IBM",
+          "International Business Machines", "Gamma"]
+_DOCS = [ingest_document(manifest_bytes(slug=f"d{i}"), "json-manifest")
+         for i in range(5)]
+
+
+class _Recording(ScriptedProvider):
+    """Answers from its playbook, and keeps the entity names that each
+    document's `extract-claims` payload carries."""
+
+    def complete(self, task, provider_tag, sample_index):
+        if task.kind == "extract-claims":
+            self.sent[task.payload["doc"]["slug"]] = task.payload["entities"]
+        return super().complete(task, provider_tag, sample_index)
+
+
+_PROVIDER = _Recording({})
+_ROUTER = make_router(_PROVIDER)
+
+
+def serial_extraction(docs, playbook, registry, cfg):
+    """The serial fold that layer 2 ran before its waves: each document's
+    entities are registered, and then its claims resolved against the
+    registry as it stands, before the next document is asked. Gives each
+    document's (claim payload names, entity ids, claims as (subject,
+    object, object_is_entity))."""
+    results = []
+    for doc in docs:
+        seen = {}
+        for row in playbook["extract-entities"][doc.slug]["entities"]:
+            entity = registry.register(row["name"], row["kind"],
+                                       aliases=row["aliases"],
+                                       first_seen_doc=doc.doc_id)
+            seen[entity.entity_id] = entity.name
+        claims = []
+        for row in playbook["extract-claims"][doc.slug]["claims"]:
+            subject = registry.get(row["subject"])
+            if subject is None:
+                raise UnresolvedSubject(
+                    f"claim subject {row['subject']!r} not in registry "
+                    f"(doc {doc.slug})")
+            obj = registry.get(row["object"]) \
+                if row["object_is_entity"] else None
+            claims.append((subject.entity_id, obj.entity_id if obj
+                           else normalize_text(row["object"]),
+                           obj is not None))
+        results.append((sorted(seen.values()), sorted(seen), claims))
+    return results
+
+
+def wave_extraction(docs, playbook, registry, cfg):
+    """`extract_docs` in the shape of `serial_extraction`; the payload
+    names are the ones its `extract-claims` calls carried."""
+    _PROVIDER.playbook, _PROVIDER.sent = playbook, {}
+    found = extract_docs(docs, _ROUTER, registry, cfg)
+    return [(_PROVIDER.sent[doc.slug], [e.entity_id for e in entities],
+             [(c.subject, c.object, c.object_is_entity) for c in claims])
+            for doc, (entities, claims) in zip(docs, found)]
+
+
+def _outcome(extraction, docs, playbook, known):
+    registry = EntityRegistry(_ALIASES)
+    for name in known:
+        registry.register(name, "other")
+    try:
+        results = extraction(docs, playbook, registry, _ALIASES)
+    except UnresolvedSubject as exc:
+        return str(exc), None
+    return results, registry.entities()
+
+
+_ENTITY_ROWS = st.lists(st.fixed_dictionaries({
+    "name": st.sampled_from(_NAMES),
+    "kind": st.sampled_from(["organization", "algorithm", "other"]),
+    "aliases": st.lists(st.sampled_from(_NAMES + ["Alpha Corp"]),
+                        max_size=2)}), max_size=3)
+_CLAIM_ROWS = st.lists(st.fixed_dictionaries({
+    "subject": st.sampled_from(_NAMES),
+    "predicate": st.sampled_from(["uses", "Runs On"]),
+    "object": st.sampled_from(_NAMES + [" a free text "]),
+    "object_is_entity": st.booleans(),
+    "passages": st.sampled_from([[[0, 0]], [[0, 1]], []])}), max_size=3)
+
+
+@st.composite
+def _batches(draw):
+    docs = draw(st.permutations(_DOCS))[:draw(st.integers(1, len(_DOCS)))]
+    known = draw(st.lists(st.sampled_from(_NAMES), max_size=2))
+    playbook = {kind: {doc.slug: {key: draw(rows)} for doc in docs}
+                for kind, key, rows in (
+                    ("extract-entities", "entities", _ENTITY_ROWS),
+                    ("extract-claims", "claims", _CLAIM_ROWS))}
+    return docs, playbook, known
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batches())
+def test_extraction_waves_give_what_the_serial_fold_gave(batch):
+    """Over random document orders, entity names, aliases and names that a
+    registry held before the batch: the same claim payloads, entities,
+    claims and final registry, or the same `UnresolvedSubject` raised at
+    the same document."""
+    docs, playbook, known = batch
+    assert _outcome(wave_extraction, docs, playbook, known) == \
+        _outcome(serial_extraction, docs, playbook, known)
+
+
+def _two_docs(first_claim):
+    """d0 claims `first_claim`; d1 registers Beta and claims it uses Alpha,
+    which d0 registered."""
+    return {"extract-entities": {
+                "d0": {"entities": [{"name": "Alpha", "kind": "other",
+                                     "aliases": []}]},
+                "d1": {"entities": [{"name": "Beta", "kind": "other",
+                                     "aliases": []}]}},
+            "extract-claims": {
+                "d0": {"claims": [{"predicate": "uses", "passages": [[0, 0]],
+                                   **first_claim}]},
+                "d1": {"claims": [{"subject": "Beta", "predicate": "uses",
+                                   "object": "Alpha", "object_is_entity": True,
+                                   "passages": [[0, 0]]}]}}}
+
+
+def test_an_object_that_only_a_later_document_registers_stays_text():
+    playbook = _two_docs({"subject": "Alpha", "object": "beta",
+                          "object_is_entity": True})
+    outcome = _outcome(wave_extraction, _DOCS[:2], playbook, [])
+    assert outcome == _outcome(serial_extraction, _DOCS[:2], playbook, [])
+    [(_, _, [first]), (_, _, [second])], _ = outcome
+    assert first[1:] == ("beta", False)
+    assert second[2] is True
+
+
+def test_a_subject_that_only_a_later_document_registers_is_unresolved():
+    playbook = _two_docs({"subject": "Beta", "object": "x",
+                          "object_is_entity": False})
+    message = "claim subject 'Beta' not in registry (doc d0)"
+    assert _outcome(wave_extraction, _DOCS[:2], playbook, []) == \
+        (message, None)
+    assert _outcome(serial_extraction, _DOCS[:2], playbook, []) == \
+        (message, None)
+    # Registered before the batch, Beta resolves for d0 too.
+    assert _outcome(wave_extraction, _DOCS[:2], playbook, ["Beta"])[1]
 
 
 def test_predicate_normalization_synonyms():

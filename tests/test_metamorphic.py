@@ -46,8 +46,21 @@ def relation_rows_shuffled(corpus: Path) -> None:
     path.write_text(json.dumps(data, indent=1), encoding="utf-8")
 
 
+def relation_rows_duplicated(corpus: Path) -> None:
+    """Insert a copy of every other row at a random place in the same
+    file; some copies come before the row they copy."""
+    path = corpus / "relations.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    rows = data["records"]
+    rand = random.Random(29)
+    for row in rows[::2]:
+        rows.insert(rand.randrange(len(rows) + 1), dict(row))
+    path.write_text(json.dumps(data, indent=1), encoding="utf-8")
+
+
 @pytest.mark.parametrize("change", [renamed_in_reverse_order,
-                                    relations_copied, relation_rows_shuffled],
+                                    relations_copied, relation_rows_shuffled,
+                                    relation_rows_duplicated],
                          ids=lambda change: change.__name__)
 def test_a_change_that_must_not_matter_gives_the_golden_run(tmp_path, golden,
                                                             change):

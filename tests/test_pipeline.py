@@ -220,6 +220,28 @@ def test_layer1_sends_the_same_waves_whatever_the_corpus_size(tmp_path,
     assert waves[0] == waves[40] == 2
 
 
+def test_layer2_sends_the_same_waves_whatever_the_number_of_seeds(
+        tmp_path, monkeypatch):
+    """Entity extraction, claim extraction and provenance go as three waves,
+    whether layer 2 extracts the 7 seeds of the golden corpus or 20 of a
+    larger corpus."""
+    counts: dict[str, int] = {}
+    monkeypatch.setattr(InferenceRouter, "map",
+                        counted(counts, "map", InferenceRouter.map))
+    waves, seeds = {}, {}
+    for background in (0, 40):
+        state = run(GOLDEN_QUERY,
+                    background_corpus(tmp_path / str(background), background),
+                    tmp_path / str(background) / "run", PipelineConfig(),
+                    scripted_spec(), stop_after="layer1")
+        counts.clear()
+        state.execute(stop_after="layer2")
+        waves[background], seeds[background] = counts["map"], len(state.seeds)
+        assert sorted(state.doc_entities) == sorted(state.seeds)
+    assert seeds == {0: 7, 40: 20}
+    assert waves[0] == waves[40] == 3
+
+
 def test_relation_edges_are_built_once_per_run(tmp_path, monkeypatch):
     counts: dict[str, int] = {}
     monkeypatch.setattr(pipeline, "relation_edge",
@@ -721,7 +743,15 @@ def _s2_with_asset(asset):
                  id="empty-input"),
     pytest.param("novel.json", '{"source_type": "novel"}',
                  "corpus file novel.json: unknown source_type 'novel'",
-                 id="unsupported-format")])
+                 id="unsupported-format"),
+    pytest.param("odd.json", '{"sections": [5]}',
+                 "corpus file odd.json: manifest is malformed: "
+                 "AttributeError: ", id="manifest-section-not-an-object"),
+    pytest.param("odd.json", json.dumps({
+        "metadata": {"authors": [{"affiliation": "Lab"}]},
+        "sections": [{"passages": ["Text."]}]}),
+                 "corpus file odd.json: manifest is malformed: "
+                 "KeyError: 'name'", id="manifest-author-without-name")])
 def test_cli_run_with_bad_corpus_input_exits_2_naming_it(tmp_path, capsys,
                                                          name, text, message):
     corpus = tmp_path / "corpus"
