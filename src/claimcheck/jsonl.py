@@ -3,7 +3,8 @@
 Writes are atomic (temp file + rename) so an interrupted run never leaves a
 half-written store file behind; resume relies on that. Records are always
 serialized with sorted keys so two runs over identical inputs produce
-byte-identical files.
+byte-identical files. A record that is already a line of text, such as a
+transcript line that replay served, is written as it is.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ def _atomic(path: Path) -> Iterator[TextIO]:
     os.replace(tmp, path)
 
 
-def write_records(path: Path, records: Iterable[dict[str, Any]]) -> None:
+def write_records(path: Path, records: Iterable[dict[str, Any] | str]) -> None:
     with _atomic(path) as fh:
-        fh.writelines(dumps_record(record) + "\n" for record in records)
+        fh.writelines((record if type(record) is str else dumps_record(record))
+                      + "\n" for record in records)
 
 
 def read_records(path: Path) -> Iterator[dict[str, Any]]:
@@ -46,9 +48,9 @@ def read_all(path: Path) -> list[dict[str, Any]]:
 
 
 def write_json(path: Path, payload: Any) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
     with _atomic(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_text(path: Path, text: str) -> None:

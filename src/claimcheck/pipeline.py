@@ -214,8 +214,13 @@ class Run:
         self._corpus_files: list[tuple[str, bytes]] | None = \
             read_corpus_dir(self.corpus_dir)
         self.corpus_hash = corpus_fingerprint(self._corpus_files)
+        # The config and provider spec are fixed for the run: their manifest
+        # fields are built once, not at each of the run's manifest writes.
+        self._config = cfg.to_dict()
+        self._config_hash = cfg.snapshot_hash()
+        self._provider_record = to_record(provider_spec)
         self.run_id = make_id("run", query, self.corpus_hash,
-                              cfg.snapshot_hash())
+                              self._config_hash)
 
     # --- paths and manifest -------------------------------------------------
 
@@ -251,9 +256,9 @@ class Run:
             "target_doc": self.target_doc,
             "corpus_dir": str(self.corpus_dir),
             "corpus_hash": self.corpus_hash,
-            "config_hash": self.cfg.snapshot_hash(),
-            "config": self.cfg.to_dict(),
-            "provider": to_record(self.provider_spec),
+            "config_hash": self._config_hash,
+            "config": self._config,
+            "provider": self._provider_record,
             "layers": self.layers_done,
             **{name: sorted(getattr(self, name)) for name in _MANIFEST_LISTS},
         })
@@ -938,7 +943,7 @@ class Run:
             for key in sorted(self.ratings) if key[0] != key[1]]
         return machine_report(
             self.query, self.matrix, self.maturity, self.alphas, consistency,
-            independence, self.cfg.to_dict(), self.run_id)
+            independence, self._config, self.run_id)
 
     def _write_report(self) -> None:
         payload = self.report_payload()

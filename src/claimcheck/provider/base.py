@@ -3,9 +3,12 @@
 All natural-language judgment flows through `invoke`: it validates the
 response against the per-kind schema, retries with exponential backoff, and
 records every served response so a completed live run doubles as a replay
-fixture for future offline runs. Concurrent calls go through `map`, which
-runs one wave of them on the router's one bounded pool and collates results
-in input order, so pipeline outputs do not depend on worker completion order.
+fixture for future offline runs. A backend that serves recorded transcript
+lines names the line of each response it served (`served_line`), and the
+transcript writes that line as it is instead of encoding the response again.
+Concurrent calls go through `map`, which runs one wave of them on the
+router's one bounded pool and collates results in input order, so pipeline
+outputs do not depend on worker completion order.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Protocol, TypeVar
 
 from ..config import ProviderConfig
@@ -36,7 +40,12 @@ def _mark_pool_thread() -> None:
 
 
 class Provider(Protocol):
-    """A backend that answers one inference task."""
+    """A backend that answers one inference task.
+
+    A backend may also define `served_line(task, provider_tag, sample_index)`:
+    the transcript line it served the task from, which the router records in
+    place of the response.
+    """
 
     deterministic: bool
 
@@ -50,25 +59,29 @@ class Transcript:
 
     Appends are serialized; ordering inside a batch is canonical
     (fingerprint, provider_tag, sample_index) so transcript files are
-    reproducible regardless of worker completion order.
+    reproducible regardless of worker completion order. A response recorded
+    with the line it was served from drains as that line, any other as its
+    record; `write_records` writes both.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._pending: list[InferenceResponse] = []
+        self._pending: list[tuple[tuple[str, str, int],
+                                  InferenceResponse | str]] = []
 
-    def record(self, response: InferenceResponse) -> None:
+    def record(self, response: InferenceResponse,
+               line: str | None = None) -> None:
+        key = (response.fingerprint, response.provider_tag,
+               response.sample_index)
         with self._lock:
-            self._pending.append(response)
+            self._pending.append((key, response if line is None else line))
 
-    def drain(self) -> list[dict[str, Any]]:
+    def drain(self) -> list[dict[str, Any] | str]:
         with self._lock:
-            batch = sorted(
-                self._pending,
-                key=lambda r: (r.fingerprint, r.provider_tag, r.sample_index),
-            )
-            self._pending = []
-        return [to_record(r) for r in batch]
+            batch, self._pending = self._pending, []
+        batch.sort(key=itemgetter(0))
+        return [item if type(item) is str else to_record(item)
+                for _, item in batch]
 
 
 class InferenceRouter:
@@ -85,6 +98,7 @@ class InferenceRouter:
         self.backend = backend
         self.cfg = cfg
         self.transcript = transcript
+        self._served_line = getattr(backend, "served_line", None)
         self._workers = max_parallelism
         self._pool = ThreadPoolExecutor(max_workers=max_parallelism,
                                         initializer=_mark_pool_thread)
@@ -144,7 +158,9 @@ class InferenceRouter:
                     fingerprint=task.fingerprint, kind=task.kind,
                     output=output, provider_tag=tag, sample_index=sample_index)
                 if self.transcript is not None:
-                    self.transcript.record(response)
+                    served = self._served_line
+                    self.transcript.record(
+                        response, served and served(task, tag, sample_index))
                 return response
             except ProviderFailure as exc:
                 last_error = exc

@@ -4,13 +4,22 @@ Lookups are exact on (fingerprint, provider_tag, sample_index). A miss is a
 non-retryable ProviderFailure naming the fingerprint, so fixture drift is
 loud, never fuzzy-matched. Replay runs perform no network activity.
 
-A line is decoded when it is first served, not at load. `write_records`
-writes every transcript line in one layout, `{"fingerprint":…,"kind":…,
-"output":…,"provider_tag":…,"sample_index":…,"schema_version":…}` with no
-spaces, so the loader reads the key of such a line from its text and keeps
-the text. Any other line is decoded at load. A line that is not a valid
-response record, or whose decoded key is not the key read off its text, is a
-`ClaimcheckError` naming the file and the line, raised when it is decoded.
+The provider holds one transcript line per key, as text, and decodes it on
+every serve: no decoded response outlives its serve, and no two serves share
+an output. The router writes a served response to the run transcript as the
+line it was served from (`served_line`), so replay encodes nothing again.
+
+`write_records` writes every transcript line in one layout, `{"fingerprint":…,
+"kind":…,"output":…,"provider_tag":…,"sample_index":…,"schema_version":…}`
+with no spaces, so the loader reads the key of such a line from its text and
+keeps the text as it is. A line in any other layout, or whose
+`schema_version` is not `SCHEMA_VERSION`, is decoded at load and encoded once
+into the line the router writes for that response: its record, with the
+current `SCHEMA_VERSION`. The output inside a layout line is not looked at,
+so one with unsorted keys or `\\u` escapes is served and written back as it
+is. A line that is not a valid response record, or whose decoded key is not
+the key read off its text, is a `ClaimcheckError` naming the file and the
+line, raised when it is decoded.
 """
 
 from __future__ import annotations
@@ -21,7 +30,9 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from ..errors import ClaimcheckError, ProviderFailure
-from ..records import from_record
+from ..ids import encode_sorted
+from ..records import from_record, to_record
+from .schemas import SCHEMA_VERSION
 from .tasks import InferenceResponse, InferenceTask
 
 Key = tuple[str, str, int]
@@ -31,7 +42,7 @@ Key = tuple[str, str, int]
 _LAYOUT = re.compile(
     r'\{"fingerprint":"([^"\\]*)","kind":"[^"\\]*","output":.*'
     r',"provider_tag":"([^"\\]*)","sample_index":(0|[1-9][0-9]*)'
-    r',"schema_version":"[^"\\]*"\}')
+    r',"schema_version":"([^"\\]*)"\}')
 
 
 def _key(response: InferenceResponse) -> Key:
@@ -39,11 +50,19 @@ def _key(response: InferenceResponse) -> Key:
 
 
 class _Line(NamedTuple):
-    """A transcript line kept as text until it is first served."""
+    """The transcript line a key is served from, and where it was read."""
 
-    file: Path
+    file: Path | None
     number: int
     text: str
+
+    @classmethod
+    def of(cls, response: InferenceResponse, file: Path | None = None,
+           number: int = 0) -> "_Line":
+        """The line the router writes for `response`."""
+        record = to_record(response)
+        record["schema_version"] = SCHEMA_VERSION
+        return cls(file, number, encode_sorted(record))
 
     def decode(self) -> InferenceResponse:
         try:
@@ -60,7 +79,8 @@ class ReplayProvider:
     deterministic = True
 
     def __init__(self, responses: dict[Key, InferenceResponse | _Line]):
-        self._responses = responses
+        self._lines = {key: line if type(line) is _Line else _Line.of(line)
+                       for key, line in responses.items()}
 
     @classmethod
     def from_path(cls, path: Path) -> "ReplayProvider":
@@ -75,7 +95,7 @@ class ReplayProvider:
                     f"replay fixtures {path} hold no *.jsonl file")
         else:
             files = [path]
-        responses: dict[Key, InferenceResponse | _Line] = {}
+        lines: dict[Key, _Line] = {}
         for file in files:
             try:
                 text = file.read_text(encoding="utf-8")
@@ -87,38 +107,37 @@ class ReplayProvider:
                 if not line.text:
                     continue
                 match = _LAYOUT.fullmatch(line.text)
-                if match is None:
-                    response = line.decode()
-                    responses[_key(response)] = response
+                if match is not None and match[4] == SCHEMA_VERSION:
+                    lines[match[1], match[2], int(match[3])] = line
                 else:
-                    fingerprint, tag, index = match.groups()
-                    responses[fingerprint, tag, int(index)] = line
-        return cls(responses)
+                    response = line.decode()
+                    lines[_key(response)] = _Line.of(response, file, number)
+        return cls(lines)
 
     def __len__(self) -> int:
-        return len(self._responses)
+        return len(self._lines)
 
     def complete(self, task: InferenceTask, provider_tag: str,
                  sample_index: int) -> dict[str, Any]:
         key = (task.fingerprint, provider_tag, sample_index)
-        response = self._responses.get(key)
-        if type(response) is _Line:
-            # First serve. No lock: the text stays until the response
-            # replaces it, and threads that decode the line at once store
-            # equal responses.
-            line, response = response, response.decode()
-            if _key(response) != key:
-                raise line.malformed(f"it decodes to key {_key(response)}, "
-                                     f"not {key}")
-            self._responses[key] = response
-        if response is None:
+        line = self._lines.get(key)
+        if line is None:
             raise ProviderFailure(
                 f"replay fixture has no response for fingerprint "
                 f"{task.fingerprint} (kind={task.kind}, tag={provider_tag}, "
                 f"sample={sample_index})", retryable=False)
+        response = line.decode()
+        if _key(response) != key:
+            raise line.malformed(f"it decodes to key {_key(response)}, "
+                                 f"not {key}")
         if response.kind != task.kind:
             raise ProviderFailure(
                 f"replay fixture kind mismatch for {task.fingerprint}: "
                 f"recorded {response.kind}, requested {task.kind}",
                 retryable=False)
         return response.output
+
+    def served_line(self, task: InferenceTask, provider_tag: str,
+                    sample_index: int) -> str:
+        """The line `complete` served this task from, for the transcript."""
+        return self._lines[task.fingerprint, provider_tag, sample_index].text

@@ -23,17 +23,18 @@ from jsonschema import Draft202012Validator
 from claimcheck.config import PipelineConfig, ProviderConfig
 from claimcheck.errors import ClaimcheckError, ProviderFailure, SchemaViolation
 from claimcheck.ids import content_hash
-from claimcheck.jsonl import dumps_record, read_records, write_records
+from claimcheck.jsonl import dumps_record, read_json, read_records, write_records
 from claimcheck.provider import (InferenceResponse, InferenceRouter,
                                  InferenceTask, ReplayProvider,
                                  ScriptedProvider, Transcript, replay)
 from claimcheck.provider.embedder import embed_text
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
+from claimcheck.provider.spec import ProviderSpec
 from claimcheck.provider.tasks import SCHEMA_VERSION
 from claimcheck.records import from_record, to_record
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, ROOT, TRANSCRIPT,
-                      StubProvider, make_router, run_golden)
+                      StubProvider, dir_digest, make_router, run_golden)
 
 
 def test_fingerprint_independent_of_field_order():
@@ -175,7 +176,7 @@ def test_replay_loader_serves_what_the_eager_loader_did(lines, data):
             for (fingerprint, tag, index), response in expected.items():
                 task = SimpleNamespace(fingerprint=fingerprint,
                                        kind=response.kind)
-                for _ in range(2):   # the first serve decodes, then the store
+                for _ in range(2):   # each serve decodes the line again
                     output = provider.complete(task, tag, index)
                     assert dumps_record(output) == \
                         dumps_record(response.output)
@@ -197,7 +198,7 @@ def test_replay_keeps_layout_lines_as_text_until_served(tmp_path):
         assert decoded == []
         for _ in range(3):
             assert provider.complete(task, "analyst-a", 0) == record["output"]
-    assert decoded == [1]
+    assert decoded == [1, 1, 1]
 
 
 def test_one_wave_asking_one_key_from_many_items_always_succeeds(
@@ -730,3 +731,91 @@ def test_golden_transcript_lines_decode_and_encode_unchanged():
     for line in TRANSCRIPT.read_text(encoding="utf-8").splitlines():
         response = from_record(InferenceResponse, json.loads(line))
         assert dumps_record(to_record(response)) == line
+
+
+# --- replay writes back the line it served -----------------------------------
+
+def test_replay_serves_the_recorded_output_after_a_caller_changes_one(
+        tmp_path):
+    task = InferenceTask("nli-verdict", {"claim": {}, "passage": {"text": "x"}})
+    write_records(tmp_path / "t.jsonl", [to_record(InferenceResponse(
+        fingerprint=task.fingerprint, kind=task.kind,
+        output={"label": "supports", "rationale": "r"},
+        provider_tag="analyst-a"))])
+    provider = ReplayProvider.from_path(tmp_path / "t.jsonl")
+    provider.complete(task, "analyst-a", 0).clear()
+    assert provider.complete(task, "analyst-a", 0) == \
+        {"label": "supports", "rationale": "r"}
+
+
+def _transcript_text(router, calls, folder, name):
+    """The transcript file `router` writes for one wave of `calls`."""
+    router.map(lambda call: router.invoke(*call), calls)
+    path = folder / name
+    write_records(path, router.transcript.drain())
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(_KINDS).flatmap(
+        lambda kind: st.tuples(st.just(kind), _valid(OUTPUT_SCHEMAS[kind]))),
+    st.sampled_from(["analyst-a", "analyst-b"]), st.integers(0, 2),
+    st.booleans()), max_size=12))
+def test_replayed_transcript_is_the_recorded_transcript(calls):
+    """A transcript encoded from the backend's outputs, and the one a replay
+    of it writes back from the served lines, are the same bytes."""
+    outputs = {}
+    wave = []
+    for number, ((kind, output), tag, index, twice) in enumerate(calls):
+        task = InferenceTask(kind, {"n": number})
+        outputs[task.fingerprint, tag, index] = output
+        wave += [(task, tag, index)] * (1 + twice)
+    stub = StubProvider(lambda task, tag, index:
+                        outputs[task.fingerprint, tag, index])
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        recorded = _transcript_text(make_router(stub, Transcript()), wave,
+                                    folder, "recorded.jsonl")
+        replay_provider = ReplayProvider.from_path(folder / "recorded.jsonl")
+        replayed = _transcript_text(make_router(replay_provider, Transcript()),
+                                    wave, folder, "replayed.jsonl")
+    assert replayed == recorded
+
+
+_NLI_TASK = InferenceTask("nli-verdict", {"claim": {}, "passage": {"text": "x"}})
+_NLI_RECORD = {"fingerprint": _NLI_TASK.fingerprint, "kind": "nli-verdict",
+               "output": {"label": "supports", "rationale": "café"},
+               "provider_tag": "analyst-a", "sample_index": 0,
+               "schema_version": SCHEMA_VERSION}
+
+
+@pytest.mark.parametrize("line, written", [
+    pytest.param(json.dumps(_NLI_RECORD, sort_keys=True),
+                 dumps_record(_NLI_RECORD), id="spaced-is-normalised"),
+    pytest.param(dumps_record({**_NLI_RECORD, "schema_version": "v0"}),
+                 dumps_record(_NLI_RECORD), id="old-version-is-normalised"),
+    pytest.param(dumps_record(_NLI_RECORD).replace(
+        '{"label":"supports","rationale":"café"}',
+        '{"rationale":"caf\\u00e9", "label":"supports"}'), None,
+                 id="inner-output-is-copied")])
+def test_replay_writes_back_the_line_it_would_encode(tmp_path, line, written):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    router = make_router(ReplayProvider.from_path(path), Transcript())
+    assert router.invoke(_NLI_TASK, "analyst-a").output == \
+        _NLI_RECORD["output"]
+    write_records(tmp_path / "t.jsonl", router.transcript.drain())
+    assert (tmp_path / "t.jsonl").read_text(encoding="utf-8") == \
+        (written or line) + "\n"
+
+
+def test_replay_of_a_replay_run_transcript_is_a_fixed_point(golden, tmp_path):
+    again = run_golden(tmp_path / "run", ProviderSpec(
+        mode="replay", fixtures=str(golden.run_dir / "transcript")))
+    assert dir_digest(again.run_dir, skip=("manifest.json",)) == \
+        dir_digest(golden.run_dir, skip=("manifest.json",))
+    manifests = [read_json(state.manifest_path) for state in (golden, again)]
+    for manifest in manifests:
+        del manifest["provider"]["fixtures"]
+    assert manifests[0] == manifests[1]
