@@ -98,7 +98,6 @@ class InferenceRouter:
         self.backend = backend
         self.cfg = cfg
         self.transcript = transcript
-        self._served_line = getattr(backend, "served_line", None)
         self._workers = max_parallelism
         self._pool = ThreadPoolExecutor(max_workers=max_parallelism,
                                         initializer=_mark_pool_thread)
@@ -158,7 +157,8 @@ class InferenceRouter:
                     fingerprint=task.fingerprint, kind=task.kind,
                     output=output, provider_tag=tag, sample_index=sample_index)
                 if self.transcript is not None:
-                    served = self._served_line
+                    # Looked up on each call: `backend` may be swapped.
+                    served = getattr(self.backend, "served_line", None)
                     self.transcript.record(
                         response, served and served(task, tag, sample_index))
                 return response

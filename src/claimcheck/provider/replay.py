@@ -52,13 +52,13 @@ def _key(response: InferenceResponse) -> Key:
 class _Line(NamedTuple):
     """The transcript line a key is served from, and where it was read."""
 
-    file: Path | None
+    file: Path
     number: int
     text: str
 
     @classmethod
-    def of(cls, response: InferenceResponse, file: Path | None = None,
-           number: int = 0) -> "_Line":
+    def of(cls, response: InferenceResponse, file: Path,
+           number: int) -> "_Line":
         """The line the router writes for `response`."""
         record = to_record(response)
         record["schema_version"] = SCHEMA_VERSION
@@ -78,9 +78,8 @@ class _Line(NamedTuple):
 class ReplayProvider:
     deterministic = True
 
-    def __init__(self, responses: dict[Key, InferenceResponse | _Line]):
-        self._lines = {key: line if type(line) is _Line else _Line.of(line)
-                       for key, line in responses.items()}
+    def __init__(self, lines: dict[Key, _Line]):
+        self._lines = lines
 
     @classmethod
     def from_path(cls, path: Path) -> "ReplayProvider":

@@ -98,13 +98,14 @@ def test_invoke_exhausts_retries():
     assert backend.calls == 3
 
 
-def test_replay_serves_recorded_response():
+def test_replay_serves_recorded_response(tmp_path):
     task = InferenceTask("nli-verdict", {"claim": {}, "passage": {"text": "x"}})
     response = InferenceResponse(fingerprint=task.fingerprint,
                                  kind="nli-verdict",
                                  output={"label": "supports", "rationale": ""},
                                  provider_tag="analyst-a", sample_index=0)
-    provider = ReplayProvider({(task.fingerprint, "analyst-a", 0): response})
+    write_records(tmp_path / "t.jsonl", [to_record(response)])
+    provider = ReplayProvider.from_path(tmp_path / "t.jsonl")
     router = make_router(provider)
     assert router.invoke(task).output == response.output
 
@@ -808,6 +809,18 @@ def test_replay_writes_back_the_line_it_would_encode(tmp_path, line, written):
     write_records(tmp_path / "t.jsonl", router.transcript.drain())
     assert (tmp_path / "t.jsonl").read_text(encoding="utf-8") == \
         (written or line) + "\n"
+
+
+def test_a_swapped_in_backend_is_recorded_by_its_own_output(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    write_records(path, [_NLI_RECORD])
+    router = make_router(ReplayProvider.from_path(path), Transcript())
+    output = {"label": "contradicts", "rationale": "live"}
+    router.backend = StubProvider(lambda task, tag, index: output)
+    router.invoke(_NLI_TASK, "analyst-a")
+    assert router.transcript.drain() == [to_record(InferenceResponse(
+        fingerprint=_NLI_TASK.fingerprint, kind=_NLI_TASK.kind, output=output,
+        provider_tag="analyst-a"))]
 
 
 def test_replay_of_a_replay_run_transcript_is_a_fixed_point(golden, tmp_path):
