@@ -126,8 +126,7 @@ def semantic_entropy(samples: list[str]) -> float:
 
 
 def confidence_level(entropy: float, agreement: tuple[int, int],
-                     cfg: AssessConfig | None = None) -> str:
-    cfg = cfg or AssessConfig()
+                     cfg: AssessConfig) -> str:
     agreeing, total = agreement
     if total < 1:
         raise ValueError("agreement total must be >= 1")
@@ -139,10 +138,9 @@ def confidence_level(entropy: float, agreement: tuple[int, int],
 
 
 def cross_source_label(consensus: ConsensusScore,
-                       cfg: AssessConfig | None = None) -> str:
+                       cfg: AssessConfig) -> str:
     """Matrix column label. `consensus` marks unanimous corroboration from
     at least two sources; otherwise the score bands decide."""
-    cfg = cfg or AssessConfig()
     contributions = consensus.contributions
     if (len(contributions) >= 2
             and all(c["label"] == "corroborates" for c in contributions)):
@@ -156,14 +154,13 @@ def cross_source_label(consensus: ConsensusScore,
 
 def assign_status(consensus_score: float, independent_contradicting: int,
                   claimant_self_corrected: bool, confidence: str,
-                  cfg: AssessConfig | None = None) -> str:
+                  cfg: AssessConfig) -> str:
     """Final label rule.
 
     likely-hallucination needs strongly negative consensus plus either two
     independent contradicting sources or one plus a self-correction event by
     the claimant; supported needs positive consensus and non-low confidence.
     """
-    cfg = cfg or AssessConfig()
     if consensus_score <= cfg.status_hallucination_consensus and (
             independent_contradicting >= 2
             or (independent_contradicting >= 1 and claimant_self_corrected)):
@@ -269,8 +266,7 @@ def _modal(labels: list[str]) -> str:
 
 def build_hypothesis_row(profile: EvidenceProfile, bundle: HypothesisBundle,
                          self_corrected: bool,
-                         cfg: AssessConfig | None = None) -> HypothesisRow | None:
-    cfg = cfg or AssessConfig()
+                         cfg: AssessConfig) -> HypothesisRow | None:
     if bundle.primary is None:
         return None
     entropy = semantic_entropy(bundle.samples) if bundle.samples else 0.0
@@ -296,14 +292,13 @@ def assess_maturity(profiles: list[EvidenceProfile],
                     timeline: list[StrategicEvent],
                     statuses: dict[str, str],
                     hardware_kinds: dict[str, str],
-                    cfg: AssessConfig | None = None) -> MaturityAssessment:
+                    cfg: AssessConfig) -> MaturityAssessment:
     """Readiness-band rubric over the fused evidence.
 
     Base band is theoretical (1,3). Independently-confirmed hardware
     execution lifts the floor to 4; a product launch lifts the ceiling to 5;
     an independently supported value-proposition claim lifts it to 6+.
     """
-    cfg = cfg or AssessConfig()
     if not profiles:
         raise NoProfiles("maturity assessment needs at least one profile")
     trl_low, trl_high = 1, 3
@@ -344,11 +339,10 @@ def assess_maturity(profiles: list[EvidenceProfile],
 
 
 def detect_alpha(profiles: list[EvidenceProfile],
-                 cfg: AssessConfig | None = None) -> list[AlphaSignal]:
+                 cfg: AssessConfig) -> list[AlphaSignal]:
     """Claims where every layer converges positively: strong provenance,
     supported verdict, high-independence corroborated consensus, and no COI
     on the asserting organization."""
-    cfg = cfg or AssessConfig()
     signals: list[AlphaSignal] = []
     for profile in sorted(profiles, key=lambda p: p.claim.claim_id):
         if profile.provenance_level not in (1, 2):

@@ -59,10 +59,9 @@ def sells_chains(relations: Iterable[tuple[str, str, str]]) -> dict[str, set[str
     return chains
 
 
-def score_source(doc: SourceDocument, sells: dict[str, set[str]] | None = None,
-                 cfg: CorpusConfig | None = None) -> SourceScore:
+def score_source(doc: SourceDocument, sells: dict[str, set[str]],
+                 cfg: CorpusConfig) -> SourceScore:
     """`sells` is `sells_chains` of the run's relations, built once per run."""
-    cfg = cfg or CorpusConfig()
     venue, venue_known = _venue_component(doc.metadata.venue, cfg)
     cites, cites_known = _citation_component(doc.metadata.citation_count, cfg)
     diversity, div_known = _diversity_component(doc, cfg)
@@ -74,7 +73,7 @@ def score_source(doc: SourceDocument, sells: dict[str, set[str]] | None = None,
 
     bias_flags: list[str] = []
     text = doc.full_text().lower()
-    for org, commercial_names in (sells or {}).items():
+    for org, commercial_names in sells.items():
         affiliated = any(org in aff.lower()
                          for _, aff in doc.metadata.authors)
         referenced = any(name.lower() in text for name in commercial_names)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable
 
-from .config import CrossSourceConfig
+from .config import CrossSourceConfig, KnowledgeConfig
 from .corpus.embedding import EmbeddingStore, semantic_searches
 from .corpus.model import DocumentMetadata, SourceDocument
 from .errors import (CitedDocMissing, MissingConsistency, MissingRating,
@@ -117,14 +117,13 @@ def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
                      store: EmbeddingStore, router: InferenceRouter,
                      citations: set[tuple[str, str]],
                      documents: dict[str, SourceDocument],
-                     cfg: CrossSourceConfig | None = None) -> list[str]:
+                     cfg: CrossSourceConfig) -> list[str]:
     """Union, over the focus claims, of citation-hop, semantic-search and
     entity-sharing hits. The claims' query embeddings go out as one wave.
 
     The claims' own sources are excluded. Callers must push every newly
     discovered document through Layers 1-3 before comparing claims.
     """
-    cfg = cfg or CrossSourceConfig()
     related = citation_neighbors_of(citations,
                                     {claim.doc_id for claim in claims},
                                     cfg.discovery_citation_hops)
@@ -194,7 +193,7 @@ def check_citation_fidelity(citing: ClaimTriple,
 
 def analyze_contradiction(a: ClaimTriple, b: ClaimTriple,
                           router: InferenceRouter, slug_a: str,
-                          slug_b: str) -> RootCause:
+                          slug_b: str, cfg: KnowledgeConfig) -> RootCause:
     """Root-cause a matched, opposing claim pair.
 
     When both claims carry metrics whose definitions are not comparable,
@@ -203,7 +202,7 @@ def analyze_contradiction(a: ClaimTriple, b: ClaimTriple,
     """
     if a.metric is not None and b.metric is not None:
         try:
-            verdict = compare_metric_definitions(a.metric, b.metric)
+            verdict = compare_metric_definitions(a.metric, b.metric, cfg)
         except UnitFamilyMismatch:
             verdict = None
         if verdict is not None and not verdict.comparable:
@@ -295,9 +294,8 @@ def _lineage_distance(refs: dict[str, set[str]], a: str,
 
 
 def assess_independence(a: str, b: str, corpus: CorpusView,
-                        cfg: CrossSourceConfig | None = None) -> IndependenceRating:
+                        cfg: CrossSourceConfig) -> IndependenceRating:
     """Deterministic bibliometric rule; symmetric in the pair."""
-    cfg = cfg or CrossSourceConfig()
     first, second = sorted((a, b))
     meta_a = corpus.metadata.get(first)
     meta_b = corpus.metadata.get(second)

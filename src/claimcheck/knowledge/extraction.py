@@ -32,8 +32,8 @@ class EntityRegistry:
     alias list carries every surface form seen.
     """
 
-    def __init__(self, cfg: KnowledgeConfig | None = None):
-        self.cfg = cfg or KnowledgeConfig()
+    def __init__(self, cfg: KnowledgeConfig):
+        self.cfg = cfg
         self._by_key: dict[str, Entity] = {}
 
     def _canonical_name(self, name: str) -> str:
@@ -107,7 +107,7 @@ def _build_metric(row: dict) -> MetricValue | None:
 
 
 def extract_docs(docs: list[SourceDocument], router: InferenceRouter,
-                 registry: EntityRegistry, cfg: KnowledgeConfig | None = None
+                 registry: EntityRegistry
                  ) -> list[tuple[list[Entity], list[ClaimTriple]]]:
     """Each document's entities and claim triples, from two waves of
     `router.map`: every `extract-entities` call, then every `extract-claims`
@@ -122,7 +122,6 @@ def extract_docs(docs: list[SourceDocument], router: InferenceRouter,
     document: an entity that only a later document registers is absent for
     it.
     """
-    cfg = cfg or KnowledgeConfig()
     texts = [{"slug": doc.slug, "title": doc.title, "text": doc.full_text()}
              for doc in docs]
 
@@ -141,7 +140,8 @@ def extract_docs(docs: list[SourceDocument], router: InferenceRouter,
             "doc": text, "entities": sorted(e.name for e in found)})
         for text, found in zip(texts, entities)])
     return [(found, _resolve_claims(doc, output,
-                                    partial(_as_of, registry, born, i), cfg))
+                                    partial(_as_of, registry, born, i),
+                                    registry.cfg))
             for i, (doc, output, found)
             in enumerate(zip(docs, outputs, entities))]
 

@@ -134,9 +134,7 @@ def _significant_exclusions(metric: MetricValue,
 
 
 def compare_metric_definitions(a: MetricValue, b: MetricValue,
-                               cfg: KnowledgeConfig | None = None
-                               ) -> ComparabilityVerdict:
-    cfg = cfg or KnowledgeConfig()
+                               cfg: KnowledgeConfig) -> ComparabilityVerdict:
     if a.unit != b.unit:
         raise UnitFamilyMismatch(
             f"cannot compare {a.unit!r} against {b.unit!r}")

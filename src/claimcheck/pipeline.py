@@ -330,7 +330,7 @@ class Run:
         self._wave(jobs)
         sells = sells_chains(self.relations.triples())
         for doc in docs:
-            doc.quality = score_source(doc, sells, cfg=self.cfg.corpus)
+            doc.quality = score_source(doc, sells, self.cfg.corpus)
         chunk_and_embed(docs, self.router, self.store)
         self._flush_layer("layer1")
 
@@ -457,7 +457,7 @@ class Run:
         docs = [self.documents[doc_id] for doc_id in doc_ids]
         claims: list[ClaimTriple] = []
         for doc, (entities, found) in zip(docs, extract_docs(
-                docs, self.router, self.registry, self.cfg.knowledge)):
+                docs, self.router, self.registry)):
             self.doc_entities[doc.doc_id] = [e.entity_id for e in entities]
             found.sort(key=attrgetter("claim_id"))
             self.doc_claims[doc.doc_id] = [c.claim_id for c in found]
@@ -705,7 +705,8 @@ class Run:
         self._wave([
             (roots, i, partial(cross.analyze_contradiction, claim, counter,
                                self.router, self.slug_of(claim.doc_id),
-                               self.slug_of(counter.doc_id)))
+                               self.slug_of(counter.doc_id),
+                               self.cfg.knowledge))
             for i, (claim, counter, label, _) in enumerate(labelled)
             if label == "contradicts"])
 
@@ -834,8 +835,7 @@ class Run:
 
         for entity_id in evaluated:
             self.supply_chains.extend(sig.map_supply_chain(
-                entity_id, graph, self.cfg.signals.coi_max_hops,
-                self.cfg.signals))
+                entity_id, graph, self.cfg.signals))
 
         related_pairs = {
             frozenset((e.subject, e.object)) for e in graph.edges.values()

@@ -132,10 +132,9 @@ def financial_events(relation_rows: list[dict[str, Any]],
 
 
 def classify_spending(events: list[FinancialEvent],
-                      cfg: SignalsConfig | None = None) -> FinancialProfile:
+                      cfg: SignalsConfig) -> FinancialProfile:
     """Classify expenditures by the keyword rule table; dominance goes to the
     side holding more than the configured fraction of classified amounts."""
-    cfg = cfg or SignalsConfig()
     entity_id = events[0].entity_id if events else ""
     classified = []
     for event in events:
@@ -174,7 +173,7 @@ def _path_steps(path: Path, graph: KnowledgeGraph) -> list[dict[str, str]]:
 
 def detect_coi(doc: SourceDocument, graph: KnowledgeGraph,
                author_entities: list[str], evaluated: list[str],
-               cfg: SignalsConfig | None = None) -> list[COIFlag]:
+               cfg: SignalsConfig) -> list[COIFlag]:
     """Author-to-algorithm stake discovery.
 
     One flag per (author, organization, path) where the author holds a
@@ -182,7 +181,6 @@ def detect_coi(doc: SourceDocument, graph: KnowledgeGraph,
     an evaluated algorithm within the hop budget. disclosed=True only when
     the document declares the interest.
     """
-    cfg = cfg or SignalsConfig()
     officer_predicates = set(cfg.officer_predicates)
     chain_predicates = set(cfg.coi_chain_predicates)
     disclosed = bool(doc.metadata.disclosures)
@@ -213,9 +211,8 @@ def detect_coi(doc: SourceDocument, graph: KnowledgeGraph,
 
 def map_conflict_web(entity_id: str, graph: KnowledgeGraph,
                      involved: set[str],
-                     cfg: SignalsConfig | None = None) -> EntityConflictWeb:
+                     cfg: SignalsConfig) -> EntityConflictWeb:
     """Stake edges from one organization into evaluation-involved entities."""
-    cfg = cfg or SignalsConfig()
     if entity_id not in graph.nodes:
         raise UnknownEntity(f"unknown entity {entity_id}")
     stake = set(cfg.stake_predicates)
@@ -230,18 +227,16 @@ def map_conflict_web(entity_id: str, graph: KnowledgeGraph,
 
 # --- supply chain ----------------------------------------------------------------
 
-def map_supply_chain(entity_id: str, graph: KnowledgeGraph, max_hops: int,
-                     cfg: SignalsConfig | None = None
-                     ) -> list[SupplyChainDependency]:
+def map_supply_chain(entity_id: str, graph: KnowledgeGraph,
+                     cfg: SignalsConfig) -> list[SupplyChainDependency]:
     """Maximal dependency-typed paths out of an entity.
 
     single_supplier is set when every path that reaches a manufacturer
     terminates at the same one.
     """
-    cfg = cfg or SignalsConfig()
     if entity_id not in graph.nodes:
         raise UnknownEntity(f"unknown entity {entity_id}")
-    paths = simple_paths(graph, entity_id, max_hops,
+    paths = simple_paths(graph, entity_id, cfg.coi_max_hops,
                          set(cfg.dependency_predicates))
     # Maximal paths: those that no other path extends.
     prefixes = {p[:-1] for p in paths}

@@ -53,7 +53,8 @@ def test_criterion_03_metric_comparability(golden, golden_claims):
     quantum = golden_claims["s1-target:BF-DCQO|achieves-runtime"].metric
     classical = golden_claims[
         "s1-target:Simulated Annealing|requires-runtime"].metric
-    verdict = compare_metric_definitions(quantum, classical)
+    verdict = compare_metric_definitions(quantum, classical,
+                                         golden.cfg.knowledge)
     assert verdict.comparable is False
     text = " ".join(verdict.discrepancies)
     assert "transpilation" in text and "2.0 s" in text
@@ -218,7 +219,8 @@ def test_criterion_11_graph_oracles():
         origin = f"ent-n{rng.randrange(m)}"
         dep_hops = rng.randint(1, 4)
         chains = {tuple(s["edge_id"] for s in c.chain)
-                  for c in map_supply_chain(origin, dep_graph, dep_hops, cfg)}
+                  for c in map_supply_chain(
+                      origin, dep_graph, SignalsConfig(coi_max_hops=dep_hops))}
         assert chains == oracle_dependency_chains(
             dep_graph, origin, dep_hops, set(cfg.dependency_predicates))
     ok(11, "path queries and supply chains match brute-force enumeration "

@@ -12,6 +12,7 @@ from claimcheck.assess import (assess_maturity,
                                confidence_level, cross_source_label,
                                detect_alpha, generate_hypotheses,
                                semantic_entropy)
+from claimcheck.config import AssessConfig
 from claimcheck.crosssource import ConsensusScore
 from claimcheck.errors import (AllSlotsFailed, EmptySamples,
                                IncompleteEnrichment, NoProfiles,
@@ -23,6 +24,8 @@ from claimcheck.signals import StrategicEvent
 
 from conftest import StubProvider, make_router
 from test_intradoc import make_claim
+
+ASSESS = AssessConfig()
 
 
 # --- semantic entropy ------------------------------------------------------------
@@ -62,45 +65,47 @@ def test_entropy_properties_fuzz():
 # --- confidence --------------------------------------------------------------------
 
 def test_confidence_high():
-    assert confidence_level(0.12, (3, 3)) == "high"
+    assert confidence_level(0.12, (3, 3), ASSESS) == "high"
 
 
 def test_confidence_low_by_entropy_or_split():
-    assert confidence_level(0.68, (1, 3)) == "low"
-    assert confidence_level(0.1, (1, 3)) == "low"
-    assert confidence_level(0.9, (3, 3)) == "low"
+    assert confidence_level(0.68, (1, 3), ASSESS) == "low"
+    assert confidence_level(0.1, (1, 3), ASSESS) == "low"
+    assert confidence_level(0.9, (3, 3), ASSESS) == "low"
 
 
 def test_confidence_medium_band():
-    assert confidence_level(0.4, (2, 3)) == "medium"
+    assert confidence_level(0.4, (2, 3), ASSESS) == "medium"
     # low entropy without unanimity is not high
-    assert confidence_level(0.2, (2, 3)) == "medium"
+    assert confidence_level(0.2, (2, 3), ASSESS) == "medium"
 
 
 def test_confidence_requires_total():
     with pytest.raises(ValueError):
-        confidence_level(0.1, (0, 0))
+        confidence_level(0.1, (0, 0), ASSESS)
 
 
 # --- status ------------------------------------------------------------------------
 
 def test_status_likely_hallucination():
-    assert assign_status(-0.7, 2, True, "low") == "likely-hallucination"
-    assert assign_status(-0.7, 1, True, "low") == "likely-hallucination"
+    assert assign_status(-0.7, 2, True, "low", ASSESS) == \
+        "likely-hallucination"
+    assert assign_status(-0.7, 1, True, "low", ASSESS) == \
+        "likely-hallucination"
 
 
 def test_status_needs_review():
     # one independent contradiction, no self-correction
-    assert assign_status(-0.7, 1, False, "low") == "needs-review"
+    assert assign_status(-0.7, 1, False, "low", ASSESS) == "needs-review"
     # strongly negative but uncorroborated contradiction
-    assert assign_status(-0.6, 0, True, "low") == "needs-review"
+    assert assign_status(-0.6, 0, True, "low", ASSESS) == "needs-review"
 
 
 def test_status_supported():
-    assert assign_status(0.9, 0, False, "high") == "supported"
-    assert assign_status(0.25, 0, False, "medium") == "supported"
+    assert assign_status(0.9, 0, False, "high", ASSESS) == "supported"
+    assert assign_status(0.25, 0, False, "medium", ASSESS) == "supported"
     # low confidence blocks supported
-    assert assign_status(0.9, 0, False, "low") == "needs-review"
+    assert assign_status(0.9, 0, False, "low", ASSESS) == "needs-review"
 
 
 def test_status_total_function_fuzz():
@@ -108,7 +113,7 @@ def test_status_total_function_fuzz():
     for _ in range(1000):
         status = assign_status(rng.uniform(-1, 1), rng.randint(0, 4),
                                rng.random() < 0.5,
-                               rng.choice(["low", "medium", "high"]))
+                               rng.choice(["low", "medium", "high"]), ASSESS)
         assert status in ("supported", "needs-review", "likely-hallucination")
 
 
@@ -128,20 +133,20 @@ def contribution(label, independence="high", counter="doc-x"):
 def test_cross_source_consensus_label_needs_unanimity():
     unanimous = consensus(1.0, [contribution("corroborates", counter="d1"),
                                 contribution("corroborates", counter="d2")])
-    assert cross_source_label(unanimous) == "consensus"
+    assert cross_source_label(unanimous, ASSESS) == "consensus"
     lone = consensus(1.0, [contribution("corroborates")])
-    assert cross_source_label(lone) == "supported"
+    assert cross_source_label(lone, ASSESS) == "supported"
 
 
 def test_cross_source_bands():
     mixed = consensus(0.1, [contribution("corroborates"),
                             contribution("contradicts", counter="d2")])
-    assert cross_source_label(mixed) == "mixed"
+    assert cross_source_label(mixed, ASSESS) == "mixed"
     assert cross_source_label(consensus(-0.7, [
-        contribution("contradicts")])) == "contradicted"
+        contribution("contradicts")]), ASSESS) == "contradicted"
     assert cross_source_label(consensus(0.5, [
         contribution("corroborates"),
-        contribution("contradicts", counter="d2")])) == "supported"
+        contribution("contradicts", counter="d2")]), ASSESS) == "supported"
 
 
 # --- evidence profile -------------------------------------------------------------------
@@ -284,29 +289,29 @@ KINDS = {"ent-chip": "hardware"}
 
 def test_maturity_requires_profiles():
     with pytest.raises(NoProfiles):
-        assess_maturity([], [], {}, {})
+        assess_maturity([], [], {}, {}, ASSESS)
 
 
 def test_maturity_theoretical_band():
-    result = assess_maturity([theoretical_profile()], [], {}, KINDS)
+    result = assess_maturity([theoretical_profile()], [], {}, KINDS, ASSESS)
     assert (result.trl_low, result.trl_high) == (1, 3)
 
 
 def test_maturity_hardware_plus_launch():
-    result = assess_maturity([hardware_profile()], [LAUNCH], {}, KINDS)
+    result = assess_maturity([hardware_profile()], [LAUNCH], {}, KINDS, ASSESS)
     assert (result.trl_low, result.trl_high) == (4, 5)
 
 
 def test_maturity_independent_value_reaches_six():
     profiles = [hardware_profile(), value_profile()]
     result = assess_maturity(profiles, [LAUNCH],
-                             {"clm-val": "supported"}, KINDS)
+                             {"clm-val": "supported"}, KINDS, ASSESS)
     assert result.trl_high >= 6
 
 
 def test_maturity_bounds_and_monotone():
-    base = assess_maturity([hardware_profile()], [], {}, KINDS)
-    more = assess_maturity([hardware_profile()], [LAUNCH], {}, KINDS)
+    base = assess_maturity([hardware_profile()], [], {}, KINDS, ASSESS)
+    more = assess_maturity([hardware_profile()], [LAUNCH], {}, KINDS, ASSESS)
     assert more.trl_high >= base.trl_high
     assert 1 <= base.trl_low <= base.trl_high <= 9
 
@@ -323,7 +328,7 @@ def alpha_ready_profile(**overrides):
 
 
 def test_alpha_all_conditions_met():
-    signals = detect_alpha([alpha_ready_profile()])
+    signals = detect_alpha([alpha_ready_profile()], ASSESS)
     assert len(signals) == 1
     assert set(signals[0].dimensions_converging) == {
         "knowledge", "intradoc", "crosssource", "signals"}
@@ -342,19 +347,19 @@ def test_alpha_single_condition_failures():
         alpha_ready_profile(coi=[flag]),
     ]
     for profile in cases:
-        assert detect_alpha([profile]) == []
+        assert detect_alpha([profile], ASSESS) == []
 
 
 def test_alpha_own_source_does_not_count_as_independent():
     profile = alpha_ready_profile(contributions=[
         contribution("corroborates", "high", counter="d")])  # own doc
-    assert detect_alpha([profile]) == []
+    assert detect_alpha([profile], ASSESS) == []
 
 
 def test_alpha_subset_of_supported(golden):
     supported = {p.claim.claim_id for p in golden.profiles
                  if p.verdict.verdict == "supports"}
-    for signal in detect_alpha(golden.profiles):
+    for signal in detect_alpha(golden.profiles, golden.cfg.assess):
         assert signal.claim_id in supported
 
 

@@ -145,7 +145,7 @@ def test_score_unknown_fields_fall_to_prior():
         "sections": [{"heading": "Body", "passages": ["Text."]}],
     }).encode()
     doc = ingest_document(raw, "json-manifest")
-    score = score_source(doc)
+    score = score_source(doc, {}, CorpusConfig())
     assert score.quality == pytest.approx(0.5)
     assert score.bias_flags == []
 
@@ -154,9 +154,9 @@ def test_score_quality_bounds_extremes():
     doc = ingest_document(manifest_bytes(), "json-manifest")
     doc.metadata.venue = "journal"
     doc.metadata.citation_count = 10 ** 9
-    assert 0.0 <= score_source(doc).quality <= 1.0
+    assert 0.0 <= score_source(doc, {}, CorpusConfig()).quality <= 1.0
     doc.metadata.citation_count = 0
-    assert 0.0 <= score_source(doc).quality <= 1.0
+    assert 0.0 <= score_source(doc, {}, CorpusConfig()).quality <= 1.0
 
 
 def test_score_commercial_affiliation_flag():
@@ -164,14 +164,16 @@ def test_score_commercial_affiliation_flag():
                  ("Iskay Quantum Optimizer", "implements", "BF-DCQO")]
     target = ingest_document((CORPUS_DIR / "s1-target.json").read_bytes(),
                              "json-manifest")
-    score = score_source(target, sells=sells_chains(relations))
+    score = score_source(target, sells=sells_chains(relations),
+                         cfg=CorpusConfig())
     assert "commercial-affiliation" in score.bias_flags
 
     rebuttal = ingest_document(
         (CORPUS_DIR / "r1-wallclock-rebuttal.json").read_bytes(),
         "json-manifest")
     assert "commercial-affiliation" not in \
-        score_source(rebuttal, sells=sells_chains(relations)).bias_flags
+        score_source(rebuttal, sells=sells_chains(relations),
+                     cfg=CorpusConfig()).bias_flags
 
 
 def test_score_independent_rebuttal_at_least_target():

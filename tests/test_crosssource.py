@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck.config import CrossSourceConfig, PipelineConfig
+from claimcheck.config import (CrossSourceConfig, KnowledgeConfig,
+                              PipelineConfig)
 from claimcheck.corpus import (DocumentMetadata, SourceDocument,
                                ingest_document, semantic_search)
 from claimcheck.crosssource import (AgreementRecord, CorpusView,
@@ -153,7 +154,7 @@ def test_independence_low_by_author_overlap():
     result = assess_independence("a", "b", view({
         "a": meta(authors), "b": meta(authors[:4] + [("Other", "Elsewhere"),
                                                      ("More", "Elsewhere")]),
-    }))
+    }), CrossSourceConfig())
     assert result.author_jaccard >= 0.3
     assert result.rating == "low"
     assert result.weight == 0.3
@@ -162,7 +163,7 @@ def test_independence_low_by_author_overlap():
 def test_independence_low_by_shared_affiliation():
     result = assess_independence("a", "b", view({
         "a": meta([("P1", "Same Lab")]), "b": meta([("P2", "Same Lab")]),
-    }))
+    }), CrossSourceConfig())
     assert result.rating == "low"
 
 
@@ -170,7 +171,7 @@ def test_independence_medium_by_shared_reference():
     metadata = {"a": meta([("P1", "L1")]), "b": meta([("P2", "L2")]),
                 "x": meta([("P3", "L3")])}
     result = assess_independence("a", "b", view(
-        metadata, citations={("a", "x"), ("b", "x")}))
+        metadata, citations={("a", "x"), ("b", "x")}), CrossSourceConfig())
     assert result.citation_distance == 1
     assert result.rating == "medium"
     assert result.weight == 0.6
@@ -180,7 +181,7 @@ def test_independence_direct_citation_alone_stays_high():
     # a rebuttal cites the work it evaluates; that is not shared lineage
     metadata = {"a": meta([("P1", "L1")]), "b": meta([("P2", "L2")])}
     result = assess_independence("a", "b", view(
-        metadata, citations={("b", "a")}))
+        metadata, citations={("b", "a")}), CrossSourceConfig())
     assert result.citation_distance is None
     assert result.rating == "high"
     assert result.weight == 1.0
@@ -190,14 +191,14 @@ def test_independence_medium_by_competitor_stake():
     metadata = {"a": meta([("P1", "L1")]), "b": meta([("P2", "L2")])}
     result = assess_independence("a", "b", view(
         metadata, competitors=[("org-1", "org-2")],
-        doc_orgs={"a": {"org-1"}, "b": {"org-2"}}))
+        doc_orgs={"a": {"org-1"}, "b": {"org-2"}}), CrossSourceConfig())
     assert result.competitor_stake is True
     assert result.rating == "medium"
 
 
 def test_independence_unknown_authors_medium_with_caveat():
     result = assess_independence("a", "b", view({
-        "a": meta([]), "b": meta([("P", "L")])}))
+        "a": meta([]), "b": meta([("P", "L")])}), CrossSourceConfig())
     assert result.rating == "medium"
     assert result.caveat
 
@@ -217,8 +218,8 @@ def test_independence_symmetric_fuzz():
             if rng.random() < 0.5:
                 citations.add(pair if rng.random() < 0.5 else pair[::-1])
         corpus = view(metadata, citations=citations)
-        forward = assess_independence("a", "b", corpus)
-        backward = assess_independence("b", "a", corpus)
+        forward = assess_independence("a", "b", corpus, CrossSourceConfig())
+        backward = assess_independence("b", "a", corpus, CrossSourceConfig())
         assert forward.rating == backward.rating
         assert forward.author_jaccard == backward.author_jaccard
 
@@ -271,7 +272,8 @@ def test_auto_root_cause_without_provider_call():
     b.metric = classical_metric()
     # a replay provider with no fixture would fail on any call
     router = make_router(ReplayProvider({}))
-    cause = analyze_contradiction(a, b, router, "doc-a", "doc-b")
+    cause = analyze_contradiction(a, b, router, "doc-a", "doc-b",
+                                  KnowledgeConfig())
     assert cause.category == "runtime-definition-mismatch"
     assert "transpilation" in cause.explanation
 
@@ -283,7 +285,8 @@ def test_root_cause_uses_provider_when_comparable():
     b.metric = quantum_metric()
     router = make_router(StubProvider(lambda t, tag, i: {
         "category": "baseline-selection", "explanation": "weak baseline"}))
-    cause = analyze_contradiction(a, b, router, "doc-a", "doc-b")
+    cause = analyze_contradiction(a, b, router, "doc-a", "doc-b",
+                                  KnowledgeConfig())
     assert cause.category == "baseline-selection"
 
 

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from claimcheck.assess import generate_hypotheses
+from claimcheck.config import KnowledgeConfig
 from claimcheck.errors import SchemaViolation, UnresolvedSubject
 from claimcheck.knowledge import EntityRegistry, extract_docs
 from claimcheck.corpus import ingest_document
@@ -46,7 +47,7 @@ def _claims_router(*passages):
 
 def test_extract_claims_unresolved_subject():
     doc = ingest_document(manifest_bytes(), "json-manifest")
-    registry = EntityRegistry()
+    registry = EntityRegistry(KnowledgeConfig())
     registry.register("Known Thing", "other")
     router = make_router(StubProvider(lambda t, tag, i: {
         "extract-entities": {"entities": []},
@@ -62,7 +63,7 @@ def test_extract_claims_rejects_a_passage_the_document_lacks(pair):
     # "mini" has one section of two passages; a negative index does not
     # count from the end.
     doc = ingest_document(manifest_bytes(), "json-manifest")
-    registry = EntityRegistry()
+    registry = EntityRegistry(KnowledgeConfig())
     registry.register("Known Thing", "other")
     message = (f"extract-claims output for mini names no passage: "
                f"[{pair[0]}, {pair[1]}]")
@@ -75,7 +76,7 @@ def test_extract_claims_takes_an_integral_float_as_a_passage_index():
     doc = ingest_document(manifest_bytes(), "json-manifest")
     claims = []
     for index in (1.0, 1):
-        registry = EntityRegistry()
+        registry = EntityRegistry(KnowledgeConfig())
         registry.register("Known Thing", "other")
         [(_, found)] = extract_docs([doc], _claims_router([0, index]),
                                     registry)

@@ -113,7 +113,8 @@ def classical_metric():
 
 
 def test_compare_quantum_vs_classical_runtime():
-    verdict = compare_metric_definitions(quantum_metric(), classical_metric())
+    verdict = compare_metric_definitions(quantum_metric(), classical_metric(),
+                                         KnowledgeConfig())
     assert verdict.comparable is False
     text = " ".join(verdict.discrepancies)
     assert "transpilation" in text and "2.0" in text
@@ -125,7 +126,8 @@ def test_compare_quantum_vs_classical_runtime():
 
 
 def test_compare_identical_definitions():
-    verdict = compare_metric_definitions(quantum_metric(), quantum_metric())
+    verdict = compare_metric_definitions(quantum_metric(), quantum_metric(),
+                                         KnowledgeConfig())
     assert verdict.comparable is True
     assert verdict.discrepancies == []
 
@@ -133,13 +135,15 @@ def test_compare_identical_definitions():
 def test_compare_unit_family_mismatch():
     with pytest.raises(UnitFamilyMismatch):
         compare_metric_definitions(quantum_metric(),
-                                   MetricValue(quantity=80.0, unit="ratio"))
+                                   MetricValue(quantity=80.0, unit="ratio"),
+                                   KnowledgeConfig())
 
 
 def test_compare_asymmetry_on_own_total():
     # 2 s exclusion against a 0.2-2.2 s total is significant
     verdict = compare_metric_definitions(quantum_metric(), MetricValue(
-        quantity=(0.2, 2.2), unit="s", included_overheads=["everything"]))
+        quantity=(0.2, 2.2), unit="s", included_overheads=["everything"]),
+        KnowledgeConfig())
     assert verdict.asymmetry_note is not None
 
 
@@ -155,8 +159,8 @@ def test_compare_symmetry_fuzz():
                     OverheadEntry(n, round(rng.uniform(0.1, 10.0), 2), "s")
                     for n in rng.sample(names, rng.randint(0, 3))])
         a, b = sample(), sample()
-        forward = compare_metric_definitions(a, b)
-        backward = compare_metric_definitions(b, a)
+        forward = compare_metric_definitions(a, b, KnowledgeConfig())
+        backward = compare_metric_definitions(b, a, KnowledgeConfig())
         assert forward.comparable == backward.comparable
         assert sorted(forward.discrepancies) == sorted(backward.discrepancies)
 
@@ -178,7 +182,7 @@ def test_registry_alias_map_unifies_names():
 
 
 def test_registry_aliases_exclude_canonical_name():
-    registry = EntityRegistry()
+    registry = EntityRegistry(KnowledgeConfig())
     entity = registry.register("Kipu Quantum", "organization",
                                aliases=["Kipu Quantum", "Kipu Quantum GmbH"])
     assert "Kipu Quantum" not in entity.aliases
@@ -187,7 +191,7 @@ def test_registry_aliases_exclude_canonical_name():
 
 def test_registry_resolve_unknown():
     with pytest.raises(UnresolvedSubject):
-        EntityRegistry().resolve("Nobody")
+        EntityRegistry(KnowledgeConfig()).resolve("Nobody")
 
 
 # --- extraction in waves: the registry as of each document -------------------
@@ -248,7 +252,7 @@ def wave_extraction(docs, playbook, registry, cfg):
     """`extract_docs` in the shape of `serial_extraction`; the payload
     names are the ones its `extract-claims` calls carried."""
     _PROVIDER.playbook, _PROVIDER.sent = playbook, {}
-    found = extract_docs(docs, _ROUTER, registry, cfg)
+    found = extract_docs(docs, _ROUTER, registry)
     return [(_PROVIDER.sent[doc.slug], [e.entity_id for e in entities],
              [(c.subject, c.object, c.object_is_entity) for c in claims])
             for doc, (entities, claims) in zip(docs, found)]

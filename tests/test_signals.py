@@ -33,7 +33,7 @@ def test_spending_opex_dominant_platform_company():
               600_000.0),
         money("expenditure", "research personnel expansion", 1_200_000.0),
     ]
-    profile = classify_spending(events)
+    profile = classify_spending(events, SignalsConfig())
     assert profile.dominance == "opex-dominant"
     # funding rounds are not expenditures and stay unclassified
     classifications = {e.description: e.classification
@@ -42,21 +42,22 @@ def test_spending_opex_dominant_platform_company():
 
 
 def test_spending_empty_unknown():
-    assert classify_spending([]).dominance == "unknown"
+    assert classify_spending([], SignalsConfig()).dominance == "unknown"
 
 
 def test_spending_all_unclassified_unknown():
     events = [money("expenditure", "miscellaneous sundries", 1000.0)]
-    assert classify_spending(events).dominance == "unknown"
+    assert classify_spending(events, SignalsConfig()).dominance == "unknown"
 
 
 def test_spending_capex_threshold():
     events = [money("expenditure", "hardware fabrication line", 70.0),
               money("expenditure", "cloud access subscription", 30.0)]
-    assert classify_spending(events).dominance == "capex-dominant"
+    assert classify_spending(events, SignalsConfig()).dominance == \
+        "capex-dominant"
     even = [money("expenditure", "hardware fabrication line", 50.0),
             money("expenditure", "cloud access subscription", 50.0)]
-    assert classify_spending(even).dominance == "mixed"
+    assert classify_spending(even, SignalsConfig()).dominance == "mixed"
 
 
 def test_spending_scale_invariance_fuzz():
@@ -67,11 +68,11 @@ def test_spending_scale_invariance_fuzz():
         events = [money("expenditure", rng.choice(descriptions),
                         round(rng.uniform(1.0, 1000.0), 2))
                   for _ in range(rng.randint(1, 6))]
-        base = classify_spending(events).dominance
+        base = classify_spending(events, SignalsConfig()).dominance
         factor = rng.choice([0.001, 3.0, 1e6])
         scaled = [money(e.kind, e.description, e.amount * factor)
                   for e in events]
-        assert classify_spending(scaled).dominance == base
+        assert classify_spending(scaled, SignalsConfig()).dominance == base
 
 
 # --- COI and conflict web ------------------------------------------------------
@@ -127,13 +128,15 @@ def test_golden_supply_chain_single_supplier(golden):
 
 def test_supply_chain_isolated_entity_empty():
     graph = build_graph([ent("alone")], [], [])
-    assert map_supply_chain("ent-alone", graph, 4) == []
+    assert map_supply_chain("ent-alone", graph,
+                            SignalsConfig(coi_max_hops=4)) == []
 
 
 def test_supply_chain_unknown_entity():
     graph = build_graph([], [], [])
     with pytest.raises(UnknownEntity):
-        map_supply_chain("ent-ghost", graph, 4)
+        map_supply_chain("ent-ghost", graph,
+                         SignalsConfig(coi_max_hops=4))
 
 
 def test_supply_chain_multiple_manufacturers_not_single():
@@ -145,7 +148,8 @@ def test_supply_chain_multiple_manufacturers_not_single():
         relation_edge("ent-chip2", "manufactured-by", "ent-fab2"),
     ]
     graph = build_graph(nodes, [], edges)
-    chains = map_supply_chain("ent-algo", graph, 4)
+    chains = map_supply_chain("ent-algo", graph,
+                              SignalsConfig(coi_max_hops=4))
     assert chains
     assert all(not c.single_supplier for c in chains)
 
@@ -195,7 +199,8 @@ def test_supply_chain_matches_bruteforce_oracle():
         start = f"ent-n{rng.randrange(n)}"
         max_hops = rng.randint(1, 4)
         got = {tuple(s["edge_id"] for s in c.chain)
-               for c in map_supply_chain(start, graph, max_hops, cfg)}
+               for c in map_supply_chain(
+                   start, graph, SignalsConfig(coi_max_hops=max_hops))}
         assert got == oracle_dependency_chains(graph, start, max_hops,
                                                predicates)
 
