@@ -8,6 +8,7 @@ manifest so a resumed run can detect drift.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Any
 
@@ -149,6 +150,13 @@ class PipelineConfig:
         return content_hash(self.to_dict(), length=16)
 
     def validate(self) -> None:
+        # A count, size or budget below 1, or a backoff below 0, cannot run.
+        floors = {"corpus.citation_saturation": 1, "corpus.embedding_dim": 1,
+                  "intradoc.candidate_top_k": 1,
+                  "crosssource.discovery_top_k": 1, "assess.n_samples": 1,
+                  "document_budget": 1, "relevance_top_n": 1,
+                  "provider.retries": 1, "max_parallelism": 1,
+                  "provider.backoff_base": 0, "provider.backoff_factor": 0}
         checks = [
             (0.0 <= self.corpus.quality_prior <= 1.0, "corpus.quality_prior in [0,1]"),
             (0.0 <= self.crosssource.author_jaccard_low <= 1.0,
@@ -160,13 +168,10 @@ class PipelineConfig:
              "signals.dominance_fraction in (0,1)"),
             (self.assess.entropy_high_confidence <= self.assess.entropy_low_confidence,
              "entropy thresholds ordered"),
-            (self.assess.n_samples >= 1, "assess.n_samples >= 1"),
             (bool(self.assess.hypothesis_models),
              "assess.hypothesis_models non-empty"),
-            (self.document_budget >= 1, "document_budget >= 1"),
-            (self.provider.retries >= 1, "provider.retries >= 1"),
-            (self.max_parallelism >= 1, "max_parallelism >= 1"),
-        ]
+        ] + [(reduce(getattr, path.split("."), self) >= least,
+              f"{path} >= {least}") for path, least in floors.items()]
         for ok, what in checks:
             if not ok:
                 raise ClaimcheckError(f"config out of range: {what}")

@@ -6,8 +6,9 @@ from explicit structure for manifests. The doc_id is a pure function of the
 raw input bytes, so re-ingesting an unchanged corpus is byte-identical.
 `read_corpus_dir` reads a corpus directory once, and `load_corpus_dir`
 sorts those bytes into document files, their `.meta.json` metadata
-sidecars, and the relation manifest; a missing directory or a malformed
-JSON file or sidecar is a `ClaimcheckError` that names it.
+sidecars, and the relation manifest; a missing directory, a malformed
+JSON file or sidecar, or a date that is not ISO is a `ClaimcheckError` that
+names it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from datetime import date
 from html.parser import HTMLParser
 from operator import attrgetter
 from pathlib import Path, PurePath
@@ -102,6 +104,8 @@ def _from_manifest(doc_id: str, data: dict[str, Any]) -> SourceDocument:
         external_ids=dict(meta.get("external_ids", {})),
         disclosures=list(meta.get("disclosures", [])),
     )
+    if metadata.publication_date:
+        _check_date(metadata.publication_date, "metadata publication_date")
     if "slug" in data:
         metadata.external_ids.setdefault("slug", data["slug"])
 
@@ -124,6 +128,14 @@ def _from_manifest(doc_id: str, data: dict[str, Any]) -> SourceDocument:
     return SourceDocument(doc_id=doc_id, source_type=source_type,
                           title=normalize_text(data.get("title", "")),
                           sections=sections, assets=assets, metadata=metadata)
+
+
+def _check_date(value: Any, what: str) -> None:
+    """Raise unless `date.fromisoformat` reads `value`, as layer 5 will."""
+    try:
+        date.fromisoformat(value)
+    except (TypeError, ValueError):
+        raise ClaimcheckError(f"{what} {value!r} is not an ISO date") from None
 
 
 def _at(rows: list[Any], index: Any, what: str) -> Any:
@@ -280,6 +292,8 @@ def _decode(name: str, raw: bytes, cls: type | None = None) -> Any:
             raise ValueError("its top level is not a JSON object")
         if cls is not None:
             check_record(cls, data, "metadata")
+            if data.get("publication_date"):
+                _check_date(data["publication_date"], "publication_date")
         return data if cls is None else from_record(cls, data)
     except (ValueError, ClaimcheckError) as exc:
         raise ClaimcheckError(f"corpus file {name} is malformed: {exc}") from exc
@@ -309,7 +323,10 @@ def load_corpus_dir(files: list[tuple[str, bytes]]
             continue
         data = _decode(name, raw) if fmt == "json-manifest" else None
         if data is not None and data.get("manifest_kind") == "relations":
-            for row in data.get("records", []):
+            for index, row in enumerate(data.get("records", [])):
+                if isinstance(row, dict) and "date" in row:
+                    _check_date(row["date"], f"corpus file {name} is "
+                                f"malformed: records[{index}] date")
                 key = _row_key(row)
                 if key not in seen_rows:
                     seen_rows.add(key)

@@ -15,8 +15,8 @@ from typing import Any, Iterable
 from .config import CrossSourceConfig, KnowledgeConfig
 from .corpus.embedding import EmbeddingStore, semantic_searches
 from .corpus.model import DocumentMetadata, SourceDocument
-from .errors import (CitedDocMissing, MissingConsistency, MissingRating,
-                     RubricNotEnumerable, SchemaViolation, UnitFamilyMismatch)
+from .errors import (MissingConsistency, MissingRating, RubricNotEnumerable,
+                     SchemaViolation, UnitFamilyMismatch)
 from .knowledge.graph import KnowledgeGraph
 from .knowledge.metrics import compare_metric_definitions
 from .knowledge.model import ClaimTriple
@@ -171,11 +171,7 @@ def align_claims(a: ClaimTriple, b: ClaimTriple, router: InferenceRouter,
 def check_citation_fidelity(citing: ClaimTriple,
                             cited_claims: list[ClaimTriple],
                             router: InferenceRouter, citing_slug: str,
-                            cited_slug: str | None) -> CitationFidelityFinding:
-    if cited_slug is None:
-        raise CitedDocMissing(
-            f"claim {citing.claim_id} cites a document absent from the "
-            f"corpus: {citing.cited_refs}")
+                            cited_slug: str) -> CitationFidelityFinding:
     task = InferenceTask("citation-fidelity", {
         "citing": citing.task_payload(citing_slug),
         "cited_doc": cited_slug,

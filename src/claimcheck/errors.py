@@ -85,10 +85,6 @@ class UnknownEntity(ClaimcheckError):
 
 # --- cross-source layer -----------------------------------------------------
 
-class CitedDocMissing(ClaimcheckError):
-    """A cited document is absent from the corpus (discovery gap)."""
-
-
 class MissingRating(ClaimcheckError):
     """Consensus input lacks an independence rating for a counter-doc."""
 

@@ -330,7 +330,7 @@ class Run:
         self._wave(jobs)
         sells = sells_chains(self.relations.triples())
         for doc in docs:
-            doc.quality = score_source(doc, sells, self.cfg.corpus)
+            doc.quality = score_source(doc, sells, cfg=self.cfg.corpus)
         chunk_and_embed(docs, self.router, self.store)
         self._flush_layer("layer1")
 

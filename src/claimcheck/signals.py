@@ -229,7 +229,7 @@ def map_conflict_web(entity_id: str, graph: KnowledgeGraph,
 
 def map_supply_chain(entity_id: str, graph: KnowledgeGraph,
                      cfg: SignalsConfig) -> list[SupplyChainDependency]:
-    """Maximal dependency-typed paths out of an entity.
+    """Maximal dependency-typed paths out of an entity, within the hop budget.
 
     single_supplier is set when every path that reaches a manufacturer
     terminates at the same one.

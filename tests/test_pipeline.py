@@ -687,7 +687,14 @@ def test_config_from_dict_overrides_only_the_given_keys():
                                   '{"assess": {"n_samples": 0}}',
                                   '{"assess": {"hypothesis_models": []}}',
                                   '{"corpus": {"quality_prior": "high"}}',
-                                  '{"corpus": {"venue_tiers": 5}}'])
+                                  '{"corpus": {"venue_tiers": 5}}',
+                                  '{"intradoc": {"candidate_top_k": 0}}',
+                                  '{"crosssource": {"discovery_top_k": 0}}',
+                                  '{"relevance_top_n": 0}',
+                                  '{"corpus": {"citation_saturation": 0}}',
+                                  '{"corpus": {"embedding_dim": 0}}',
+                                  '{"provider": {"backoff_base": -1}}',
+                                  '{"provider": {"backoff_factor": -2}}'])
 def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
@@ -699,10 +706,30 @@ def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_verify_cross_with_top_k_0_exits_2(tmp_path, capsys):
+    code = cli("verify-cross", "--query", GOLDEN_QUERY, "--corpus-dir",
+               CORPUS_DIR, "--out", tmp_path / "run", "--provider",
+               "scripted", "--playbook", PLAYBOOK, "--top-k", "0")
+    assert code == 2
+    assert "crosssource.discovery_top_k >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _s2_with_asset(asset):
     """s2-algorithm-intro.json (three sections) with one visual asset."""
     data = json.loads((CORPUS_DIR / "s2-algorithm-intro.json").read_bytes())
     return json.dumps({**data, "assets": [{"caption": "A plot", **asset}]})
+
+
+def _dated(name, where, value):
+    """Corpus file `name` with the date at key path `where` set to `value`."""
+    data = json.loads((CORPUS_DIR / name).read_bytes())
+    *path, key = where
+    node = data
+    for step in path:
+        node = node[step]
+    node[key] = value
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -751,7 +778,20 @@ def _s2_with_asset(asset):
         "metadata": {"authors": [{"affiliation": "Lab"}]},
         "sections": [{"passages": ["Text."]}]}),
                  "corpus file odd.json: manifest is malformed: "
-                 "KeyError: 'name'", id="manifest-author-without-name")])
+                 "KeyError: 'name'", id="manifest-author-without-name"),
+    pytest.param("relations.json",
+                 _dated("relations.json", ["records", 15, "date"], "soon"),
+                 "corpus file relations.json is malformed: records[15] date "
+                 "'soon' is not an ISO date", id="relation-date"),
+    pytest.param("s1-target.json",
+                 _dated("s1-target.json", ["metadata", "publication_date"],
+                        "soon"),
+                 "corpus file s1-target.json: metadata publication_date "
+                 "'soon' is not an ISO date", id="manifest-date"),
+    pytest.param("s1-target.meta.json", '{"publication_date": "soon"}',
+                 "corpus file s1-target.meta.json is malformed: "
+                 "publication_date 'soon' is not an ISO date",
+                 id="sidecar-date")])
 def test_cli_run_with_bad_corpus_input_exits_2_naming_it(tmp_path, capsys,
                                                          name, text, message):
     corpus = tmp_path / "corpus"

@@ -7,12 +7,14 @@ import random
 import pytest
 
 from claimcheck.config import SignalsConfig
+from claimcheck.corpus import DocumentMetadata, SourceDocument
 from claimcheck.errors import UnknownEntity
 from claimcheck.knowledge import build_graph, find_paths, relation_edge
 from claimcheck.knowledge.graph import Edge
 from claimcheck.signals import (FinancialEvent, StrategicEvent,
                                 build_timeline, classify_spending,
-                                compose_signal_profile, map_supply_chain)
+                                compose_signal_profile, detect_coi,
+                                map_conflict_web, map_supply_chain)
 
 from test_knowledge import ent
 
@@ -110,6 +112,98 @@ def test_golden_ibm_conflict_web_four_edges(golden):
     assert len(web.edges) == 4
     assert {e["predicate"] for e in web.edges} == \
         {"provides", "owns", "hosts", "co-authored"}
+
+
+def coi_graph(*edges):
+    """Entities author, org, prod, algo and other, joined by the given
+    (subject, predicate, object) edges."""
+    return build_graph(
+        [ent(n) for n in ("author", "org", "prod", "algo", "other")], [],
+        [relation_edge(f"ent-{s}", p, f"ent-{o}") for s, p, o in edges])
+
+
+def coi(graph, authors=("ent-author",), evaluated=("ent-algo",),
+        disclosures=(), **cfg):
+    doc = SourceDocument(doc_id="doc-x", source_type="paper", title="X",
+                         sections=[], metadata=DocumentMetadata(
+                             disclosures=list(disclosures)))
+    return detect_coi(doc, graph, list(authors), list(evaluated),
+                      SignalsConfig(**cfg))
+
+
+CHAIN = [("author", "founded", "org"), ("org", "sells", "prod"),
+         ("prod", "implements", "algo")]
+
+
+def test_coi_flags_an_officer_whose_organization_sells_the_algorithm():
+    [flag] = coi(coi_graph(*CHAIN))
+    assert (flag.author, flag.organization, flag.role, flag.disclosed) == \
+        ("ent-author", "ent-org", "founded", False)
+    assert [(s["from"], s["predicate"], s["to"]) for s in flag.product_path] \
+        == [(f"ent-{s}", p, f"ent-{o}") for s, p, o in CHAIN]
+    [flag] = coi(coi_graph(*CHAIN), disclosures=["The author founded Org."])
+    assert flag.disclosed is True
+
+
+def test_coi_chain_is_bounded_by_the_hop_budget():
+    assert coi(coi_graph(*CHAIN), coi_max_hops=2) == []
+    assert len(coi(coi_graph(*CHAIN), coi_max_hops=3)) == 1
+
+
+def test_coi_skips_an_author_or_target_missing_from_the_graph():
+    graph = coi_graph(*CHAIN)
+    assert coi(graph, authors=["ent-ghost"]) == []
+    assert coi(graph, evaluated=["ent-ghost"]) == []
+    # the pair that is in the graph is still flagged beside them
+    [flag] = coi(graph, authors=["ent-ghost", "ent-author"],
+                 evaluated=["ent-algo", "ent-ghost"])
+    assert flag.author == "ent-author"
+
+
+def test_coi_skips_a_path_that_does_not_start_with_an_officer_edge():
+    # `sells` may continue a chain but not start one
+    assert coi(coi_graph(("author", "sells", "prod"),
+                         ("prod", "implements", "algo"))) == []
+    # nor does the empty path of an author who is the evaluated entity
+    assert coi(coi_graph(*CHAIN), evaluated=["ent-author"]) == []
+
+
+def test_coi_skips_a_path_with_a_later_step_outside_the_chain():
+    # `officer-of` is a first step only; later steps must be `sells` or
+    # `implements`
+    assert coi(coi_graph(("author", "founded", "org"),
+                         ("org", "officer-of", "prod"),
+                         ("prod", "implements", "algo"))) == []
+
+
+def test_conflict_web_keeps_stake_edges_into_involved_entities():
+    graph = build_graph([ent(n) for n in ("org", "algo", "chip", "lab")], [], [
+        relation_edge("ent-org", "owns", "ent-chip"),
+        relation_edge("ent-org", "funds", "ent-algo"),
+        # not a stake predicate
+        relation_edge("ent-org", "requires", "ent-algo"),
+        # a stake in an entity outside the evaluation
+        relation_edge("ent-org", "provides", "ent-lab"),
+        # a text object that spells an involved entity id
+        relation_edge("ent-org", "sells", "ent-algo", object_is_entity=False),
+    ])
+    web = map_conflict_web("ent-org", graph, {"ent-algo", "ent-chip"},
+                           SignalsConfig())
+    assert web.entity_id == "ent-org"
+    assert sorted((e["predicate"], e["target"], e["target_name"])
+                  for e in web.edges) == [("funds", "ent-algo", "algo"),
+                                          ("owns", "ent-chip", "chip")]
+    assert map_conflict_web("ent-org", graph, {"ent-algo"},
+                            SignalsConfig(stake_predicates=["requires"])
+                            ).edges == [{"predicate": "requires",
+                                         "target": "ent-algo",
+                                         "target_name": "algo"}]
+
+
+def test_conflict_web_of_an_unknown_entity():
+    with pytest.raises(UnknownEntity):
+        map_conflict_web("ent-ghost", build_graph([], [], []), set(),
+                         SignalsConfig())
 
 
 # --- supply chain -----------------------------------------------------------------
