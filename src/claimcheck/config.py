@@ -150,14 +150,21 @@ class PipelineConfig:
         return content_hash(self.to_dict(), length=16)
 
     def validate(self) -> None:
-        # A count, size or budget below 1, or a backoff below 0, cannot run.
+        # A count, size or budget below 1, or a backoff, weight, hop count
+        # or window below 0, cannot run.
         floors = {"corpus.citation_saturation": 1, "corpus.embedding_dim": 1,
                   "intradoc.candidate_top_k": 1,
                   "crosssource.discovery_top_k": 1, "assess.n_samples": 1,
                   "document_budget": 1, "relevance_top_n": 1,
                   "provider.retries": 1, "max_parallelism": 1,
-                  "provider.backoff_base": 0, "provider.backoff_factor": 0}
+                  "provider.backoff_base": 0, "provider.backoff_factor": 0,
+                  "corpus.venue_weight": 0, "corpus.citation_weight": 0,
+                  "corpus.diversity_weight": 0, "signals.coi_max_hops": 0,
+                  "crosssource.discovery_citation_hops": 0,
+                  "signals.correlation_window_days": 0}
         checks = [
+            (self.corpus.venue_weight + self.corpus.citation_weight
+             + self.corpus.diversity_weight > 0, "corpus weights sum > 0"),
             (0.0 <= self.corpus.quality_prior <= 1.0, "corpus.quality_prior in [0,1]"),
             (0.0 <= self.crosssource.author_jaccard_low <= 1.0,
              "crosssource.author_jaccard_low in [0,1]"),

@@ -131,11 +131,15 @@ def _from_manifest(doc_id: str, data: dict[str, Any]) -> SourceDocument:
 
 
 def _check_date(value: Any, what: str) -> None:
-    """Raise unless `date.fromisoformat` reads `value`, as layer 5 will."""
+    """Raise unless `value` is a `YYYY-MM-DD` date. Layer 5 reads it with
+    `date.fromisoformat` and orders dates as strings, which is date order
+    only in this form; Python 3.11 also reads `20250317` and `2025-W11-1`."""
     try:
-        date.fromisoformat(value)
+        if date.fromisoformat(value).isoformat() == value:
+            return
     except (TypeError, ValueError):
-        raise ClaimcheckError(f"{what} {value!r} is not an ISO date") from None
+        pass
+    raise ClaimcheckError(f"{what} {value!r} is not an ISO date")
 
 
 def _at(rows: list[Any], index: Any, what: str) -> Any:

@@ -6,9 +6,12 @@ records every served response so a completed live run doubles as a replay
 fixture for future offline runs. A backend that serves recorded transcript
 lines names the line of each response it served (`served_line`), and the
 transcript writes that line as it is instead of encoding the response again.
-Concurrent calls go through `map`, which runs one wave of them on the
-router's one bounded pool and collates results in input order, so pipeline
-outputs do not depend on worker completion order.
+Concurrent calls go through `map`, which runs one wave of them and collates
+results in input order, so pipeline outputs do not depend on worker
+completion order. A live wave runs on the router's one bounded pool; a wave
+on a deterministic backend (replay, scripted) runs on the calling thread,
+since a backend that answers from memory never waits and threads that never
+wait only take turns on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 R = TypeVar("R")
 
-# Marks the threads of every router's pool, so `map` can refuse to nest.
+# Marks the threads of every router's pool, and a thread running an inline
+# wave while it runs, so `map` can refuse to nest.
 _pool_thread = threading.local()
 
 
@@ -45,6 +49,9 @@ class Provider(Protocol):
     A backend may also define `served_line(task, provider_tag, sample_index)`:
     the transcript line it served the task from, which the router records in
     place of the response.
+
+    A `deterministic` backend answers from memory: its calls are never
+    retried, and its waves run inline on the calling thread.
     """
 
     deterministic: bool
@@ -86,10 +93,11 @@ class Transcript:
 
 class InferenceRouter:
     """Serves every task from one backend, applies the retry policy, and
-    bounds how many calls run at once.
+    bounds how many calls of a live wave run at once.
 
-    The pool starts its threads on first use and ends them once the router
-    is dropped.
+    The pool serves only waves on a non-deterministic backend. It starts its
+    threads on first use, so a replay or scripted run starts none, and ends
+    them once the router is dropped.
     """
 
     def __init__(self, backend: Provider, cfg: ProviderConfig, *,
@@ -103,19 +111,28 @@ class InferenceRouter:
                                         initializer=_mark_pool_thread)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """Run `fn` over `items` as one wave on the router's pool; results
-        come back in input order, whatever order the calls finish in.
+        """Run `fn` over `items` as one wave; results come back in input
+        order, whatever order the calls finish in.
 
-        Once an item fails no further item starts; when the items already
-        started have finished, the exception of the first failing one by
-        input order is raised. A wave cannot start another: a nested wait on
-        the bounded pool can deadlock, so `map` called from a pool thread
-        raises `ClaimcheckError`. Callers collect a step's tasks first and
-        send them as one wave.
+        On a deterministic backend the wave runs on the calling thread, item
+        by item in input order; on any other it runs on the router's pool.
+        Either way, once an item fails no further item starts; when the
+        items already started have finished, the exception of the first
+        failing one by input order is raised. A wave cannot start another: a
+        nested wait on the bounded pool can deadlock, so `map` called from
+        inside a wave, inline or on a pool thread, raises `ClaimcheckError`.
+        Callers collect a step's tasks first and send them as one wave.
         """
         if getattr(_pool_thread, "active", False):
             raise ClaimcheckError("router.map called from inside a wave")
         items = list(items)
+        # Read on each call: `backend` may be swapped.
+        if self.backend.deterministic:
+            _pool_thread.active = True
+            try:
+                return [fn(item) for item in items]
+            finally:
+                _pool_thread.active = False
         results: list[Any] = [None] * len(items)
         failures: dict[int, Exception] = {}
         lock = threading.Lock()

@@ -4,13 +4,16 @@ replay run reused across test modules."""
 from __future__ import annotations
 
 import hashlib
+import threading
 from pathlib import Path
 
 import pytest
 
 from claimcheck.config import PipelineConfig, ProviderConfig
+from claimcheck.jsonl import read_records
 from claimcheck.pipeline import ProviderSpec, Run, run
-from claimcheck.provider import InferenceRouter, Transcript
+from claimcheck.provider import (InferenceRouter, InferenceTask, LiveProvider,
+                                 Transcript)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = ROOT / "fixtures" / "corpus"
@@ -54,6 +57,49 @@ def run_golden(out_dir: Path, spec: ProviderSpec | None = None,
     return run(GOLDEN_QUERY, CORPUS_DIR, out_dir, cfg or PipelineConfig(),
                spec or replay_spec(), target_doc="s1-target",
                stop_after=stop_after)
+
+
+class TranscriptBackend:
+    """A live backend callable that answers each task from the golden
+    transcript by fingerprint."""
+
+    def __init__(self):
+        self._answers = {
+            (r["fingerprint"], r["provider_tag"], r["sample_index"]): r["output"]
+            for r in read_records(TRANSCRIPT)}
+
+    def __call__(self, kind, payload, provider_tag, sample_index):
+        key = (InferenceTask(kind, payload).fingerprint, provider_tag,
+               sample_index)
+        return self._answers[key]
+
+
+def golden_state(run_dir: Path) -> Run:
+    """The golden run, not yet executed, on the replay backend."""
+    return Run(run_dir, CORPUS_DIR, GOLDEN_QUERY, PipelineConfig(),
+               replay_spec(), target_doc="s1-target")
+
+
+def live_golden_state(run_dir: Path, backend=None) -> Run:
+    """The golden run, not yet executed, on a live backend (by default one
+    that answers from the golden transcript), so its waves use the pool."""
+    state = golden_state(run_dir)
+    state.router.backend = LiveProvider(backend or TranscriptBackend())
+    return state
+
+
+@pytest.fixture
+def started_threads(monkeypatch) -> list[str]:
+    """The names of the threads started while the test runs."""
+    started = []
+    original = threading.Thread.start
+
+    def start(thread, *args, **kwargs):
+        started.append(thread.name)
+        return original(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 def dir_digest(root: Path, skip: tuple[str, ...] = ()) -> dict[str, str]:

@@ -1,6 +1,7 @@
 """Provider calls in waves: the run directory must not depend on the order
-in which concurrent calls finish, and the calls that layers 2-4 and 6 batch
-must go through the router's pool."""
+in which concurrent calls finish, the calls that layers 2-4 and 6 batch
+must go through the router's pool on a live backend, and a replay run must
+make them on the calling thread."""
 
 from __future__ import annotations
 
@@ -11,13 +12,10 @@ import time
 
 import pytest
 
-from claimcheck.config import PipelineConfig
-from claimcheck.jsonl import read_records
-from claimcheck.pipeline import Run
-from claimcheck.provider import InferenceTask, LiveProvider
+from claimcheck.provider import LiveProvider
 
-from conftest import (CORPUS_DIR, GOLDEN_QUERY, TRANSCRIPT, dir_digest,
-                      replay_spec)
+from conftest import (TranscriptBackend, dir_digest, golden_state,
+                      live_golden_state)
 from test_golden_digest import DIGESTS, PINNED_DIRS
 
 # Task kinds that layers 1-4 and 6 send only in waves of `router.map`.
@@ -27,20 +25,13 @@ WAVE_KINDS = ("describe-asset", "extract-entities", "extract-claims",
               "rubric", "hypothesize", "counter-hypothesize")
 
 
-def golden_state(run_dir) -> Run:
-    return Run(run_dir, CORPUS_DIR, GOLDEN_QUERY, PipelineConfig(),
-               replay_spec(), target_doc="s1-target")
-
-
-class ShuffledBackend:
+class ShuffledBackend(TranscriptBackend):
     """A live backend that answers each task from the golden transcript by
     fingerprint after a seeded random delay of 0-3 ms, so concurrent calls
     finish in an order unrelated to the order they were sent in."""
 
     def __init__(self, seed: int):
-        self._answers = {
-            (r["fingerprint"], r["provider_tag"], r["sample_index"]): r["output"]
-            for r in read_records(TRANSCRIPT)}
+        super().__init__()
         self._random = random.Random(seed)
         self._lock = threading.Lock()
 
@@ -48,15 +39,12 @@ class ShuffledBackend:
         with self._lock:
             delay = self._random.uniform(0.0, 0.003)
         time.sleep(delay)
-        key = (InferenceTask(kind, payload).fingerprint, provider_tag,
-               sample_index)
-        return self._answers[key]
+        return super().__call__(kind, payload, provider_tag, sample_index)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_out_of_order_live_answers_give_the_golden_run(tmp_path, seed):
-    state = golden_state(tmp_path / "run")
-    state.router.backend = LiveProvider(ShuffledBackend(seed))
+    state = live_golden_state(tmp_path / "run", ShuffledBackend(seed))
     state.execute()
     pinned = {rel: digest for rel, digest in
               json.loads(DIGESTS.read_text(encoding="utf-8")).items()
@@ -84,7 +72,7 @@ class ThreadRecorder:
 
 
 def test_wave_kinds_never_run_on_the_calling_thread(tmp_path):
-    state = golden_state(tmp_path / "run")
+    state = live_golden_state(tmp_path / "run")
     recorder = ThreadRecorder(state.router.backend)
     state.router.backend = recorder
     state.execute()
@@ -100,7 +88,7 @@ def test_wave_kinds_never_run_on_the_calling_thread(tmp_path):
 def test_layer6_sends_one_wave_off_the_calling_thread(tmp_path):
     state = golden_state(tmp_path / "run")
     state.execute(stop_after="layer5")
-    recorder = ThreadRecorder(state.router.backend)
+    recorder = ThreadRecorder(LiveProvider(TranscriptBackend()))
     state.router.backend = recorder
     waves = []
     original_map = state.router.map
@@ -115,3 +103,14 @@ def test_layer6_sends_one_wave_off_the_calling_thread(tmp_path):
     assert len(recorder.calls) == 106
     caller = threading.get_ident()
     assert all(thread != caller for _, thread in recorder.calls)
+
+
+def test_replay_waves_run_on_the_calling_thread(tmp_path, started_threads):
+    state = golden_state(tmp_path / "run")
+    recorder = ThreadRecorder(state.router.backend)
+    state.router.backend = recorder
+    state.execute()
+    assert not started_threads
+    assert len(recorder.calls) == 1283
+    caller = threading.get_ident()
+    assert {thread for _, thread in recorder.calls} == {caller}

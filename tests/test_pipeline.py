@@ -694,7 +694,16 @@ def test_config_from_dict_overrides_only_the_given_keys():
                                   '{"corpus": {"citation_saturation": 0}}',
                                   '{"corpus": {"embedding_dim": 0}}',
                                   '{"provider": {"backoff_base": -1}}',
-                                  '{"provider": {"backoff_factor": -2}}'])
+                                  '{"provider": {"backoff_factor": -2}}',
+                                  '{"corpus": {"venue_weight": 0, '
+                                  '"citation_weight": 0, '
+                                  '"diversity_weight": 0}}',
+                                  '{"corpus": {"venue_weight": -1}}',
+                                  '{"signals": {"coi_max_hops": -1}}',
+                                  '{"crosssource": '
+                                  '{"discovery_citation_hops": -3}}',
+                                  '{"signals": '
+                                  '{"correlation_window_days": -5}}'])
 def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
@@ -715,6 +724,19 @@ def test_cli_verify_cross_with_top_k_0_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, flag, value, what", [
+    ("verify-cross", "--max-hops", "-3", "crosssource.discovery_citation_hops"),
+    ("signals", "--window-days", "-5", "signals.correlation_window_days")])
+def test_cli_negative_hops_or_window_exits_2(tmp_path, capsys, command, flag,
+                                             value, what):
+    code = cli(command, "--query", GOLDEN_QUERY, "--corpus-dir", CORPUS_DIR,
+               "--out", tmp_path / "run", "--provider", "scripted",
+               "--playbook", PLAYBOOK, flag, value)
+    assert code == 2
+    assert f"{what} >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _s2_with_asset(asset):
     """s2-algorithm-intro.json (three sections) with one visual asset."""
     data = json.loads((CORPUS_DIR / "s2-algorithm-intro.json").read_bytes())
@@ -730,6 +752,28 @@ def _dated(name, where, value):
         node = node[step]
     node[key] = value
     return json.dumps(data)
+
+
+def _bad_dates(value, suffix=""):
+    """Cases with `value` as a relation row's, a manifest's and a sidecar's
+    date."""
+    return [
+        pytest.param("relations.json",
+                     _dated("relations.json", ["records", 15, "date"], value),
+                     "corpus file relations.json is malformed: records[15] "
+                     f"date {value!r} is not an ISO date",
+                     id="relation-date" + suffix),
+        pytest.param("s1-target.json",
+                     _dated("s1-target.json",
+                            ["metadata", "publication_date"], value),
+                     "corpus file s1-target.json: metadata publication_date "
+                     f"{value!r} is not an ISO date",
+                     id="manifest-date" + suffix),
+        pytest.param("s1-target.meta.json",
+                     json.dumps({"publication_date": value}),
+                     "corpus file s1-target.meta.json is malformed: "
+                     f"publication_date {value!r} is not an ISO date",
+                     id="sidecar-date" + suffix)]
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -779,19 +823,10 @@ def _dated(name, where, value):
         "sections": [{"passages": ["Text."]}]}),
                  "corpus file odd.json: manifest is malformed: "
                  "KeyError: 'name'", id="manifest-author-without-name"),
-    pytest.param("relations.json",
-                 _dated("relations.json", ["records", 15, "date"], "soon"),
-                 "corpus file relations.json is malformed: records[15] date "
-                 "'soon' is not an ISO date", id="relation-date"),
-    pytest.param("s1-target.json",
-                 _dated("s1-target.json", ["metadata", "publication_date"],
-                        "soon"),
-                 "corpus file s1-target.json: metadata publication_date "
-                 "'soon' is not an ISO date", id="manifest-date"),
-    pytest.param("s1-target.meta.json", '{"publication_date": "soon"}',
-                 "corpus file s1-target.meta.json is malformed: "
-                 "publication_date 'soon' is not an ISO date",
-                 id="sidecar-date")])
+    # Python 3.11's `date.fromisoformat` reads the basic and week forms too,
+    # but layer 5 orders dates as strings, so only `YYYY-MM-DD` may load.
+    *_bad_dates("soon"), *_bad_dates("20250317", "-basic"),
+    *_bad_dates("2025-W11-1", "-week")])
 def test_cli_run_with_bad_corpus_input_exits_2_naming_it(tmp_path, capsys,
                                                          name, text, message):
     corpus = tmp_path / "corpus"

@@ -34,7 +34,8 @@ from claimcheck.provider.tasks import SCHEMA_VERSION
 from claimcheck.records import from_record, to_record
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, ROOT, TRANSCRIPT,
-                      StubProvider, dir_digest, make_router, run_golden)
+                      StubProvider, dir_digest, live_golden_state, make_router,
+                      run_golden)
 
 
 def test_fingerprint_independent_of_field_order():
@@ -256,23 +257,22 @@ def test_bad_layout_line_is_reported_when_first_served(tmp_path, edit,
 
 
 # --- the router's bounded pool -----------------------------------------------
+# Only waves on a non-deterministic backend use the pool, so the pool tests
+# run on a live backend or a stub marked non-deterministic.
+
+def live_stub() -> StubProvider:
+    return StubProvider(lambda t, tag, i: {}, deterministic=False)
+
 
 def test_golden_run_starts_at_most_max_parallelism_threads(tmp_path,
-                                                           monkeypatch):
-    started = []
-    original = threading.Thread.start
-
-    def start(thread, *args, **kwargs):
-        started.append(thread.name)
-        return original(thread, *args, **kwargs)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    run_golden(tmp_path / "run")
-    assert 1 <= len(started) <= PipelineConfig().max_parallelism, started
+                                                           started_threads):
+    live_golden_state(tmp_path / "run").execute()
+    assert 1 <= len(started_threads) <= PipelineConfig().max_parallelism, \
+        started_threads
 
 
 def test_router_map_collates_in_input_order():
-    router = make_router(StubProvider(lambda t, tag, i: {}))
+    router = make_router(live_stub())
     last_done = threading.Event()
 
     def fn(i):
@@ -287,7 +287,7 @@ def test_router_map_collates_in_input_order():
 
 
 def test_router_map_raises_the_earliest_failure_by_input_order():
-    router = make_router(StubProvider(lambda t, tag, i: {}))
+    router = make_router(live_stub())
     later_failed = threading.Event()
 
     def fn(i):
@@ -305,8 +305,7 @@ def test_router_map_raises_the_earliest_failure_by_input_order():
 
 def test_router_map_runs_each_item_once_under_thread_churn():
     cfg = ProviderConfig(retries=1, backoff_base=0.0, routing={})
-    router = InferenceRouter(StubProvider(lambda t, tag, i: {}), cfg,
-                             max_parallelism=8)
+    router = InferenceRouter(live_stub(), cfg, max_parallelism=8)
     seen: list[int] = []
     outcome = {}
 
@@ -333,26 +332,79 @@ def test_router_map_runs_each_item_once_under_thread_churn():
 
 
 def test_router_map_inside_a_wave_raises_instead_of_deadlocking():
+    for deterministic in (False, True):  # the pool, then inline
+        router = make_router(StubProvider(lambda t, tag, i: {},
+                                          deterministic=deterministic))
+        outcome = {}
+
+        def nest():
+            try:
+                router.map(lambda i: router.map(str, [i]), range(8))
+            except ClaimcheckError as exc:
+                outcome["error"] = exc
+
+        caller = threading.Thread(target=nest, daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive(), "nested router.map deadlocked the pool"
+        assert "inside a wave" in str(outcome["error"])
+        assert router.map(str, range(3)) == ["0", "1", "2"]
+
+
+def test_inline_wave_runs_in_input_order_on_the_calling_thread():
     router = make_router(StubProvider(lambda t, tag, i: {}))
-    outcome = {}
+    calls = []
 
-    def nest():
-        try:
-            router.map(lambda i: router.map(str, [i]), range(8))
-        except ClaimcheckError as exc:
-            outcome["error"] = exc
+    def fn(i):
+        calls.append((i, threading.get_ident()))
+        return i * 10
 
-    caller = threading.Thread(target=nest, daemon=True)
-    caller.start()
-    caller.join(timeout=10)
-    assert not caller.is_alive(), "nested router.map deadlocked the pool"
-    assert "inside a wave" in str(outcome["error"])
+    assert router.map(fn, range(5)) == [0, 10, 20, 30, 40]
+    assert calls == [(i, threading.get_ident()) for i in range(5)]
+    assert router.map(fn, []) == []
+
+
+def test_inline_wave_stops_at_the_first_failure():
+    router = make_router(StubProvider(lambda t, tag, i: {}))
+    called = []
+
+    def fn(i):
+        called.append(i)
+        if i in (2, 3):
+            raise ProviderFailure(f"item {i}")
+        return i
+
+    with pytest.raises(ProviderFailure, match="item 2"):
+        router.map(fn, range(6))
+    assert called == [0, 1, 2]
+
+
+def test_nested_map_after_a_failed_inline_wave_still_raises():
+    router = make_router(StubProvider(lambda t, tag, i: {}))
+
+    def fail(i):
+        raise ProviderFailure(f"item {i}")
+
+    with pytest.raises(ProviderFailure, match="item 0"):
+        router.map(fail, range(3))
+    with pytest.raises(ClaimcheckError, match="inside a wave"):
+        router.map(lambda i: router.map(str, [i]), range(3))
     assert router.map(str, range(3)) == ["0", "1", "2"]
+
+
+def test_a_swapped_backend_chooses_the_path_of_the_next_wave():
+    router = make_router(StubProvider(lambda t, tag, i: {}))
+    assert router.map(lambda i: threading.get_ident(), range(2)) == [
+        threading.get_ident()] * 2
+    router.backend = live_stub()
+    threads = router.map(lambda i: threading.get_ident(), range(2))
+    assert threading.get_ident() not in threads
 
 
 def test_pool_threads_exit_once_the_run_is_dropped(tmp_path):
     before = set(threading.enumerate())
-    state = run_golden(tmp_path / "run")
+    state = live_golden_state(tmp_path / "run")
+    state.execute()
     pool_threads = set(threading.enumerate()) - before
     assert pool_threads
     del state
