@@ -33,19 +33,22 @@ def _add_provider_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="pipeline config JSON")
 
 
-_CONFIG_ARGS = ("config", "budget", "window_days", "top_k", "max_hops")
+# Each flag that overrides a config setting: {argument: config path}.
+_OVERRIDES = {
+    "budget": "document_budget",
+    "window_days": "signals.correlation_window_days",
+    "top_k": "crosssource.discovery_top_k",
+    "max_hops": "crosssource.discovery_citation_hops",
+}
 
 
 def _config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig.load(args.config)
-    if getattr(args, "budget", None) is not None:
-        cfg.document_budget = args.budget
-    if getattr(args, "window_days", None) is not None:
-        cfg.signals.correlation_window_days = args.window_days
-    if getattr(args, "top_k", None) is not None:
-        cfg.crosssource.discovery_top_k = args.top_k
-    if getattr(args, "max_hops", None) is not None:
-        cfg.crosssource.discovery_citation_hops = args.max_hops
+    for name, path in _OVERRIDES.items():
+        if getattr(args, name, None) is not None:
+            section, _, field = path.rpartition(".")
+            setattr(getattr(cfg, section) if section else cfg, field,
+                    getattr(args, name))
     cfg.validate()
     return cfg
 
@@ -133,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 # A config given for a run that exists must match its snapshot.
                 given = any(getattr(args, name, None) is not None
-                            for name in _CONFIG_ARGS)
+                            for name in ("config", *_OVERRIDES))
                 state = resume(args.out, cfg if given else None,
                                stop_after=args.stop_after)
             print(f"{args.command} complete: {state.run_dir}")

@@ -7,8 +7,8 @@ raw input bytes, so re-ingesting an unchanged corpus is byte-identical.
 `read_corpus_dir` reads a corpus directory once, and `load_corpus_dir`
 sorts those bytes into document files, their `.meta.json` metadata
 sidecars, and the relation manifest; a missing directory, a malformed
-JSON file or sidecar, or a date that is not ISO is a `ClaimcheckError` that
-names it.
+JSON file, sidecar or relation row, or a date that is not ISO is a
+`ClaimcheckError` that names it.
 """
 
 from __future__ import annotations
@@ -95,17 +95,10 @@ def _from_manifest(doc_id: str, data: dict[str, Any]) -> SourceDocument:
             int(sec.get("level", 1)), list(sec.get("passages", []))))
 
     meta = data.get("metadata", {})
-    metadata = DocumentMetadata(
-        authors=[(a["name"], a.get("affiliation", ""))
-                 for a in meta.get("authors", [])],
-        publication_date=meta.get("publication_date"),
-        venue=meta.get("venue"),
-        citation_count=meta.get("citation_count"),
-        external_ids=dict(meta.get("external_ids", {})),
-        disclosures=list(meta.get("disclosures", [])),
-    )
-    if metadata.publication_date:
-        _check_date(metadata.publication_date, "metadata publication_date")
+    authors = [(a["name"], a.get("affiliation", ""))
+               for a in meta.get("authors", [])]
+    metadata = _metadata({**meta, "authors": authors},
+                         "metadata publication_date")
     if "slug" in data:
         metadata.external_ids.setdefault("slug", data["slug"])
 
@@ -128,6 +121,16 @@ def _from_manifest(doc_id: str, data: dict[str, Any]) -> SourceDocument:
     return SourceDocument(doc_id=doc_id, source_type=source_type,
                           title=normalize_text(data.get("title", "")),
                           sections=sections, assets=assets, metadata=metadata)
+
+
+def _metadata(data: Any, date_what: str) -> DocumentMetadata:
+    """The metadata record of a manifest's or sidecar's `metadata` object,
+    once its keys, their JSON types and its `publication_date` (named as
+    `date_what`) check out."""
+    check_record(DocumentMetadata, data, "metadata")
+    if data.get("publication_date"):
+        _check_date(data["publication_date"], date_what)
+    return from_record(DocumentMetadata, data)
 
 
 def _check_date(value: Any, what: str) -> None:
@@ -288,19 +291,31 @@ def read_corpus_dir(corpus_dir: Path) -> list[tuple[str, bytes]]:
                               f"{exc.strerror}") from exc
 
 
-def _decode(name: str, raw: bytes, cls: type | None = None) -> Any:
-    """The JSON value of corpus file `name`, as a `cls` record if given."""
+def _decode(name: str, raw: bytes, as_metadata: bool = False) -> Any:
+    """The JSON object of corpus file `name`, as a metadata record if
+    `as_metadata` (a sidecar)."""
     try:
         data = json.loads(raw.decode("utf-8"))
         if type(data) is not dict:
             raise ValueError("its top level is not a JSON object")
-        if cls is not None:
-            check_record(cls, data, "metadata")
-            if data.get("publication_date"):
-                _check_date(data["publication_date"], "publication_date")
-        return data if cls is None else from_record(cls, data)
+        return _metadata(data, "publication_date") if as_metadata else data
     except (ValueError, ClaimcheckError) as exc:
         raise ClaimcheckError(f"corpus file {name} is malformed: {exc}") from exc
+
+
+def _check_row(row: Any, where: str) -> None:
+    """Raise unless relation row `row` is an object with string `subject`,
+    `relation` and `object`, an object `amount` and an ISO `date` where
+    given. `where` names the row."""
+    if type(row) is not dict:
+        raise ClaimcheckError(f"{where} must be a JSON object")
+    for key in ("subject", "relation", "object"):
+        if type(row.get(key)) is not str:
+            raise ClaimcheckError(f"{where} {key} must be a JSON string")
+    if "amount" in row and type(row["amount"]) is not dict:
+        raise ClaimcheckError(f"{where} amount must be a JSON object")
+    if "date" in row:
+        _check_date(row["date"], f"{where} date")
 
 
 def load_corpus_dir(files: list[tuple[str, bytes]]
@@ -327,17 +342,20 @@ def load_corpus_dir(files: list[tuple[str, bytes]]
             continue
         data = _decode(name, raw) if fmt == "json-manifest" else None
         if data is not None and data.get("manifest_kind") == "relations":
-            for index, row in enumerate(data.get("records", [])):
-                if isinstance(row, dict) and "date" in row:
-                    _check_date(row["date"], f"corpus file {name} is "
-                                f"malformed: records[{index}] date")
+            rows = data.get("records", [])
+            if type(rows) is not list:
+                raise ClaimcheckError(f"corpus file {name} is malformed: "
+                                      "records must be a JSON array")
+            for index, row in enumerate(rows):
+                _check_row(row, f"corpus file {name} is malformed: "
+                           f"records[{index}]")
                 key = _row_key(row)
                 if key not in seen_rows:
                     seen_rows.add(key)
                     relations.rows.append(row)
             continue
         sidecar = path.stem + ".meta.json"
-        hints = _decode(sidecar, raw_by_name[sidecar], DocumentMetadata) \
+        hints = _decode(sidecar, raw_by_name[sidecar], as_metadata=True) \
             if sidecar in raw_by_name else None
         documents.append((name, raw, fmt, hints, data))
     return documents, relations

@@ -6,10 +6,11 @@ a layer boundary; and the provider transcript is flushed per layer. Killing
 a run at any layer boundary and resuming reproduces the uninterrupted run
 byte-for-byte.
 
-Every store file is declared once, in `STORE`: one loop in `_persist` (run
-by `_flush_layer`) writes a layer's files and one loop in `resume` reloads
-them, through the dataclass codec of `records.py`. Adding a store file means
-adding one entry.
+Every store file is declared once, in `STORE`, with the type of its table
+(list or dict): `Run.__init__` builds each table empty, one loop in
+`_persist` (run by `_flush_layer`) writes a layer's files and one loop in
+`resume` reloads them all, through the dataclass codec of `records.py`, so a
+finished run loads whole. Adding a store file means adding one entry.
 
 Layers 1–4 and 6 send their provider calls in dependency waves. Each step
 collects the calls it is certain to need, sends them as one wave of
@@ -75,12 +76,12 @@ _EVENT_PREDICATES = {
 
 @dataclass(frozen=True)
 class StoreFile:
-    """One store file and the `Run` attribute it holds.
+    """One store file and the `Run` table it fills, of type `table`.
 
-    Lists are written sorted by `key` (as held if None); dicts are written
-    sorted by `key` and reloaded keyed by it. `record` is the rows' dataclass
-    (None: plain JSON rows, or the whole attribute for a `.json` file).
-    `reload` is False for deliverables that no later layer reads back.
+    A list is written sorted by `key` (as held if None) and reloaded in file
+    order; a dict is written sorted by `key` and reloaded keyed by it, and a
+    `.json` file holds the whole dict. `record` is the rows' dataclass (None:
+    plain JSON rows).
     """
 
     layer: str
@@ -88,44 +89,45 @@ class StoreFile:
     attr: str
     record: type | None = None
     key: Callable[[Any], Any] | None = None
-    reload: bool = True
+    table: type = list
 
 
 _by = attrgetter
 
 # Every file of the run store, declared once: (layer that writes it, file,
-# Run attribute, record type, sort key). No fact is stored twice: vectors are
-# in `transcript/layer1.jsonl`, and the relations in the corpus.
+# Run attribute, record type, sort key, table type). No fact is stored twice:
+# vectors are in `transcript/layer1.jsonl`, and the relations in the corpus.
 STORE = (
-    StoreFile("layer1", "documents.jsonl", "documents", SourceDocument, _by("doc_id")),
+    StoreFile("layer1", "documents.jsonl", "documents", SourceDocument, _by("doc_id"), dict),
     StoreFile("layer1", "embeddings.jsonl", "embeddings", EmbeddingRecord),
     StoreFile("layer2", "entities.jsonl", "entities", Entity),
-    StoreFile("layer2", "claims.jsonl", "claims", ClaimTriple, _by("claim_id")),
-    StoreFile("layer2", "doc_claims.json", "doc_claims"),
-    StoreFile("layer2", "doc_entities.json", "doc_entities"),
+    StoreFile("layer2", "claims.jsonl", "claims", ClaimTriple, _by("claim_id"), dict),
+    StoreFile("layer2", "doc_claims.json", "doc_claims", table=dict),
+    StoreFile("layer2", "doc_entities.json", "doc_entities", table=dict),
     StoreFile("layer3", "evidence_links.jsonl", "links", intra.EvidenceLink,
               _by("claim_id", "evidence_id")),
     StoreFile("layer3", "coherence_flags.jsonl", "coherence", intra.CoherenceFlag,
               _by("doc_id", "dimension")),
     StoreFile("layer3", "overclaims.jsonl", "overclaims", intra.OverclaimAnnotation,
               _by("claim_id", "issue")),
-    StoreFile("layer3", "verdicts.jsonl", "verdicts", intra.ClaimVerdict, _by("claim_id")),
+    StoreFile("layer3", "verdicts.jsonl", "verdicts", intra.ClaimVerdict,
+              _by("claim_id"), dict),
     StoreFile("layer3", "consistency.jsonl", "consistency", intra.ConsistencyReport,
-              _by("doc_id")),
+              _by("doc_id"), dict),
     StoreFile("layer4", "alignments.jsonl", "alignments", cross.ClaimAlignment,
-              _by("claim_a", "claim_b")),
+              _by("claim_a", "claim_b"), dict),
     StoreFile("layer4", "agreements.jsonl", "agreements", cross.AgreementRecord,
               _by("claim_id", "counter_doc")),
     StoreFile("layer4", "independence.jsonl", "ratings", cross.IndependenceRating,
-              _by("pair")),
+              _by("pair"), dict),
     StoreFile("layer4", "consensus.jsonl", "consensus", cross.ConsensusScore,
-              _by("claim_id")),
+              _by("claim_id"), dict),
     StoreFile("layer4", "fidelity.jsonl", "fidelity", cross.CitationFidelityFinding,
-              _by("citing_claim")),
+              _by("citing_claim"), dict),
     StoreFile("layer4", "rubrics.jsonl", "rubrics", cross.RubricAssessment,
               _by("claim_id", "rubric_source")),
     StoreFile("layer5", "financial.jsonl", "financial", sig.FinancialProfile,
-              _by("entity_id")),
+              _by("entity_id"), dict),
     StoreFile("layer5", "coi.jsonl", "coi_flags", sig.COIFlag,
               lambda f: (f.author, f.organization, len(f.product_path))),
     StoreFile("layer5", "conflict_webs.jsonl", "conflict_webs", sig.EntityConflictWeb,
@@ -135,8 +137,8 @@ STORE = (
     StoreFile("layer5", "timeline.jsonl", "timeline", sig.StrategicEvent),
     StoreFile("layer5", "correlations.jsonl", "correlations"),
     StoreFile("layer6", "profiles.jsonl", "profiles", assess_mod.EvidenceProfile,
-              lambda p: p.claim.claim_id, reload=False),
-    StoreFile("layer6", "matrix.jsonl", "matrix", assess_mod.HypothesisRow, reload=False),
+              lambda p: p.claim.claim_id),
+    StoreFile("layer6", "matrix.jsonl", "matrix", assess_mod.HypothesisRow),
 )
 
 # One call of a wave: (table, key, call). `Run._wave` stores the call's
@@ -166,46 +168,22 @@ class Run:
         self.transcript = Transcript()
         self.router = build_router(provider_spec, cfg, self.transcript)
 
-        self.documents: dict[str, SourceDocument] = {}
         self.docs_by_slug: dict[str, SourceDocument] = {}
         self.relations = RelationSet()
+        # Built first: the `embeddings` and `entities` tables are their views.
         self.store = EmbeddingStore(cfg.corpus.embedding_dim,
                                     cfg.corpus.embedding_model_tag,
                                     lookup=partial(_transcript_vectors,
                                                    self.run_dir / "transcript"
                                                    / "layer1.jsonl"))
         self.registry = EntityRegistry(cfg.knowledge)
-        self.claims: dict[str, ClaimTriple] = {}
-        self.doc_claims: dict[str, list[str]] = {}
-        self.doc_entities: dict[str, list[str]] = {}
-        self.links: list[intra.EvidenceLink] = []
-        self.coherence: list[intra.CoherenceFlag] = []
-        self.overclaims: list[intra.OverclaimAnnotation] = []
-        self.verdicts: dict[str, intra.ClaimVerdict] = {}
-        self.consistency: dict[str, intra.ConsistencyReport] = {}
-        self.alignments: dict[tuple[str, str], cross.ClaimAlignment] = {}
-        self.agreements: list[cross.AgreementRecord] = []
-        self.ratings: dict[tuple[str, str], cross.IndependenceRating] = {}
-        self.consensus: dict[str, cross.ConsensusScore] = {}
-        self.fidelity: dict[str, cross.CitationFidelityFinding] = {}
-        self.rubrics: list[cross.RubricAssessment] = []
+        for entry in STORE:
+            setattr(self, entry.attr, entry.table())
+        for name in _MANIFEST_LISTS:
+            setattr(self, name, [])
         self.doc_orgs: dict[str, set[str]] = {}
-        self.financial: dict[str, sig.FinancialProfile] = {}
-        self.coi_flags: list[sig.COIFlag] = []
-        self.conflict_webs: list[sig.EntityConflictWeb] = []
-        self.supply_chains: list[sig.SupplyChainDependency] = []
-        self.timeline: list[sig.StrategicEvent] = []
-        self.correlations: list[dict[str, Any]] = []
-        self.profiles: list[assess_mod.EvidenceProfile] = []
-        self.matrix: list[assess_mod.HypothesisRow] = []
         self.maturity: assess_mod.MaturityAssessment | None = None
         self.alphas: list[assess_mod.AlphaSignal] = []
-
-        self.seeds: list[str] = []
-        self.docs_processed: list[str] = []
-        self.queue: list[str] = []
-        self.gaps: list[str] = []
-        self.citation_gaps: list[str] = []
         self.layers_done: dict[str, bool] = {layer: False for layer in LAYERS}
 
         # The corpus is read once: its bytes give the hash here and the
@@ -271,7 +249,7 @@ class Run:
             if entry.name.endswith(".json"):
                 write_json(path, value)
                 continue
-            rows = value.values() if isinstance(value, dict) else value
+            rows = value.values() if entry.table is dict else value
             if entry.key is not None:
                 rows = sorted(rows, key=entry.key)
             write_records(path, map(to_record, rows) if entry.record else rows)
@@ -532,13 +510,12 @@ class Run:
 
     # --- layer 4: cross-source -------------------------------------------------
 
-    def _process_queue(self) -> None:
+    def _process_queue(self, queue: list[str]) -> None:
         """Extract, then verify, the queued documents that the budget admits
         as one batch, in queue order; the rest become gaps."""
         room = max(0, self.cfg.document_budget - len(self.docs_processed))
-        batch = self.queue[:room]
-        self.gaps = self.queue[room:]
-        self.queue = []
+        batch = queue[:room]
+        self.gaps = queue[room:]
         self._extract_docs(batch)
         self._verify_docs(batch)
         self.docs_processed += batch
@@ -550,8 +527,8 @@ class Run:
         discovered = cross.discover_related(
             focus_claims, self.graph(), self.store, self.router, citations,
             self.documents, self.cfg.crosssource)
-        self.queue = [d for d in discovered if d not in self.docs_processed]
-        self._process_queue()
+        self._process_queue([d for d in discovered
+                             if d not in self.docs_processed])
 
         if self.gaps:
             self._persist("layer4")
@@ -1032,7 +1009,7 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
         state._corpus_files = None
     for name in _MANIFEST_LISTS:
         setattr(state, name, list(manifest.get(name, [])))
-    for entry in (e for e in STORE if e.reload and state.layers_done[e.layer]):
+    for entry in (e for e in STORE if state.layers_done[e.layer]):
         path = state.store_dir / entry.name
         if entry.name.endswith(".json"):
             setattr(state, entry.attr, read_json(path))
@@ -1040,9 +1017,8 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
         rows = read_records(path)  # each record is built as its line is read
         if entry.record is not None:
             rows = (from_record(entry.record, row) for row in rows)
-        held = getattr(state, entry.attr)
         setattr(state, entry.attr, {entry.key(row): row for row in rows}
-                if isinstance(held, dict) else list(rows))
+                if entry.table is dict else list(rows))
     state._index()
     state.execute(stop_after=stop_after)
     return state

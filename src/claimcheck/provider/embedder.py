@@ -2,9 +2,9 @@
 
 Feature-hashed bag of word unigrams and bigrams, L2-normalized. Hashing uses
 sha256 rather than Python's randomized hash(), so vectors are stable across
-processes and platforms. This is the default backend for `embed` tasks when
-no external embedding service is configured, and the backend used to build
-replay fixtures.
+processes and platforms. Only `ScriptedProvider` calls it, to answer `embed`
+tasks, so the replay fixtures, recorded with the scripted provider, hold its
+vectors; the live and replay providers never call it.
 """
 
 from __future__ import annotations

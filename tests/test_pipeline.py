@@ -558,9 +558,14 @@ def test_manifest_records_config_snapshot(tmp_path):
 _ROW_VALUES = st.sampled_from(["a", "a  b", "a b", 1, 1.0, True, 0, False,
                                None, {"value": 1, "currency": "EUR"},
                                {"value": 1.0, "currency": "EUR"}, [1, "a"]])
-_ROWS = st.lists(st.dictionaries(st.sampled_from(["subject", "object",
-                                                  "amount"]), _ROW_VALUES),
-                 max_size=12)
+_NAMES = st.sampled_from(["a", "a  b", "a b"])
+# Rows that `load_corpus_dir` admits: string subject, relation and object,
+# and an object amount; any JSON value in a further key.
+_ROWS = st.lists(st.fixed_dictionaries(
+    {"subject": _NAMES, "relation": _NAMES, "object": _NAMES},
+    optional={"amount": st.dictionaries(st.sampled_from(["value", "currency"]),
+                                        _ROW_VALUES),
+              "note": _ROW_VALUES}), max_size=12)
 
 
 def _old_row_key(value):
@@ -743,8 +748,8 @@ def _s2_with_asset(asset):
     return json.dumps({**data, "assets": [{"caption": "A plot", **asset}]})
 
 
-def _dated(name, where, value):
-    """Corpus file `name` with the date at key path `where` set to `value`."""
+def _edited(name, where, value):
+    """Corpus file `name` with the value at key path `where` set to `value`."""
     data = json.loads((CORPUS_DIR / name).read_bytes())
     *path, key = where
     node = data
@@ -759,13 +764,13 @@ def _bad_dates(value, suffix=""):
     date."""
     return [
         pytest.param("relations.json",
-                     _dated("relations.json", ["records", 15, "date"], value),
+                     _edited("relations.json", ["records", 15, "date"], value),
                      "corpus file relations.json is malformed: records[15] "
                      f"date {value!r} is not an ISO date",
                      id="relation-date" + suffix),
         pytest.param("s1-target.json",
-                     _dated("s1-target.json",
-                            ["metadata", "publication_date"], value),
+                     _edited("s1-target.json",
+                             ["metadata", "publication_date"], value),
                      "corpus file s1-target.json: metadata publication_date "
                      f"{value!r} is not an ISO date",
                      id="manifest-date" + suffix),
@@ -823,6 +828,35 @@ def _bad_dates(value, suffix=""):
         "sections": [{"passages": ["Text."]}]}),
                  "corpus file odd.json: manifest is malformed: "
                  "KeyError: 'name'", id="manifest-author-without-name"),
+    pytest.param("s1-target.json",
+                 _edited("s1-target.json", ["metadata", "citation_count"],
+                         "many"),
+                 "corpus file s1-target.json: metadata citation_count must "
+                 "be a JSON integer, not string", id="manifest-wrong-type"),
+    pytest.param("s1-target.json",
+                 _edited("s1-target.json", ["metadata", "sponsor"], "x"),
+                 "corpus file s1-target.json: unknown metadata key: sponsor",
+                 id="manifest-unknown-key"),
+    pytest.param("relations.json",
+                 _edited("relations.json", ["records", 15],
+                         {"subject": "Kipu Quantum", "relation": "acquired"}),
+                 "corpus file relations.json is malformed: records[15] "
+                 "object must be a JSON string", id="relation-without-object"),
+    pytest.param("relations.json",
+                 _edited("relations.json", ["records", 15, "subject"], 5),
+                 "corpus file relations.json is malformed: records[15] "
+                 "subject must be a JSON string", id="relation-subject-number"),
+    pytest.param("relations.json", _edited("relations.json", ["records"], 5),
+                 "corpus file relations.json is malformed: records must be a "
+                 "JSON array", id="relation-records-number"),
+    pytest.param("relations.json",
+                 _edited("relations.json", ["records", 15], "a row"),
+                 "corpus file relations.json is malformed: records[15] must "
+                 "be a JSON object", id="relation-row-string"),
+    pytest.param("relations.json",
+                 _edited("relations.json", ["records", 15, "amount"], 5),
+                 "corpus file relations.json is malformed: records[15] "
+                 "amount must be a JSON object", id="relation-amount-number"),
     # Python 3.11's `date.fromisoformat` reads the basic and week forms too,
     # but layer 5 orders dates as strings, so only `YYYY-MM-DD` may load.
     *_bad_dates("soon"), *_bad_dates("20250317", "-basic"),

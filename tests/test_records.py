@@ -24,7 +24,7 @@ from claimcheck.pipeline import (LAYERS, STORE, load_corpus_dir,
                                  read_corpus_dir, resume)
 from claimcheck.records import from_record, to_record
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, golden_state
 
 RECORD_TYPES = sorted({entry.record for entry in STORE if entry.record},
                       key=lambda cls: cls.__name__)
@@ -156,11 +156,27 @@ def test_reload_and_persist_reproduces_every_reloaded_file(golden, tmp_path):
     run_dir = tmp_path / "run"
     shutil.copytree(golden.run_dir, run_dir)
     state = resume(run_dir)
-    reloaded = [entry.name for entry in STORE if entry.reload]
-    for name in reloaded:
-        (run_dir / "store" / name).unlink()
+    for entry in STORE:
+        (run_dir / "store" / entry.name).unlink()
     for layer in LAYERS:
         state._persist(layer)
-    for name in reloaded:
-        assert (run_dir / "store" / name).read_bytes() == \
-            (golden.run_dir / "store" / name).read_bytes(), name
+    for entry in STORE:
+        assert (run_dir / "store" / entry.name).read_bytes() == \
+            (golden.run_dir / "store" / entry.name).read_bytes(), entry.name
+
+
+def test_a_fresh_run_holds_each_store_table_empty_with_its_type(tmp_path):
+    state = golden_state(tmp_path / "run")
+    for entry in STORE:
+        table = getattr(state, entry.attr)
+        assert type(table) is entry.table and not table, entry.attr
+    assert {entry.table for entry in STORE} == {list, dict}
+
+
+def test_resuming_a_finished_run_loads_matrix_and_profiles(golden, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(golden.run_dir, run_dir)
+    state = resume(run_dir)
+    assert golden.matrix and golden.profiles
+    assert state.matrix == golden.matrix
+    assert state.profiles == golden.profiles
