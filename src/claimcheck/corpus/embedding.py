@@ -24,11 +24,13 @@ class EmbeddingStore:
     """Fixed-dimension vector store; one model_tag per store.
 
     A record names its vector by the fingerprint of its `embed` call. The
-    store keeps each vector only as a float64 row of its search matrix, in
-    sorted-owner order, with an owner -> row index and each row's norm, all
-    built at the first search after an `add`: once per run, or once per
-    resume that searches. Until then it holds the vectors given to `add`; a
-    record added without one, as a resume adds it, gets it from `lookup`.
+    store keeps each vector only as a float64 row. The rows form its search
+    matrix, in sorted-owner order, with an owner -> row index and each row's
+    norm, all built at the first search after an `add`: once per run, or
+    once per resume that searches. Until then a row waits as `add` took it
+    (`add` turns any other sequence into a float64 row); a record added
+    without one, as a resume adds it, gets it from `lookup`. A row or query
+    without `dim` numbers is a `DimensionMismatch` naming it.
 
     Appends go through `add`, which the pipeline serializes per store.
     Searches run on the calling thread: each is one small product, so a pool
@@ -38,12 +40,12 @@ class EmbeddingStore:
 
     def __init__(self, dim: int, model_tag: str,
                  lookup: Callable[[list[EmbeddingRecord]],
-                                  list[Sequence[float]]] | None = None):
+                                  list[np.ndarray]] | None = None):
         self.dim = dim
         self.model_tag = model_tag
         self.lookup = lookup
         self._records: dict[str, EmbeddingRecord] = {}
-        self._pending: dict[str, Sequence[float] | None] = {}  # no row yet
+        self._pending: dict[str, np.ndarray | None] = {}  # not in the matrix
         self._owners: list[str] = []
         self._rows: dict[str, int] = {}
         self._matrix = np.zeros((0, dim))
@@ -55,12 +57,17 @@ class EmbeddingStore:
     def __contains__(self, owner: str) -> bool:
         return owner in self._records
 
+    def _row(self, vector: Sequence[float], name: str) -> np.ndarray:
+        row = np.asarray(vector, dtype=np.float64)
+        if row.shape != (self.dim,):
+            raise DimensionMismatch(f"{name} has dim {row.size}, "
+                                    f"store expects {self.dim}")
+        return row
+
     def add(self, record: EmbeddingRecord,
             vector: Sequence[float] | None = None) -> None:
-        if vector is not None and len(vector) != self.dim:
-            raise DimensionMismatch(
-                f"record {record.owner} has dim {len(vector)}, "
-                f"store expects {self.dim}")
+        if vector is not None:
+            vector = self._row(vector, f"record {record.owner}")
         if record.model_tag != self.model_tag:
             raise ModelTagMismatch(
                 f"record {record.owner} tagged {record.model_tag!r}, "
@@ -72,22 +79,28 @@ class EmbeddingStore:
         return [self._records[owner] for owner in sorted(self._records)]
 
     def _build_matrix(self) -> None:
+        """Write every row once into its sorted place in a new matrix: a
+        pending row, popped as it is written, or a row of the last matrix."""
         missing = [self._records[owner]
                    for owner, vector in self._pending.items() if vector is None]
         if missing:
-            self._pending.update(zip((r.owner for r in missing),
-                                     self.lookup(missing)))
-        vectors = {owner: self._matrix[row] for owner, row in self._rows.items()}
-        vectors.update(self._pending)
-        self._pending = {}
-        self._owners = sorted(self._records)
-        self._rows = {owner: row for row, owner in enumerate(self._owners)}
-        self._matrix = np.array([vectors[owner] for owner in self._owners],
-                                dtype=np.float64)
+            for record, vector in zip(missing, self.lookup(missing),
+                                      strict=True):
+                self._pending[record.owner] = self._row(
+                    vector, f"record {record.owner}")
+        pending, self._pending = self._pending, {}
+        owners = sorted(self._records)
+        matrix = np.empty((len(owners), self.dim))
+        for row, owner in enumerate(owners):
+            vector = pending.pop(owner, None)
+            matrix[row] = self._matrix[self._rows[owner]] \
+                if vector is None else vector
+        self._owners, self._matrix = owners, matrix
+        self._rows = {owner: row for row, owner in enumerate(owners)}
         # Row by row, so each norm is bit-for-bit the one of a lone vector.
-        self._norms = np.array([np.linalg.norm(v) for v in self._matrix])
+        self._norms = np.array([np.linalg.norm(v) for v in matrix])
 
-    def search(self, query_vector: list[float], k: int,
+    def search(self, query_vector: Sequence[float], k: int,
                owner_filter: set[str] | None = None) -> list[tuple[str, float]]:
         """The k records most similar to the query by cosine, each with its
         similarity; ties go to the lower owner id.
@@ -98,6 +111,7 @@ class EmbeddingStore:
         """
         if k < 1:
             raise ClaimcheckError("search needs k >= 1")
+        q = self._row(query_vector, "query vector")
         if self._pending:
             self._build_matrix()
         if owner_filter is None:
@@ -107,7 +121,6 @@ class EmbeddingStore:
                                 if o in self._rows), dtype=np.intp)
         if len(rows) == 0:
             raise EmptyStore("embedding store has no matching records")
-        q = np.asarray(query_vector, dtype=np.float64)
         qn = np.linalg.norm(q)
         # A zero query scores every row 0.0, so there is nothing to shortlist.
         if len(rows) > k and qn != 0.0:
@@ -140,27 +153,33 @@ def chunk_and_embed(docs: list[SourceDocument], router: InferenceRouter,
     Every document's texts go out as one wave of `embed` calls, whatever the
     number of documents. The records and their vectors are appended to
     `store` in the order of `docs`, so an owner that two documents share
-    resolves to the later one.
+    resolves to the later one. Each wave item turns its vector into a
+    float64 row, so the wave's results hold no list of floats.
     """
     owners_texts: list[tuple[str, str]] = []
     for doc in docs:
         owners_texts.extend(doc.passages())
         owners_texts.extend((a.asset_id, a.description)
                             for a in doc.described_assets())
-    responses = router.map(
-        lambda pair: _embed(router, pair[1], store.dim, store.model_tag),
-        owners_texts)
+
+    def embedded(pair: tuple[str, str]) -> tuple[str, str, np.ndarray]:
+        response = _embed(router, pair[1], store.dim, store.model_tag)
+        return (response.fingerprint, response.output["model_tag"],
+                np.asarray(response.output["vector"], dtype=np.float64))
+
     records = []
-    for (owner, _), response in zip(owners_texts, responses):
-        records.append(EmbeddingRecord(owner, response.fingerprint,
-                                       response.output["model_tag"]))
-        store.add(records[-1], response.output["vector"])
+    for (owner, _), (fingerprint, model_tag, vector) in zip(
+            owners_texts, router.map(embedded, owners_texts)):
+        records.append(EmbeddingRecord(owner, fingerprint, model_tag))
+        store.add(records[-1], vector)
     return records
 
 
 def embed_query(router: InferenceRouter, text: str, dim: int,
-                model_tag: str) -> list[float]:
-    return list(_embed(router, text, dim, model_tag).output["vector"])
+                model_tag: str) -> np.ndarray:
+    """The query's vector, as a float64 row."""
+    return np.asarray(_embed(router, text, dim, model_tag).output["vector"],
+                      dtype=np.float64)
 
 
 def semantic_search(query: str, k: int, store: EmbeddingStore,

@@ -36,6 +36,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from . import assess as assess_mod
 from . import crosssource as cross
 from . import intradoc as intra
@@ -948,14 +950,21 @@ class Run:
 
 
 def _transcript_vectors(path: Path, records: list[EmbeddingRecord]
-                        ) -> list[list[float]]:
-    """The vectors of reloaded embedding records: the outputs of their
-    `embed` calls in the layer-1 transcript at `path`. The store asks at its
-    first search, so a resume that runs only layers 5 and 6 never reads it."""
-    vectors = {row["fingerprint"]: row["output"].get("vector")
-               for row in read_records(path)}
+                        ) -> list[np.ndarray]:
+    """The vectors of reloaded embedding records, as float64 rows: the
+    outputs of their `embed` calls in the layer-1 transcript at `path`. The
+    store asks at its first search, so a resume that runs only layers 5 and
+    6 never reads it. The file is read line by line, and only the vectors of
+    `records` are kept, each converted as its line is read."""
+    vectors: dict[str, np.ndarray | None] = dict.fromkeys(
+        record.fingerprint for record in records)
+    for row in read_records(path):
+        if row["fingerprint"] in vectors:
+            vector = row["output"].get("vector")
+            vectors[row["fingerprint"]] = None if vector is None \
+                else np.asarray(vector, dtype=np.float64)
     for record in records:
-        if vectors.get(record.fingerprint) is None:
+        if vectors[record.fingerprint] is None:
             raise ClaimcheckError(f"{path} holds no embed output for "
                                   f"{record.owner} ({record.fingerprint})")
     return [vectors[record.fingerprint] for record in records]

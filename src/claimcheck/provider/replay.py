@@ -4,10 +4,12 @@ Lookups are exact on (fingerprint, provider_tag, sample_index). A miss is a
 non-retryable ProviderFailure naming the fingerprint, so fixture drift is
 loud, never fuzzy-matched. Replay runs perform no network activity.
 
-The provider holds one transcript line per key, as text, and decodes it on
-every serve: no decoded response outlives its serve, and no two serves share
-an output. The router writes a served response to the run transcript as the
-line it was served from (`served_line`), so replay encodes nothing again.
+The loader reads each transcript file one line at a time, so no file's text
+is held whole. The provider holds one transcript line per key, as text, and
+decodes it on every serve: no decoded response outlives its serve, and no two
+serves share an output. The router writes a served response to the run
+transcript as the line it was served from (`served_line`), so replay encodes
+nothing again.
 
 `write_records` writes every transcript line in one layout, `{"fingerprint":…,
 "kind":…,"output":…,"provider_tag":…,"sample_index":…,"schema_version":…}`
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from ..errors import ClaimcheckError, ProviderFailure
 from ..ids import encode_sorted
@@ -75,6 +77,19 @@ class _Line(NamedTuple):
                                f"{self.number} is malformed: {reason}")
 
 
+def _numbered_lines(file: Path) -> Iterator[tuple[int, str]]:
+    """Each line of `file` with its number from 1, read one at a time. A
+    line ends at LF, CRLF or a lone CR: universal newlines, as
+    `Path.read_text` reads a file. A file that cannot be opened or is not
+    UTF-8 is a `ClaimcheckError` naming it."""
+    try:
+        with open(file, encoding="utf-8") as fh:
+            yield from enumerate(fh, 1)
+    except (OSError, ValueError) as exc:
+        raise ClaimcheckError(
+            f"cannot read replay fixtures {file}: {exc}") from exc
+
+
 class ReplayProvider:
     deterministic = True
 
@@ -96,12 +111,7 @@ class ReplayProvider:
             files = [path]
         lines: dict[Key, _Line] = {}
         for file in files:
-            try:
-                text = file.read_text(encoding="utf-8")
-            except (OSError, ValueError) as exc:
-                raise ClaimcheckError(
-                    f"cannot read replay fixtures {file}: {exc}") from exc
-            for number, raw in enumerate(text.split("\n"), 1):
+            for number, raw in _numbered_lines(file):
                 line = _Line(file, number, raw.strip())
                 if not line.text:
                     continue

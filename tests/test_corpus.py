@@ -244,6 +244,72 @@ def test_store_dimension_and_tag_mismatch():
         store.add(EmbeddingRecord("p3", "fp3", "m2"), (0.0, 1.0, 0.0, 0.0))
 
 
+def test_store_keeps_float64_rows_of_any_sequence_it_is_given():
+    store = EmbeddingStore(dim=3, model_tag="m")
+    store.add(EmbeddingRecord("p1", "fp1", "m"), [1, 2.5, -3])
+    store.add(EmbeddingRecord("p2", "fp2", "m"), (0.0, 1.0, 0.0))
+    for row in store._pending.values():
+        assert type(row) is np.ndarray and row.dtype == np.float64
+    assert store._pending["p1"].tolist() == [1.0, 2.5, -3.0]
+
+
+def test_search_with_a_query_of_another_dim_names_the_query():
+    store = EmbeddingStore(dim=4, model_tag="m1")
+    store.add(EmbeddingRecord("p1", "fp1", "m1"), (1.0, 0.0, 0.0, 0.0))
+    for query in ([1.0, 0.0, 0.0], np.zeros(5), []):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^query vector has dim {len(query)}, "
+                                 r"store expects 4$"):
+            store.search(query, 1)
+
+
+def test_looked_up_vector_of_another_dim_names_its_owner():
+    def lookup(records):
+        return [[0.5, 0.5, 0.5, 0.5] if r.owner == "p1" else [1.0, 0.0, 0.0]
+                for r in records]
+
+    store = EmbeddingStore(dim=4, model_tag="m1", lookup=lookup)
+    store.add(EmbeddingRecord("p1", "fp1", "m1"))
+    store.add(EmbeddingRecord("p2", "fp2", "m1"))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^record p2 has dim 3, store expects 4$"):
+        store.search([1.0, 0.0, 0.0, 0.0], 1)
+
+
+def test_a_second_matrix_build_keeps_the_rows_of_the_first():
+    """Records added after a search join the rows already built: each
+    earlier row is copied as it was, never looked up again, and an owner
+    added again takes its new vector."""
+    looked_up = []
+
+    def lookup(records):
+        looked_up.extend(r.owner for r in records)
+        return [np.full(3, 9.0) for _ in records]
+
+    store = EmbeddingStore(dim=3, model_tag="m", lookup=lookup)
+    store.add(EmbeddingRecord("p2", "fp2", "m"), (0.0, 2.0, 0.0))
+    store.add(EmbeddingRecord("p4", "fp4", "m"))
+    assert store.search([0.0, 1.0, 0.0], 1) == [("p2", 1.0)]
+    first = store._matrix.copy()
+    store.add(EmbeddingRecord("p1", "fp1", "m"), (1.0, 0.0, 0.0))
+    store.add(EmbeddingRecord("p3", "fp3", "m"), (0.0, 0.0, 3.0))
+    store.add(EmbeddingRecord("p5", "fp5", "m"))
+    assert store.search([0.0, 1.0, 0.0], 1) == [("p2", 1.0)]
+    assert store._owners == ["p1", "p2", "p3", "p4", "p5"]
+    assert looked_up == ["p4", "p5"]
+    assert np.array_equal(store._matrix[[1, 3]], first)
+    assert store._matrix.tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                      [0.0, 0.0, 3.0], [9.0, 9.0, 9.0],
+                                      [9.0, 9.0, 9.0]]
+    assert store._norms.tolist() == [np.linalg.norm(v) for v in
+                                     store._matrix.tolist()]
+    assert store._pending == {}
+    store.add(EmbeddingRecord("p2", "fp2b", "m"), (0.0, 0.0, -1.0))
+    assert store.search([0.0, 0.0, -1.0], 1) == [("p2", 1.0)]
+    assert store._matrix[1].tolist() == [0.0, 0.0, -1.0]
+    assert looked_up == ["p4", "p5"]
+
+
 def test_search_self_similarity_ranks_first():
     router = scripted_router()
     texts = ["the quick brown fox", "a slow green turtle",

@@ -11,6 +11,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from claimcheck.corpus.embedding import EmbeddingStore, embed_query
 from claimcheck.corpus.ingest import ingest_document
 from claimcheck.errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
                                CorruptManifest, EmptyCorpus, ProviderFailure)
-from claimcheck.jsonl import read_all, read_json
+from claimcheck.jsonl import read_all, read_json, write_records
 from claimcheck.pipeline import (LAYERS, ProviderSpec, load_corpus_dir,
                                  read_corpus_dir, resume, run)
 from claimcheck.provider import InferenceRouter, ReplayProvider, replay
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, TRANSCRIPT,
-                      dir_digest, run_golden, scripted_spec)
+                      dir_digest, golden_state, live_golden_state, run_golden,
+                      scripted_spec)
 
 
 def test_empty_corpus(tmp_path):
@@ -438,6 +440,87 @@ def test_resume_without_a_stored_vector_exits_2_naming_the_file(tmp_path,
                     encoding="utf-8")
     assert cli("resume", "--run-dir", tmp_path / "a") == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_resume_with_a_short_stored_vector_exits_2_naming_its_owner(
+        tmp_path, capsys):
+    run_golden(tmp_path / "a", stop_after="layer1")
+    path = tmp_path / "a" / "transcript" / "layer1.jsonl"
+    rows = read_all(path)
+    fingerprints = [row["fingerprint"] for row in rows]
+    short = next(row for row in rows if row["kind"] == "embed"
+                 and fingerprints.count(row["fingerprint"]) == 1)
+    short["output"]["vector"] = short["output"]["vector"][:3]
+    write_records(path, rows)
+    [owner] = [r["owner"] for r in read_all(tmp_path / "a" / "store" /
+                                            "embeddings.jsonl")
+               if r["fingerprint"] == short["fingerprint"]]
+    assert cli("resume", "--run-dir", tmp_path / "a") == 2
+    assert capsys.readouterr().err == \
+        f"error: record {owner} has dim 3, store expects 256\n"
+
+
+def test_resume_lookup_converts_only_the_vectors_it_is_asked_for(
+        tmp_path, monkeypatch):
+    state = run_golden(tmp_path / "a", stop_after="layer1")
+    path = tmp_path / "a" / "transcript" / "layer1.jsonl"
+    records = state.embeddings
+    # Two owners that share a fingerprint share its row.
+    asked = records[:4] + [dataclasses.replace(records[1], owner="zz-copy")]
+    converted = []
+
+    def asarray(vector, dtype):
+        converted.append(vector)
+        return np.asarray(vector, dtype=dtype)
+
+    monkeypatch.setattr(pipeline, "np", SimpleNamespace(asarray=asarray,
+                                                        float64=np.float64))
+    rows = pipeline._transcript_vectors(path, asked)
+    monkeypatch.undo()
+    lines = [r for r in read_all(path) if r["kind"] == "embed"]
+    outputs = {r["fingerprint"]: r["output"]["vector"] for r in lines}
+    assert len(records) > 50
+    # One conversion for each line of an asked fingerprint, and no other.
+    assert converted == [r["output"]["vector"] for r in lines if
+                         r["fingerprint"] in {a.fingerprint for a in asked}]
+    for record, row in zip(asked, rows, strict=True):
+        assert type(row) is np.ndarray and row.dtype == np.float64
+        assert row.tolist() == outputs[record.fingerprint]
+    assert rows[4] is rows[1]
+
+
+@pytest.mark.parametrize("make_state", [golden_state, live_golden_state],
+                         ids=["inline", "pool"])
+def test_embed_waves_yield_float64_rows_and_no_list_of_floats(
+        tmp_path, monkeypatch, make_state):
+    """The passage wave's items turn each vector into a float64 row, which
+    the store keeps as it is; a query wave yields float64 rows too. This
+    holds on the calling thread (replay) and on pool threads (live)."""
+    waves, added = [], []
+    router_map, store_add = InferenceRouter.map, EmbeddingStore.add
+
+    def recording_map(router, fn, items):
+        waves.append(router_map(router, fn, items))
+        return waves[-1]
+
+    def recording_add(store, record, vector=None):
+        added.append(vector)
+        store_add(store, record, vector)
+
+    monkeypatch.setattr(InferenceRouter, "map", recording_map)
+    monkeypatch.setattr(EmbeddingStore, "add", recording_add)
+    state = make_state(tmp_path / "run")
+    state.execute(stop_after="layer3")
+    [passages] = [w for w in waves if w and type(w[0]) is tuple]
+    assert len(passages) == len(added) == len(state.store) > 50
+    for (fingerprint, model_tag, row), vector in zip(passages, added):
+        assert type(fingerprint) is str and model_tag == "hashed-bow-v1"
+        assert type(row) is np.ndarray and row.dtype == np.float64
+        assert row.shape == (256,) and vector is row
+    queries = [w for w in waves if w and type(w[0]) is np.ndarray]
+    assert queries
+    for row in (row for wave in queries for row in wave):
+        assert row.dtype == np.float64 and row.shape == (256,)
 
 
 def test_resume_completes_interrupted_run(tmp_path):

@@ -184,6 +184,82 @@ def test_replay_loader_serves_what_the_eager_loader_did(lines, data):
                         dumps_record(response.output)
 
 
+def _whole_text_lines(file):
+    """The replay loader that read a file whole and split it at "\\n": the
+    reference for the served line of each key and where it was read."""
+    lines = {}
+    for number, raw in enumerate(
+            file.read_text(encoding="utf-8").split("\n"), 1):
+        text = raw.strip()
+        if not text:
+            continue
+        match = replay._LAYOUT.fullmatch(text)
+        if match is not None and match[4] == SCHEMA_VERSION:
+            lines[match[1], match[2], int(match[3])] = (file, number, text)
+        else:
+            response = from_record(InferenceResponse, json.loads(text))
+            lines[response.fingerprint, response.provider_tag,
+                  response.sample_index] = (
+                file, number, replay._Line.of(response, file, number).text)
+    return lines
+
+
+def _golden_lines(count):
+    """The first `count` golden transcript lines: every other one in the
+    layout, the rest spaced or of an old schema version."""
+    records = list(read_records(TRANSCRIPT))[:count]
+    texts = []
+    for i, record in enumerate(records):
+        if i % 4 == 1:
+            texts.append(json.dumps(record, sort_keys=True))
+        elif i % 4 == 3:
+            texts.append(dumps_record({**record, "schema_version": "v0"}))
+        else:
+            texts.append(dumps_record(record))
+    return texts
+
+
+@pytest.mark.parametrize("join", [
+    pytest.param(lambda texts: "".join(t + "\r\n" for t in texts), id="crlf"),
+    # Both loaders read in universal-newline mode: a lone "\r" ends a line.
+    pytest.param(lambda texts: "\r".join(texts) + "\r", id="cr"),
+    pytest.param(lambda texts: "\n".join(texts), id="no-final-newline"),
+    pytest.param(lambda texts: "\n\n \t\n".join(texts) + "\n\n",
+                 id="blank-lines"),
+    pytest.param(lambda texts: "\r\n\r\n".join(texts) + "\r\n  ",
+                 id="crlf-blank-lines-and-no-final-newline")])
+def test_streamed_loader_serves_what_the_whole_text_loader_did(tmp_path,
+                                                               join):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(join(_golden_lines(12)).encode("utf-8"))
+    expected = _whole_text_lines(path)
+    provider = ReplayProvider.from_path(path)
+    assert len(provider) == len(expected) == 12
+    assert {key: tuple(line) for key, line in provider._lines.items()} == \
+        expected
+    for (fingerprint, tag, index), (_, _, text) in expected.items():
+        task = SimpleNamespace(fingerprint=fingerprint, kind=json.loads(
+            text)["kind"])
+        assert provider.served_line(task, tag, index) == text
+        assert provider.complete(task, tag, index) == json.loads(text)["output"]
+
+
+def test_streamed_loader_names_the_line_and_the_file_it_fails_on(tmp_path):
+    path = tmp_path / "t.jsonl"
+    texts = _golden_lines(3)
+    path.write_bytes("\r\n\r\n".join(texts[:2] + ["{"]).encode("utf-8"))
+    with pytest.raises(ClaimcheckError,
+                       match=rf"^replay fixtures {re.escape(str(path))} "
+                             r"line 5 is malformed: "):
+        ReplayProvider.from_path(path)
+    # A byte that is not UTF-8 after lines that are.
+    path.write_bytes("\n".join(texts).encode("utf-8") + b"\n\xff\n")
+    with pytest.raises(ClaimcheckError,
+                       match=rf"^cannot read replay fixtures "
+                             rf"{re.escape(str(path))}: "):
+        ReplayProvider.from_path(path)
+
+
 def test_replay_keeps_layout_lines_as_text_until_served(tmp_path):
     task = InferenceTask("nli-verdict", {"claim": {}, "passage": {"text": "x"}})
     record = to_record(InferenceResponse(
