@@ -1,7 +1,7 @@
 """Layer 1: corpus construction and ingestion."""
 
 from .embedding import (EmbeddingStore, chunk_and_embed, embed_query,
-                        semantic_search, semantic_searches)
+                        semantic_searches)
 from .ingest import FORMATS, ingest_document
 from .model import (DocumentMetadata, EmbeddingRecord, Section, SourceDocument,
                     SourceScore, VisualAsset)
@@ -10,7 +10,7 @@ from .visuals import describe_visual_asset
 
 __all__ = [
     "EmbeddingStore", "chunk_and_embed", "embed_query",
-    "semantic_search", "semantic_searches", "FORMATS", "ingest_document",
+    "semantic_searches", "FORMATS", "ingest_document",
     "DocumentMetadata", "EmbeddingRecord", "Section", "SourceDocument",
     "SourceScore", "VisualAsset", "score_source", "sells_chains",
     "describe_visual_asset",

@@ -148,7 +148,8 @@ def _embed(router: InferenceRouter, text: str, dim: int, model_tag: str):
 
 def chunk_and_embed(docs: list[SourceDocument], router: InferenceRouter,
                     store: EmbeddingStore) -> list[EmbeddingRecord]:
-    """One record per passage and per described asset of each document.
+    """One record per embedded text (`SourceDocument.embedded_texts`) of
+    each document.
 
     Every document's texts go out as one wave of `embed` calls, whatever the
     number of documents. The records and their vectors are appended to
@@ -156,11 +157,7 @@ def chunk_and_embed(docs: list[SourceDocument], router: InferenceRouter,
     resolves to the later one. Each wave item turns its vector into a
     float64 row, so the wave's results hold no list of floats.
     """
-    owners_texts: list[tuple[str, str]] = []
-    for doc in docs:
-        owners_texts.extend(doc.passages())
-        owners_texts.extend((a.asset_id, a.description)
-                            for a in doc.described_assets())
+    owners_texts = [pair for doc in docs for pair in doc.embedded_texts()]
 
     def embedded(pair: tuple[str, str]) -> tuple[str, str, np.ndarray]:
         response = _embed(router, pair[1], store.dim, store.model_tag)
@@ -182,20 +179,11 @@ def embed_query(router: InferenceRouter, text: str, dim: int,
                       dtype=np.float64)
 
 
-def semantic_search(query: str, k: int, store: EmbeddingStore,
-                    router: InferenceRouter,
-                    owner_filter: set[str] | None = None) -> list[tuple[str, float]]:
-    if len(store) == 0:
-        raise EmptyStore("embedding store is empty")
-    vector = embed_query(router, query, store.dim, store.model_tag)
-    return store.search(vector, k, owner_filter=owner_filter)
-
-
 def semantic_searches(queries: list[tuple[str, set[str] | None]], k: int,
                       store: EmbeddingStore, router: InferenceRouter
                       ) -> list[list[tuple[str, float]]]:
-    """`semantic_search` for each `(query, owner_filter)`, with no hits
-    where it would raise `EmptyStore`.
+    """`EmbeddingStore.search` for each `(query, owner_filter)`, with no
+    hits where it would raise `EmptyStore`.
 
     The query embeddings go out as one wave of `router.map`. The searches
     then run on the calling thread, as `EmbeddingStore` requires.

@@ -93,8 +93,11 @@ class SourceDocument:
             parts.extend(text for _, text in section.passages)
         return "\n".join(parts)
 
-    def described_assets(self) -> list[VisualAsset]:
-        return [a for a in self.assets if a.description]
+    def embedded_texts(self) -> list[tuple[str, str]]:
+        """The `(owner, text)` pairs the document embeds and searches: its
+        passages, then the descriptions of its described assets."""
+        return self.passages() + [(a.asset_id, a.description)
+                                  for a in self.assets if a.description]
 
     def find_section(self, *keywords: str) -> Section | None:
         for section in self.sections:

@@ -87,16 +87,11 @@ class RubricAssessment:
 
 # --- related-work discovery -------------------------------------------------
 
-def citation_neighbors(citations: set[tuple[str, str]], doc_id: str,
-                       max_hops: int) -> set[str]:
-    """Docs within `max_hops` undirected citation hops, direct edges included."""
-    return citation_neighbors_of(citations, [doc_id], max_hops)
-
-
-def citation_neighbors_of(citations: set[tuple[str, str]],
-                          doc_ids: Iterable[str], max_hops: int) -> set[str]:
-    """The union of `citation_neighbors` over `doc_ids`: the undirected
-    adjacency is built once, then each document's hops are walked over it."""
+def citation_neighbors(citations: set[tuple[str, str]],
+                       doc_ids: Iterable[str], max_hops: int) -> set[str]:
+    """The docs within `max_hops` undirected citation hops of any of
+    `doc_ids`, direct edges included: the adjacency is built once, then
+    each document's hops are walked over it."""
     adjacency: dict[str, set[str]] = {}
     for a, b in citations:
         adjacency.setdefault(a, set()).add(b)
@@ -124,17 +119,12 @@ def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
     The claims' own sources are excluded. Callers must push every newly
     discovered document through Layers 1-3 before comparing claims.
     """
-    related = citation_neighbors_of(citations,
-                                    {claim.doc_id for claim in claims},
-                                    cfg.discovery_citation_hops)
+    related = citation_neighbors(citations,
+                                 {claim.doc_id for claim in claims},
+                                 cfg.discovery_citation_hops)
 
-    owner_to_doc: dict[str, str] = {}
-    for doc_id in sorted(documents):
-        doc = documents[doc_id]
-        for pid, _ in doc.passages():
-            owner_to_doc[pid] = doc_id
-        for asset in doc.assets:
-            owner_to_doc[asset.asset_id] = doc_id
+    owner_to_doc = {owner: doc_id for doc_id in sorted(documents)
+                    for owner, _ in documents[doc_id].embedded_texts()}
     hits = semantic_searches([(claim.text, None) for claim in claims],
                              cfg.discovery_top_k, store, router)
     related.update(owner_to_doc[owner] for found in hits for owner, _ in found
@@ -229,7 +219,10 @@ class CorpusView:
     def references(self) -> dict[str, set[str]]:
         """Forward-reference adjacency of `citations`, built on first use;
         the view is a snapshot, so its citations do not change after."""
-        return _reference_index(self.citations)
+        refs: dict[str, set[str]] = {}
+        for x, y in self.citations:
+            refs.setdefault(x, set()).add(y)
+        return refs
 
 
 def _author_names(meta: DocumentMetadata) -> set[str]:
@@ -238,14 +231,6 @@ def _author_names(meta: DocumentMetadata) -> set[str]:
 
 def _affiliations(meta: DocumentMetadata) -> set[str]:
     return {aff.strip().lower() for _, aff in meta.authors if aff.strip()}
-
-
-def _reference_index(citations: set[tuple[str, str]]) -> dict[str, set[str]]:
-    """Each citing document mapped to the documents it cites."""
-    refs: dict[str, set[str]] = {}
-    for x, y in citations:
-        refs.setdefault(x, set()).add(y)
-    return refs
 
 
 def _reference_closure(refs: dict[str, set[str]], start: str,
@@ -264,21 +249,16 @@ def _reference_closure(refs: dict[str, set[str]], start: str,
     return hops
 
 
-def intermediary_citation_distance(citations: set[tuple[str, str]], a: str,
+def intermediary_citation_distance(refs: dict[str, set[str]], a: str,
                                    b: str) -> int | None:
-    """Bibliographic-coupling proximity: how close the two documents'
-    reference lineages come, counted in shared ancestors.
+    """Bibliographic-coupling proximity over a reference index
+    (`CorpusView.references`): how close the two documents' reference
+    lineages come, counted in shared ancestors.
 
     Distance 1 means they cite a common work directly. A rebuttal citing
     the work it evaluates is not shared lineage, so paths through the pair
     itself never count (that edge still counts for discovery).
     """
-    return _lineage_distance(_reference_index(citations), a, b)
-
-
-def _lineage_distance(refs: dict[str, set[str]], a: str,
-                      b: str) -> int | None:
-    """`intermediary_citation_distance` over a prebuilt `_reference_index`."""
     if a == b:
         return 0
     closure_a = _reference_closure(refs, a, blocked=b)
@@ -311,7 +291,8 @@ def assess_independence(a: str, b: str, corpus: CorpusView,
     union = authors_a | authors_b
     jaccard = len(authors_a & authors_b) / len(union) if union else 0.0
     shared_affiliation = bool(_affiliations(meta_a) & _affiliations(meta_b))
-    distance = _lineage_distance(corpus.references, first, second)
+    distance = intermediary_citation_distance(corpus.references, first,
+                                              second)
     orgs_a = corpus.doc_orgs.get(first, set())
     orgs_b = corpus.doc_orgs.get(second, set())
     competitor = any(frozenset((x, y)) in corpus.competitor_pairs

@@ -62,11 +62,9 @@ class ConsistencyReport:
 
 
 def evidence_owners(doc: SourceDocument) -> set[str]:
-    """What a claim's evidence search may return: the document's passages
-    and described assets."""
-    owners = {pid for pid, _ in doc.passages()}
-    owners.update(a.asset_id for a in doc.described_assets())
-    return owners
+    """What a claim's evidence search may return: the owners of the
+    document's embedded texts."""
+    return {owner for owner, _ in doc.embedded_texts()}
 
 
 def evidence_candidates(claim: ClaimTriple, doc: SourceDocument,
@@ -74,10 +72,9 @@ def evidence_candidates(claim: ClaimTriple, doc: SourceDocument,
     """Evidence id -> text to NLI-label, in id order: the claim's semantic
     hits among `evidence_owners(doc)` plus its own source passages. Asset
     descriptions participate like passages."""
-    candidates = {owner: _owner_text(owner, doc) for owner, _ in hits}
-    for pid in claim.passage_ids:
-        candidates[pid] = doc.passage_text(pid) or ""
-    return {owner: candidates[owner] for owner in sorted(candidates)}
+    texts = dict(doc.embedded_texts())
+    owners = {owner for owner, _ in hits}.union(claim.passage_ids)
+    return {owner: texts.get(owner, "") for owner in sorted(owners)}
 
 
 def judge_evidence(claim: ClaimTriple, doc_slug: str, evidence_id: str,
@@ -91,16 +88,6 @@ def judge_evidence(claim: ClaimTriple, doc_slug: str, evidence_id: str,
                         nli_label=output["label"],
                         rationale=output.get("rationale", ""),
                         self_evidence=evidence_id in claim.passage_ids)
-
-
-def _owner_text(owner: str, doc: SourceDocument) -> str:
-    text = doc.passage_text(owner)
-    if text is not None:
-        return text
-    for asset in doc.assets:
-        if asset.asset_id == owner:
-            return asset.description or asset.caption
-    return ""
 
 
 def assess_coherence(doc: SourceDocument, claims: list[ClaimTriple],

@@ -4,7 +4,7 @@ Writes are atomic (temp file + rename) so an interrupted run never leaves a
 half-written store file behind; resume relies on that. Records are always
 serialized with sorted keys so two runs over identical inputs produce
 byte-identical files. A record that is already a line of text, such as a
-transcript line that replay served, is written as it is.
+transcript line, is written as it is.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
+from .errors import ClaimcheckError
 from .ids import encode_sorted as dumps_record
 
 
@@ -34,13 +35,20 @@ def write_records(path: Path, records: Iterable[dict[str, Any] | str]) -> None:
 
 
 def read_records(path: Path) -> Iterator[dict[str, Any]]:
+    """The record on each non-blank line of `path`, if it exists. A line
+    that is not JSON is a `ClaimcheckError` naming the file and the line."""
     if not path.exists():
         return
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ClaimcheckError(
+                    f"{path} line {number} is not JSON: {exc}") from exc
+            yield record
 
 
 def read_all(path: Path) -> list[dict[str, Any]]:
@@ -59,5 +67,10 @@ def write_text(path: Path, text: str) -> None:
 
 
 def read_json(path: Path) -> Any:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in `path`. A file that cannot be read or is not JSON
+    is a `ClaimcheckError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ClaimcheckError(f"cannot read JSON file {path}: {exc}") from exc

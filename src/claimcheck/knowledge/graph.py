@@ -43,10 +43,6 @@ class KnowledgeGraph:
     _out: dict[str, list[str]] = field(default_factory=dict)
 
     @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -69,14 +65,6 @@ class KnowledgeGraph:
         return sorted((self.edges[e] for e in self._out.get(entity_id, [])),
                       key=lambda e: e.edge_id)
 
-    def validate(self) -> None:
-        """Full referential-integrity scan; raises on any dangling endpoint."""
-        for edge in self.edges.values():
-            if edge.subject not in self.nodes:
-                raise DanglingEndpoint(f"edge {edge.edge_id} subject missing")
-            if edge.object_is_entity and edge.object not in self.nodes:
-                raise DanglingEndpoint(f"edge {edge.edge_id} object missing")
-
 
 def relation_edge(subject_id: str, predicate: str, object_id: str,
                   object_is_entity: bool = True, source: str = "") -> Edge:
@@ -98,7 +86,6 @@ def build_graph(entities: list[Entity], claims: list[ClaimTriple],
             object_is_entity=claim.object_is_entity, source=claim.doc_id))
     for relation in relations:
         graph.add_edge(relation)
-    graph.validate()
     return graph
 
 

@@ -993,10 +993,15 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
     manifest_path = Path(run_dir) / "manifest.json"
     try:
         manifest = read_json(manifest_path)
-        if manifest.get("schema") != "run-manifest@1":
-            raise CorruptManifest(f"unexpected manifest schema in {manifest_path}")
-    except (OSError, ValueError) as exc:
-        raise CorruptManifest(f"cannot read manifest: {exc}") from exc
+    except ClaimcheckError as exc:
+        raise CorruptManifest(str(exc)) from exc
+    if not isinstance(manifest, dict) \
+            or manifest.get("schema") != "run-manifest@1":
+        raise CorruptManifest(f"unexpected manifest schema in {manifest_path}")
+    for key in ("config", "config_hash", "query", "corpus_dir", "corpus_hash",
+                "provider", "layers"):
+        if key not in manifest:
+            raise CorruptManifest(f"manifest {manifest_path} has no {key!r}")
 
     if cfg is None:
         cfg = PipelineConfig.from_dict(manifest["config"])

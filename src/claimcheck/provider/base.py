@@ -2,10 +2,11 @@
 
 All natural-language judgment flows through `invoke`: it validates the
 response against the per-kind schema, retries with exponential backoff, and
-records every served response so a completed live run doubles as a replay
-fixture for future offline runs. A backend that serves recorded transcript
-lines names the line of each response it served (`served_line`), and the
-transcript writes that line as it is instead of encoding the response again.
+records every served response, as its transcript line, so a completed live
+run doubles as a replay fixture for future offline runs. The router makes
+that line once, as the call returns: `line_of(response)`, or, from a backend
+that serves recorded transcript lines, the line it served (`served_line`),
+written as it is. So a transcript holds text, never a response's output.
 Concurrent calls go through `map`, which runs one wave of them and collates
 results in input order, so pipeline outputs do not depend on worker
 completion order. A live wave runs on the router's one bounded pool; a wave
@@ -25,8 +26,9 @@ from typing import Any, Callable, Iterable, Protocol, TypeVar
 
 from ..config import ProviderConfig
 from ..errors import ClaimcheckError, ProviderFailure, SchemaViolation
+from ..ids import encode_sorted
 from ..records import to_record
-from .schemas import validate_output
+from .schemas import SCHEMA_VERSION, validate_output
 from .tasks import InferenceResponse, InferenceTask
 
 logger = logging.getLogger(__name__)
@@ -48,7 +50,7 @@ class Provider(Protocol):
 
     A backend may also define `served_line(task, provider_tag, sample_index)`:
     the transcript line it served the task from, which the router records in
-    place of the response.
+    place of `line_of(response)`.
 
     A `deterministic` backend answers from memory: its calls are never
     retried, and its waves run inline on the calling thread.
@@ -61,34 +63,37 @@ class Provider(Protocol):
         ...
 
 
+def line_of(response: InferenceResponse) -> str:
+    """The transcript line of `response`: its record, sorted keys and no
+    spaces, with the current `SCHEMA_VERSION`."""
+    return encode_sorted({**to_record(response),
+                          "schema_version": SCHEMA_VERSION})
+
+
 class Transcript:
-    """Collects served responses; flushed in sorted batches by the caller.
+    """Collects the lines of served responses; flushed in sorted batches by
+    the caller.
 
     Appends are serialized; ordering inside a batch is canonical
     (fingerprint, provider_tag, sample_index) so transcript files are
-    reproducible regardless of worker completion order. A response recorded
-    with the line it was served from drains as that line, any other as its
-    record; `write_records` writes both.
+    reproducible regardless of worker completion order.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._pending: list[tuple[tuple[str, str, int],
-                                  InferenceResponse | str]] = []
+        self._pending: list[tuple[tuple[str, str, int], str]] = []
 
-    def record(self, response: InferenceResponse,
-               line: str | None = None) -> None:
+    def record(self, response: InferenceResponse, line: str) -> None:
         key = (response.fingerprint, response.provider_tag,
                response.sample_index)
         with self._lock:
-            self._pending.append((key, response if line is None else line))
+            self._pending.append((key, line))
 
-    def drain(self) -> list[dict[str, Any] | str]:
+    def drain(self) -> list[str]:
         with self._lock:
             batch, self._pending = self._pending, []
         batch.sort(key=itemgetter(0))
-        return [item if type(item) is str else to_record(item)
-                for _, item in batch]
+        return [line for _, line in batch]
 
 
 class InferenceRouter:
@@ -177,7 +182,8 @@ class InferenceRouter:
                     # Looked up on each call: `backend` may be swapped.
                     served = getattr(self.backend, "served_line", None)
                     self.transcript.record(
-                        response, served and served(task, tag, sample_index))
+                        response, served(task, tag, sample_index) if served
+                        else line_of(response))
                 return response
             except ProviderFailure as exc:
                 last_error = exc

@@ -11,17 +11,16 @@ serves share an output. The router writes a served response to the run
 transcript as the line it was served from (`served_line`), so replay encodes
 nothing again.
 
-`write_records` writes every transcript line in one layout, `{"fingerprint":…,
-"kind":…,"output":…,"provider_tag":…,"sample_index":…,"schema_version":…}`
-with no spaces, so the loader reads the key of such a line from its text and
-keeps the text as it is. A line in any other layout, or whose
-`schema_version` is not `SCHEMA_VERSION`, is decoded at load and encoded once
-into the line the router writes for that response: its record, with the
-current `SCHEMA_VERSION`. The output inside a layout line is not looked at,
-so one with unsorted keys or `\\u` escapes is served and written back as it
-is. A line that is not a valid response record, or whose decoded key is not
-the key read off its text, is a `ClaimcheckError` naming the file and the
-line, raised when it is decoded.
+The router makes every transcript line with `line_of`, in one layout,
+`{"fingerprint":…,"kind":…,"output":…,"provider_tag":…,"sample_index":…,
+"schema_version":…}` with no spaces, so the loader reads the key of such a
+line from its text and keeps the text as it is. A line in any other layout,
+or whose `schema_version` is not `SCHEMA_VERSION`, is decoded at load and
+encoded once with `line_of`, as the router would write it. The output inside
+a layout line is not looked at, so one with unsorted keys or `\\u` escapes
+is served and written back as it is. A line that is not a valid response
+record, or whose decoded key is not the key read off its text, is a
+`ClaimcheckError` naming the file and the line, raised when it is decoded.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from pathlib import Path
 from typing import Any, Iterator, NamedTuple
 
 from ..errors import ClaimcheckError, ProviderFailure
-from ..ids import encode_sorted
-from ..records import from_record, to_record
+from ..records import from_record
+from .base import line_of
 from .schemas import SCHEMA_VERSION
 from .tasks import InferenceResponse, InferenceTask
 
@@ -57,14 +56,6 @@ class _Line(NamedTuple):
     file: Path
     number: int
     text: str
-
-    @classmethod
-    def of(cls, response: InferenceResponse, file: Path,
-           number: int) -> "_Line":
-        """The line the router writes for `response`."""
-        record = to_record(response)
-        record["schema_version"] = SCHEMA_VERSION
-        return cls(file, number, encode_sorted(record))
 
     def decode(self) -> InferenceResponse:
         try:
@@ -120,7 +111,8 @@ class ReplayProvider:
                     lines[match[1], match[2], int(match[3])] = line
                 else:
                     response = line.decode()
-                    lines[_key(response)] = _Line.of(response, file, number)
+                    lines[_key(response)] = _Line(file, number,
+                                                  line_of(response))
         return cls(lines)
 
     def __len__(self) -> int:

@@ -17,10 +17,10 @@ Playbook selectors:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
+from ..jsonl import read_json
 from .embedder import embed_text
 from .tasks import InferenceTask, claim_key, pair_key
 
@@ -33,8 +33,7 @@ class ScriptedProvider:
 
     @classmethod
     def from_path(cls, path: Path) -> "ScriptedProvider":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        return cls(read_json(path))
 
     def _section(self, kind: str) -> dict[str, Any]:
         return self.playbook.get(kind, {})

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from .assess import AlphaSignal, HypothesisRow, MaturityAssessment
-from .ids import canonical_json
+from .ids import encode_sorted
 from .records import to_record
 
 
@@ -97,7 +97,7 @@ def narrative_report(report: dict[str, Any]) -> str:
 
 def render_report(report: dict[str, Any], fmt: str = "machine") -> str:
     if fmt == "machine":
-        return canonical_json(report) + "\n"
+        return encode_sorted(report) + "\n"
     if fmt == "narrative":
         return narrative_report(report)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -1,6 +1,6 @@
 """Layer 5: external signal corroboration.
 
-Builds per-entity signal profiles from structured relation records:
+Derives per-entity signals from structured relation records:
 CapEx/OpEx spending classification, conflict-of-interest discovery over the
 knowledge graph, supply-chain dependency mapping, and strategic timelines
 with temporal correlations.
@@ -8,7 +8,7 @@ with temporal correlations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import Any
 
@@ -76,17 +76,6 @@ class StrategicEvent:
     parties: list[str]  # entity_ids
     source: str
     note: str = ""
-
-
-@dataclass
-class SignalProfile:
-    entity_id: str
-    financial: FinancialProfile
-    coi_flags: list[COIFlag] = field(default_factory=list)
-    conflict_web: EntityConflictWeb | None = None
-    dependencies: list[SupplyChainDependency] = field(default_factory=list)
-    timeline: list[StrategicEvent] = field(default_factory=list)
-    correlations: list[dict[str, Any]] = field(default_factory=list)
 
 
 # --- spending classification ---------------------------------------------------
@@ -285,24 +274,3 @@ def build_timeline(events: list[StrategicEvent], window_days: int,
                             f"within {gap} days",
                 })
     return timeline, correlations
-
-
-def compose_signal_profile(entity_id: str, graph: KnowledgeGraph,
-                           financial: FinancialProfile,
-                           coi_flags: list[COIFlag],
-                           conflict_web: EntityConflictWeb | None,
-                           dependencies: list[SupplyChainDependency],
-                           timeline: list[StrategicEvent],
-                           correlations: list[dict[str, Any]]) -> SignalProfile:
-    if entity_id not in graph.nodes:
-        raise UnknownEntity(f"unknown entity {entity_id}")
-    own_events = [e for e in timeline if entity_id in e.parties]
-    own_correlations = [
-        c for c in correlations
-        if entity_id in c["first"]["parties"] + c["second"]["parties"]]
-    return SignalProfile(
-        entity_id=entity_id, financial=financial,
-        coi_flags=[f for f in coi_flags if f.organization == entity_id
-                   or f.author == entity_id],
-        conflict_web=conflict_web, dependencies=dependencies,
-        timeline=own_events, correlations=own_correlations)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -373,6 +374,9 @@ def test_report_empty_matrix_valid():
     assert render_report(payload, "machine").endswith("\n")
     with pytest.raises(ValueError):
         render_report(payload, "pdf")
+    # The machine form prints the stored strings unchanged.
+    stored = {"note": "line one\nline  two", "x": [" pad "]}
+    assert json.loads(render_report(stored, "machine")) == stored
 
 
 def test_golden_report_renders_deterministically(golden):

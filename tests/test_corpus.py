@@ -16,7 +16,7 @@ from claimcheck.corpus import ingest
 from claimcheck.corpus import (DocumentMetadata, EmbeddingRecord,
                                EmbeddingStore, VisualAsset, chunk_and_embed,
                                describe_visual_asset, ingest_document,
-                               score_source, semantic_search, sells_chains)
+                               score_source, semantic_searches, sells_chains)
 from claimcheck.errors import (DimensionMismatch, EmptyInput, EmptyStore,
                                ModelTagMismatch, ProviderFailure,
                                UnsupportedFormat)
@@ -310,6 +310,12 @@ def test_a_second_matrix_build_keeps_the_rows_of_the_first():
     assert looked_up == ["p4", "p5"]
 
 
+def search(query, k, store, router):
+    """The hits of one query over the whole store, as a run searches."""
+    [hits] = semantic_searches([(query, None)], k, store, router)
+    return hits
+
+
 def test_search_self_similarity_ranks_first():
     router = scripted_router()
     texts = ["the quick brown fox", "a slow green turtle",
@@ -318,8 +324,7 @@ def test_search_self_similarity_ranks_first():
     for i, text in enumerate(texts):
         store.add(EmbeddingRecord(f"p{i}", f"fp{i}", "hashed-bow-v1"),
                   tuple(embed_text(text, 256)))
-    hits = semantic_search("quantum runtime advantage evaluation", 3, store,
-                           router)
+    hits = search("quantum runtime advantage evaluation", 3, store, router)
     assert hits[0][0] == "p2"
     assert hits[0][1] == pytest.approx(1.0)
 
@@ -329,7 +334,7 @@ def test_search_k_larger_than_store():
     store = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
     store.add(EmbeddingRecord("p0", "fp0", "hashed-bow-v1"),
               tuple(embed_text("alpha", 256)))
-    assert len(semantic_search("alpha", 10, store, router)) == 1
+    assert len(search("alpha", 10, store, router)) == 1
 
 
 def test_search_ties_broken_by_owner():
@@ -338,30 +343,29 @@ def test_search_ties_broken_by_owner():
     vec = tuple(embed_text("identical text", 256))
     for owner in ("pz", "pa", "pm"):
         store.add(EmbeddingRecord(owner, "fp", "hashed-bow-v1"), vec)
-    hits = semantic_search("identical text", 3, store, router)
+    hits = search("identical text", 3, store, router)
     assert [h[0] for h in hits] == ["pa", "pm", "pz"]
 
 
 def test_search_empty_store():
-    router = scripted_router()
+    store = EmbeddingStore(dim=256, model_tag="hashed-bow-v1")
     with pytest.raises(EmptyStore):
-        semantic_search("anything", 1,
-                        EmbeddingStore(dim=256, model_tag="hashed-bow-v1"),
-                        router)
+        store.search(embed_text("anything", 256), 1)
+    assert search("anything", 1, store, scripted_router()) == []
 
 
 def test_search_deterministic(golden):
     router = scripted_router()
-    first = semantic_search("runtime quantum advantage evaluation", 5,
-                            golden.store, router)
-    second = semantic_search("runtime quantum advantage evaluation", 5,
-                             golden.store, router)
+    first = search("runtime quantum advantage evaluation", 5, golden.store,
+                   router)
+    second = search("runtime quantum advantage evaluation", 5, golden.store,
+                    router)
     assert first == second
 
 
 def test_search_finds_rebuttal_passages(golden):
-    hits = semantic_search("runtime quantum advantage evaluation", 5,
-                           golden.store, scripted_router())
+    hits = search("runtime quantum advantage evaluation", 5, golden.store,
+                  scripted_router())
     rebuttals = {d for d in golden.documents
                  if golden.documents[d].source_type == "rebuttal"}
     owner_docs = set()

@@ -13,16 +13,16 @@ from hypothesis import strategies as st
 from claimcheck.config import (CrossSourceConfig, KnowledgeConfig,
                               PipelineConfig)
 from claimcheck.corpus import (DocumentMetadata, SourceDocument,
-                               ingest_document, semantic_search)
+                               ingest_document, semantic_searches)
 from claimcheck.crosssource import (AgreementRecord, CorpusView,
                                     IndependenceRating, assess_independence,
-                                    citation_neighbors, citation_neighbors_of,
+                                    citation_neighbors,
                                     compute_consensus,
                                     enumerate_rubric_criteria,
                                     evaluate_rubric,
                                     intermediary_citation_distance)
 from claimcheck.crosssource import analyze_contradiction, discover_related
-from claimcheck.errors import (EmptyStore, MissingConsistency, MissingRating,
+from claimcheck.errors import (MissingConsistency, MissingRating,
                                RubricNotEnumerable, SchemaViolation)
 from claimcheck.knowledge.graph import KnowledgeGraph
 from claimcheck.knowledge.model import ProvenanceLevel
@@ -224,10 +224,11 @@ def test_independence_symmetric_fuzz():
 
 def test_citation_helpers():
     citations = {("r1", "s1"), ("s1", "b1"), ("b2", "b1")}
-    assert citation_neighbors(citations, "s1", 1) == {"r1", "b1"}
-    assert citation_neighbors(citations, "s1", 2) == {"r1", "b1", "b2"}
-    assert intermediary_citation_distance(citations, "s1", "b2") == 1
-    assert intermediary_citation_distance(citations, "s1", "r1") is None
+    assert citation_neighbors(citations, ["s1"], 1) == {"r1", "b1"}
+    assert citation_neighbors(citations, ["s1"], 2) == {"r1", "b1", "b2"}
+    refs = CorpusView(metadata={}, citations=citations).references
+    assert intermediary_citation_distance(refs, "s1", "b2") == 1
+    assert intermediary_citation_distance(refs, "s1", "r1") is None
 
 
 def _within_hops(citations, doc_id, max_hops):
@@ -255,8 +256,8 @@ _DOCS = ["a", "b", "c", "d", "e", "f"]
        st.integers(0, 4))
 def test_citation_neighbors_of_is_the_union_of_per_document_walks(
         citations, doc_ids, max_hops):
-    union = citation_neighbors_of(citations, doc_ids, max_hops)
-    per_doc = [citation_neighbors(citations, d, max_hops) for d in doc_ids]
+    union = citation_neighbors(citations, doc_ids, max_hops)
+    per_doc = [citation_neighbors(citations, [d], max_hops) for d in doc_ids]
     assert union == set().union(*per_doc)
     assert per_doc == [_within_hops(citations, d, max_hops) for d in doc_ids]
 
@@ -409,12 +410,10 @@ def _discover_one(claim, graph, store, router, citations, documents,
                   owner_to_doc, cfg):
     """Discovery for a single claim, written out as it stood before
     discovery took all focus claims at once: the reference for the batch."""
-    related = citation_neighbors(citations, claim.doc_id,
+    related = citation_neighbors(citations, [claim.doc_id],
                                  cfg.discovery_citation_hops)
-    try:
-        hits = semantic_search(claim.text, cfg.discovery_top_k, store, router)
-    except EmptyStore:
-        hits = []
+    [hits] = semantic_searches([(claim.text, None)], cfg.discovery_top_k,
+                               store, router)
     for owner, _ in hits:
         doc_id = owner_to_doc.get(owner)
         if doc_id:

@@ -385,13 +385,13 @@ def test_build_graph_counts():
     graph = build_graph([ent("a"), ent("b"), ent("c")],
                         [claim_edge("clm-1", "a", "b")],
                         [relation_edge("ent-b", "feeds", "ent-c")])
-    assert graph.node_count == 3
+    assert len(graph.nodes) == 3
     assert graph.edge_count == 2
 
 
 def test_build_graph_empty_is_valid():
     graph = build_graph([], [], [])
-    assert graph.node_count == 0 and graph.edge_count == 0
+    assert len(graph.nodes) == 0 and graph.edge_count == 0
 
 
 def test_build_graph_duplicate_edge():
@@ -493,4 +493,7 @@ def test_find_paths_deterministic_order():
 
 
 def test_golden_graph_referential_integrity(golden):
-    golden.graph().validate()
+    graph = golden.graph()
+    for edge in graph.edges.values():
+        assert edge.subject in graph.nodes
+        assert not edge.object_is_entity or edge.object in graph.nodes

@@ -556,6 +556,9 @@ def test_resume_corrupt_manifest(tmp_path):
                                                   encoding="utf-8")
     with pytest.raises(CorruptManifest):
         resume(tmp_path / "a")
+    (tmp_path / "a" / "manifest.json").write_text("[]", encoding="utf-8")
+    with pytest.raises(CorruptManifest, match="unexpected manifest schema"):
+        resume(tmp_path / "a")
 
 
 def test_run_id_stable_across_out_dirs(tmp_path):
@@ -771,7 +774,8 @@ def test_config_from_dict_overrides_only_the_given_keys():
         PipelineConfig()
 
 
-@pytest.mark.parametrize("text", ['{"document_budgett": 1}', '{"corpus": 5}',
+@pytest.mark.parametrize("text", ['{not json',
+                                  '{"document_budgett": 1}', '{"corpus": 5}',
                                   '{"assess": {"n_samples": 0}}',
                                   '{"assess": {"hypothesis_models": []}}',
                                   '{"corpus": {"quality_prior": "high"}}',
@@ -801,6 +805,60 @@ def test_cli_run_with_bad_config_exits_2(tmp_path, capsys, text):
     assert code == 2
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, text", [
+    pytest.param("--config", None, id="missing-config"),
+    pytest.param("--playbook", None, id="missing-playbook"),
+    pytest.param("--playbook", "{not json", id="playbook-not-json")])
+def test_cli_run_with_an_unreadable_json_file_exits_2_naming_it(
+        tmp_path, capsys, flag, text):
+    path = tmp_path / "given.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    files = {"--playbook": PLAYBOOK, flag: path}
+    code = cli("run", "--query", GOLDEN_QUERY, "--corpus-dir", CORPUS_DIR,
+               "--out", tmp_path / "run", "--provider", "scripted",
+               *(arg for item in files.items() for arg in item))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read JSON file {path}: ")
+
+
+def test_cli_report_on_a_run_stopped_before_layer6_exits_2_naming_the_file(
+        tmp_path, capsys):
+    run_golden(tmp_path / "run", stop_after="layer2")
+    code = cli("report", "--run-dir", tmp_path / "run")
+    assert code == 2
+    path = tmp_path / "run" / "report" / "assessment.json"
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read JSON file {path}: ")
+
+
+def test_cli_resume_with_a_damaged_store_line_exits_2_naming_it(tmp_path,
+                                                                capsys):
+    run_golden(tmp_path / "run", stop_after="layer2")
+    path = tmp_path / "run" / "store" / "claims.jsonl"
+    number = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("garbage\n")
+    code = cli("resume", "--run-dir", tmp_path / "run")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path} line {number} is not JSON: ")
+
+
+@pytest.mark.parametrize("key", ["config", "config_hash", "query",
+                                 "corpus_dir", "corpus_hash", "provider",
+                                 "layers"])
+def test_resume_of_a_manifest_without_a_key_names_the_key(tmp_path, key):
+    run_golden(tmp_path / "a", stop_after="layer1")
+    path = tmp_path / "a" / "manifest.json"
+    manifest = read_json(path)
+    del manifest[key]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(CorruptManifest, match=f"has no '{key}'"):
+        resume(tmp_path / "a")
 
 
 def test_cli_verify_cross_with_top_k_0_exits_2(tmp_path, capsys):

@@ -27,6 +27,7 @@ from claimcheck.jsonl import dumps_record, read_json, read_records, write_record
 from claimcheck.provider import (InferenceResponse, InferenceRouter,
                                  InferenceTask, ReplayProvider,
                                  ScriptedProvider, Transcript, replay)
+from claimcheck.provider.base import line_of
 from claimcheck.provider.embedder import embed_text
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
 from claimcheck.provider.spec import ProviderSpec
@@ -200,7 +201,7 @@ def _whole_text_lines(file):
             response = from_record(InferenceResponse, json.loads(text))
             lines[response.fingerprint, response.provider_tag,
                   response.sample_index] = (
-                file, number, replay._Line.of(response, file, number).text)
+                file, number, line_of(response))
     return lines
 
 
@@ -499,8 +500,7 @@ def test_transcript_round_trips_through_replay(tmp_path):
     })
     first = router.invoke(task)
     path = tmp_path / "transcript.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in transcript.drain()),
-                    encoding="utf-8")
+    path.write_text("\n".join(transcript.drain()), encoding="utf-8")
     replay_router = make_router(ReplayProvider.from_path(path))
     assert replay_router.invoke(task).output == first.output
 
@@ -843,15 +843,15 @@ def test_transcript_record_round_trips_through_replay(tmp_path):
         output={"statement": "s", "conclusion": None},
         provider_tag="analyst-b", sample_index=2)
     transcript = Transcript()
-    transcript.record(response)
-    [record] = transcript.drain()
-    assert record == {"fingerprint": task.fingerprint, "kind": "hypothesize",
-                      "output": {"statement": "s", "conclusion": None},
-                      "provider_tag": "analyst-b", "sample_index": 2,
-                      "schema_version": SCHEMA_VERSION}
-    assert from_record(InferenceResponse,
-                       json.loads(dumps_record(record))) == response
-    write_records(tmp_path / "t.jsonl", [record])
+    transcript.record(response, line_of(response))
+    [line] = transcript.drain()
+    record = {"fingerprint": task.fingerprint, "kind": "hypothesize",
+              "output": {"statement": "s", "conclusion": None},
+              "provider_tag": "analyst-b", "sample_index": 2,
+              "schema_version": SCHEMA_VERSION}
+    assert line == dumps_record(record)
+    assert from_record(InferenceResponse, json.loads(line)) == response
+    write_records(tmp_path / "t.jsonl", [line])
     replay = ReplayProvider.from_path(tmp_path / "t.jsonl")
     assert replay.complete(task, "analyst-b", 2) == response.output
 
@@ -946,9 +946,10 @@ def test_a_swapped_in_backend_is_recorded_by_its_own_output(tmp_path):
     output = {"label": "contradicts", "rationale": "live"}
     router.backend = StubProvider(lambda task, tag, index: output)
     router.invoke(_NLI_TASK, "analyst-a")
-    assert router.transcript.drain() == [to_record(InferenceResponse(
-        fingerprint=_NLI_TASK.fingerprint, kind=_NLI_TASK.kind, output=output,
-        provider_tag="analyst-a"))]
+    assert router.transcript.drain() == [dumps_record(to_record(
+        InferenceResponse(fingerprint=_NLI_TASK.fingerprint,
+                          kind=_NLI_TASK.kind, output=output,
+                          provider_tag="analyst-a")))]
 
 
 def test_replay_of_a_replay_run_transcript_is_a_fixed_point(golden, tmp_path):

@@ -13,8 +13,8 @@ from claimcheck.knowledge import build_graph, find_paths, relation_edge
 from claimcheck.knowledge.graph import Edge
 from claimcheck.signals import (FinancialEvent, StrategicEvent,
                                 build_timeline, classify_spending,
-                                compose_signal_profile, detect_coi,
-                                map_conflict_web, map_supply_chain)
+                                detect_coi, map_conflict_web,
+                                map_supply_chain)
 
 from test_knowledge import ent
 
@@ -374,26 +374,9 @@ def test_golden_timeline_correlations(golden):
 
 def test_golden_kipu_signal_profile(golden):
     kipu = golden.registry.get("Kipu Quantum").entity_id
-    profile = compose_signal_profile(
-        kipu, golden.graph(), golden.financial[kipu], golden.coi_flags,
-        next((w for w in golden.conflict_webs if w.entity_id == kipu), None),
-        [c for c in golden.supply_chains if c.dependent == kipu],
-        golden.timeline, golden.correlations)
-    assert profile.financial.dominance == "opex-dominant"
-    assert len(profile.coi_flags) == 1
-    assert len(profile.timeline) >= 3
-    assert profile.correlations
-
-
-def test_compose_profile_empty_parts_valid(golden):
-    graph = golden.graph()
-    entity = golden.registry.get("QUBO")
-    from claimcheck.signals import FinancialProfile
-    profile = compose_signal_profile(
-        entity.entity_id, graph,
-        FinancialProfile(entity_id=entity.entity_id, events=[],
-                         dominance="unknown", summary="none"),
-        [], None, [], [], [])
-    assert profile.coi_flags == []
-    assert profile.timeline == []
-    assert profile.financial.dominance == "unknown"
+    assert golden.financial[kipu].dominance == "opex-dominant"
+    assert len([f for f in golden.coi_flags
+                if kipu in (f.organization, f.author)]) == 1
+    assert len([e for e in golden.timeline if kipu in e.parties]) >= 3
+    assert [c for c in golden.correlations
+            if kipu in c["first"]["parties"] + c["second"]["parties"]]
