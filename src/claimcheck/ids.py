@@ -27,13 +27,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any
 
 # Sorted keys, no spaces, UTF-8 text: the encoding of every value the run
-# hashes and of every record line it writes. `encode` builds no state that
-# outlives a call, so one encoder serves every thread.
-encode_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                 ensure_ascii=False).encode
+# hashes and of every record line it writes. `JSONEncoder.encode` builds a
+# C encoder on every call; this one is built once, with the arguments that
+# `JSONEncoder.iterencode` passes. Without circular-reference markers it
+# keeps no state between calls, so every thread shares it (a circular value
+# then overflows the recursion limit instead of raising ValueError).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=False)
+if c_make_encoder is None:
+    encode_sorted = _ENCODER.encode
+else:
+    _iterencode = c_make_encoder(
+        None, _ENCODER.default, encode_basestring, _ENCODER.indent,
+        _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+        _ENCODER.skipkeys, _ENCODER.allow_nan)
+
+    def encode_sorted(value: Any) -> str:
+        return "".join(_iterencode(value, 0))
 
 
 def normalize_text(value: str) -> str:

@@ -36,19 +36,23 @@ def write_records(path: Path, records: Iterable[dict[str, Any] | str]) -> None:
 
 def read_records(path: Path) -> Iterator[dict[str, Any]]:
     """The record on each non-blank line of `path`, if it exists. A line
-    that is not JSON is a `ClaimcheckError` naming the file and the line."""
+    that is not JSON is a `ClaimcheckError` naming the file and the line,
+    and a file that is not UTF-8 one naming the file."""
     if not path.exists():
         return
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ClaimcheckError(
-                    f"{path} line {number} is not JSON: {exc}") from exc
-            yield record
+        try:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise ClaimcheckError(
+                        f"{path} line {number} is not JSON: {exc}") from exc
+                yield record
+        except UnicodeDecodeError as exc:
+            raise ClaimcheckError(f"{path} is not UTF-8: {exc}") from exc
 
 
 def read_all(path: Path) -> list[dict[str, Any]]:

@@ -10,7 +10,12 @@ Every store file is declared once, in `STORE`, with the type of its table
 (list or dict): `Run.__init__` builds each table empty, one loop in
 `_persist` (run by `_flush_layer`) writes a layer's files and one loop in
 `resume` reloads them all, through the dataclass codec of `records.py`, so a
-finished run loads whole. Adding a store file means adding one entry.
+finished run loads whole. Adding a store file means adding one entry. What
+the store does not hold is rebuilt only when a layer reads it: the corpus
+relations are parsed from the corpus bytes at their first read, and the
+embedding vectors are looked up in the layer-1 transcript at the first
+search, so a resume that runs only layer 6 parses no corpus file and opens
+no transcript file.
 
 Layers 1–4 and 6 send their provider calls in dependency waves. Each step
 collects the calls it is certain to need, sends them as one wave of
@@ -156,7 +161,11 @@ _REWRITES = {"layer4": ("layer2", "layer3", "layer4")}
 
 
 class Run:
-    """One verification run rooted at a run directory."""
+    """One verification run rooted at a run directory.
+
+    Construction reads and hashes the corpus; the layers build the rest.
+    `relations` and `relation_edges` are computed at their first read, and
+    the knowledge graph is built by the layers that walk it (4 and 5)."""
 
     def __init__(self, run_dir: Path, corpus_dir: Path, query: str,
                  cfg: PipelineConfig, provider_spec: ProviderSpec,
@@ -171,7 +180,6 @@ class Run:
         self.router = build_router(provider_spec, cfg, self.transcript)
 
         self.docs_by_slug: dict[str, SourceDocument] = {}
-        self.relations = RelationSet()
         # Built first: the `embeddings` and `entities` tables are their views.
         self.store = EmbeddingStore(cfg.corpus.embedding_dim,
                                     cfg.corpus.embedding_model_tag,
@@ -188,9 +196,9 @@ class Run:
         self.alphas: list[assess_mod.AlphaSignal] = []
         self.layers_done: dict[str, bool] = {layer: False for layer in LAYERS}
 
-        # The corpus is read once: its bytes give the hash here and the
-        # documents in layer 1, which drops them (as does a resume that
-        # skips layer 1).
+        # The corpus is read once: its bytes give the hash here, and the
+        # documents in layer 1 or the relations at their first read, either
+        # of which drops them.
         self._corpus_files: list[tuple[str, bytes]] | None = \
             read_corpus_dir(self.corpus_dir)
         self.corpus_hash = corpus_fingerprint(self._corpus_files)
@@ -315,6 +323,17 @@ class Run:
         self._flush_layer("layer1")
 
     # --- relation-derived structures -----------------------------------------
+
+    @cached_property
+    def relations(self) -> RelationSet:
+        """The corpus relation rows, parsed at their first read from the
+        bytes that `__init__` hashed; layer 1 sets them as it loads the
+        documents. A resume whose layers read no relation (layer 6 alone)
+        parses no corpus file. Read on the calling thread only, never in a
+        wave item."""
+        _, relations = load_corpus_dir(self._corpus_files)
+        self._corpus_files = None
+        return relations
 
     def _register_relation_entities(self) -> None:
         for row in self.relations.entity_rows():
@@ -860,7 +879,6 @@ class Run:
 
     def layer6(self) -> None:
         self._index_orgs()
-        graph = self.graph()
         rubric_by_claim = {r.claim_id: r.summary for r in self.rubrics}
         for claim_id in sorted(self.consensus):
             claim = self.claims[claim_id]
@@ -1018,9 +1036,6 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
         raise ConfigDrift("corpus changed since the run was started")
     state.layers_done = {layer: bool(manifest["layers"].get(layer))
                          for layer in LAYERS}
-    if state.layers_done["layer1"]:
-        _, state.relations = load_corpus_dir(state._corpus_files)  # as layer 1
-        state._corpus_files = None
     for name in _MANIFEST_LISTS:
         setattr(state, name, list(manifest.get(name, [])))
     for entry in (e for e in STORE if state.layers_done[e.layer]):

@@ -20,6 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
+from ..errors import ClaimcheckError
 from ..jsonl import read_json
 from .embedder import embed_text
 from .tasks import InferenceTask, claim_key, pair_key
@@ -33,7 +34,10 @@ class ScriptedProvider:
 
     @classmethod
     def from_path(cls, path: Path) -> "ScriptedProvider":
-        return cls(read_json(path))
+        playbook = read_json(path)
+        if not isinstance(playbook, dict):
+            raise ClaimcheckError(f"playbook {path} must be a JSON object")
+        return cls(playbook)
 
     def _section(self, kind: str) -> dict[str, Any]:
         return self.playbook.get(kind, {})

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck.ids import canonical_json, normalize_text
+import claimcheck
+from claimcheck.ids import canonical_json, encode_sorted, normalize_text
 
 # --- the reference: the forms these functions replaced -----------------------
 
@@ -90,3 +94,37 @@ def test_canonical_json_matches_the_rebuild_then_dump_form(value):
 ])
 def test_canonical_json_named_cases(value):
     _same(value)
+
+
+# --- the shared encoder ------------------------------------------------------
+
+_REFERENCE = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              ensure_ascii=False).encode
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_encode_sorted_matches_a_new_encoder_per_call(value):
+    assert encode_sorted(value) == _REFERENCE(value)
+
+
+@pytest.mark.parametrize("value", [
+    float("inf"), float("-inf"), float("nan"), -0.0, 1e300, 2**70, True,
+    None, "caf\u00e9 \x00\x1f\u2028", _Str("s"),
+    {"b": [1, (2, {"d": float("nan")})], "a": {"\u00e9": None, "A": False}},
+])
+def test_encode_sorted_named_cases(value):
+    assert encode_sorted(value) == _REFERENCE(value)
+
+
+def test_encode_sorted_without_the_c_encoder_is_the_stdlib_encode():
+    code = ("import json, json.encoder as e; e.c_make_encoder = None; "
+            "from claimcheck import ids; "
+            "assert isinstance(ids.encode_sorted.__self__, json.JSONEncoder); "
+            "print(ids.encode_sorted({'b': [1.5, 'caf\u00e9'], 'a': None}))")
+    src = Path(claimcheck.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         check=True, encoding="utf-8",
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "PYTHONIOENCODING": "utf-8"}).stdout
+    assert out == '{"a":null,"b":[1.5,"café"]}\n'

@@ -389,6 +389,53 @@ def test_resume_after_layer4_reads_no_transcript(tmp_path, monkeypatch):
     assert read == []
 
 
+def test_resume_after_layer5_parses_no_corpus_file(golden, tmp_path,
+                                                   monkeypatch):
+    """Layer 6 reads no relation, so its resume needs no corpus parse."""
+    run_golden(tmp_path / "a", stop_after="layer5")
+
+    def refuse(files):
+        raise AssertionError("load_corpus_dir called")
+
+    monkeypatch.setattr(pipeline, "load_corpus_dir", refuse)
+    state = resume(tmp_path / "a")
+    assert state.layers_done["layer6"]
+    assert dir_digest(tmp_path / "a") == dir_digest(golden.run_dir)
+
+
+@pytest.mark.parametrize("layer", ["layer1", "layer3"])
+def test_resume_parses_the_corpus_once_at_the_first_relation_read(
+        golden, tmp_path, monkeypatch, layer):
+    run_golden(tmp_path / "a", stop_after=layer)
+    counts: dict[str, int] = {}
+    monkeypatch.setattr(pipeline, "load_corpus_dir", counted(
+        counts, "load", pipeline.load_corpus_dir))
+    state = resume(tmp_path / "a")
+    assert counts == {"load": 1}
+    assert state._corpus_files is None
+    assert dir_digest(tmp_path / "a") == dir_digest(golden.run_dir)
+
+
+def test_a_full_run_builds_the_knowledge_graph_in_layers_4_and_5(
+        tmp_path, monkeypatch):
+    layer: list[str] = []
+    built: list[str] = []
+    for name, fn in pipeline.Run._LAYER_FNS.items():
+        def entered(state, name=name, fn=fn):
+            layer[:] = [name]
+            return fn(state)
+        monkeypatch.setitem(pipeline.Run._LAYER_FNS, name, entered)
+    build_graph = pipeline.build_graph
+
+    def recording(*args):
+        built.append(layer[0])
+        return build_graph(*args)
+
+    monkeypatch.setattr(pipeline, "build_graph", recording)
+    run_golden(tmp_path / "run")
+    assert built == ["layer4", "layer5"]
+
+
 def test_golden_resume_after_layer5_decodes_only_the_lines_it_serves(
         tmp_path, monkeypatch):
     run_golden(tmp_path / "a", stop_after="layer5")
@@ -846,6 +893,31 @@ def test_cli_resume_with_a_damaged_store_line_exits_2_naming_it(tmp_path,
     assert code == 2
     assert capsys.readouterr().err.startswith(
         f"error: {path} line {number} is not JSON: ")
+
+
+def test_cli_resume_with_a_store_file_not_utf8_exits_2_naming_it(tmp_path,
+                                                                capsys):
+    run_golden(tmp_path / "run", stop_after="layer2")
+    path = tmp_path / "run" / "store" / "claims.jsonl"
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    code = cli("resume", "--run-dir", tmp_path / "run")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path} is not UTF-8: ")
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"x"'])
+def test_cli_run_with_a_playbook_not_an_object_exits_2_naming_it(
+        tmp_path, capsys, text):
+    path = tmp_path / "playbook.json"
+    path.write_text(text, encoding="utf-8")
+    code = cli("run", "--query", GOLDEN_QUERY, "--corpus-dir", CORPUS_DIR,
+               "--out", tmp_path / "run", "--provider", "scripted",
+               "--playbook", path, "--target-doc", "s1-target")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: playbook {path} must be a JSON object\n"
 
 
 @pytest.mark.parametrize("key", ["config", "config_hash", "query",
