@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class EmbeddingStore:
     matrix, in sorted-owner order, with an owner -> row index and each row's
     norm, all built at the first search after an `add`: once per run, or
     once per resume that searches. Until then a row waits as `add` took it
-    (`add` turns any other sequence into a float64 row); a record added
-    without one, as a resume adds it, gets it from `lookup`. A row or query
+    (`add` turns any other sequence into a float64 row). A row or query
     without `dim` numbers is a `DimensionMismatch` naming it.
 
     Appends go through `add`, which the pipeline serializes per store.
@@ -38,14 +37,11 @@ class EmbeddingStore:
     threads.
     """
 
-    def __init__(self, dim: int, model_tag: str,
-                 lookup: Callable[[list[EmbeddingRecord]],
-                                  list[np.ndarray]] | None = None):
+    def __init__(self, dim: int, model_tag: str):
         self.dim = dim
         self.model_tag = model_tag
-        self.lookup = lookup
         self._records: dict[str, EmbeddingRecord] = {}
-        self._pending: dict[str, np.ndarray | None] = {}  # not in the matrix
+        self._pending: dict[str, np.ndarray] = {}  # not in the matrix yet
         self._owners: list[str] = []
         self._rows: dict[str, int] = {}
         self._matrix = np.zeros((0, dim))
@@ -64,10 +60,8 @@ class EmbeddingStore:
                                     f"store expects {self.dim}")
         return row
 
-    def add(self, record: EmbeddingRecord,
-            vector: Sequence[float] | None = None) -> None:
-        if vector is not None:
-            vector = self._row(vector, f"record {record.owner}")
+    def add(self, record: EmbeddingRecord, vector: Sequence[float]) -> None:
+        vector = self._row(vector, f"record {record.owner}")
         if record.model_tag != self.model_tag:
             raise ModelTagMismatch(
                 f"record {record.owner} tagged {record.model_tag!r}, "
@@ -81,13 +75,6 @@ class EmbeddingStore:
     def _build_matrix(self) -> None:
         """Write every row once into its sorted place in a new matrix: a
         pending row, popped as it is written, or a row of the last matrix."""
-        missing = [self._records[owner]
-                   for owner, vector in self._pending.items() if vector is None]
-        if missing:
-            for record, vector in zip(missing, self.lookup(missing),
-                                      strict=True):
-                self._pending[record.owner] = self._row(
-                    vector, f"record {record.owner}")
         pending, self._pending = self._pending, {}
         owners = sorted(self._records)
         matrix = np.empty((len(owners), self.dim))

@@ -7,15 +7,15 @@ a run at any layer boundary and resuming reproduces the uninterrupted run
 byte-for-byte.
 
 Every store file is declared once, in `STORE`, with the type of its table
-(list or dict): `Run.__init__` builds each table empty, one loop in
-`_persist` (run by `_flush_layer`) writes a layer's files and one loop in
-`resume` reloads them all, through the dataclass codec of `records.py`, so a
-finished run loads whole. Adding a store file means adding one entry. What
-the store does not hold is rebuilt only when a layer reads it: the corpus
-relations are parsed from the corpus bytes at their first read, and the
-embedding vectors are looked up in the layer-1 transcript at the first
-search, so a resume that runs only layer 6 parses no corpus file and opens
-no transcript file.
+(list or dict); one loop in `_persist` (run by `_flush_layer`) writes a
+layer's files, through the dataclass codec of `records.py`. Adding a store
+file means adding one entry. All `Run` state is built at its first read: a
+`STORE` table (`StoreFile.__get__`) holds its file's rows once its layer is
+committed and is empty before, and the views (`docs_by_slug`, `doc_orgs`,
+`registry`, `store`, `relations`, `relation_edges`) are cached properties.
+So a resume that runs only layer 6 parses no corpus file, opens no
+transcript file, and decodes only the store files it reads. Every table and
+view is first read on the calling thread, never inside a wave item.
 
 Layers 1–4 and 6 send their provider calls in dependency waves. Each step
 collects the calls it is certain to need, sends them as one wave of
@@ -65,7 +65,7 @@ from .knowledge.graph import Edge, KnowledgeGraph, build_graph, relation_edge
 from .knowledge.model import ClaimTriple, Entity
 from .provider import Transcript
 from .provider.spec import ProviderSpec, build_router
-from .records import from_record, to_record
+from .records import check_record, check_type, from_record, to_record
 from .report import machine_report, narrative_report
 
 logger = logging.getLogger(__name__)
@@ -85,8 +85,8 @@ _EVENT_PREDICATES = {
 class StoreFile:
     """One store file and the `Run` table it fills, of type `table`.
 
-    A list is written sorted by `key` (as held if None) and reloaded in file
-    order; a dict is written sorted by `key` and reloaded keyed by it, and a
+    A list is written sorted by `key` (as held if None) and read back in file
+    order; a dict is written sorted by `key` and read back keyed by it, and a
     `.json` file holds the whole dict. `record` is the rows' dataclass (None:
     plain JSON rows).
     """
@@ -97,6 +97,26 @@ class StoreFile:
     record: type | None = None
     key: Callable[[Any], Any] | None = None
     table: type = list
+
+    def __get__(self, run: Run | None, owner: type | None = None) -> Any:
+        """The `Run` table, built at its first read (its file's rows once its
+        layer is committed, else empty) and kept in the run's `__dict__`."""
+        if run is None:
+            return self
+        table = self.read(run.store_dir) if run.layers_done[self.layer] \
+            else self.table()
+        setattr(run, self.attr, table)
+        return table
+
+    def read(self, store_dir: Path) -> Any:
+        path = store_dir / self.name
+        if self.name.endswith(".json"):
+            return read_json(path)
+        rows = read_records(path)  # each record is built as its line is read
+        if self.record is not None:
+            rows = (from_record(self.record, row) for row in rows)
+        return {self.key(row): row for row in rows} \
+            if self.table is dict else list(rows)
 
 
 _by = attrgetter
@@ -147,6 +167,7 @@ STORE = (
               lambda p: p.claim.claim_id),
     StoreFile("layer6", "matrix.jsonl", "matrix", assess_mod.HypothesisRow),
 )
+_TABLES = {entry.attr: entry for entry in STORE}
 
 # One call of a wave: (table, key, call). `Run._wave` stores the call's
 # result in the table under the key.
@@ -163,9 +184,9 @@ _REWRITES = {"layer4": ("layer2", "layer3", "layer4")}
 class Run:
     """One verification run rooted at a run directory.
 
-    Construction reads and hashes the corpus; the layers build the rest.
-    `relations` and `relation_edges` are computed at their first read, and
-    the knowledge graph is built by the layers that walk it (4 and 5)."""
+    Construction reads and hashes the corpus; the layers build the rest,
+    each table and view at its first read, and the knowledge graph in the
+    layers that walk it (4 and 5)."""
 
     def __init__(self, run_dir: Path, corpus_dir: Path, query: str,
                  cfg: PipelineConfig, provider_spec: ProviderSpec,
@@ -179,26 +200,15 @@ class Run:
         self.transcript = Transcript()
         self.router = build_router(provider_spec, cfg, self.transcript)
 
-        self.docs_by_slug: dict[str, SourceDocument] = {}
-        # Built first: the `embeddings` and `entities` tables are their views.
-        self.store = EmbeddingStore(cfg.corpus.embedding_dim,
-                                    cfg.corpus.embedding_model_tag,
-                                    lookup=partial(_transcript_vectors,
-                                                   self.run_dir / "transcript"
-                                                   / "layer1.jsonl"))
-        self.registry = EntityRegistry(cfg.knowledge)
-        for entry in STORE:
-            setattr(self, entry.attr, entry.table())
         for name in _MANIFEST_LISTS:
             setattr(self, name, [])
-        self.doc_orgs: dict[str, set[str]] = {}
         self.maturity: assess_mod.MaturityAssessment | None = None
         self.alphas: list[assess_mod.AlphaSignal] = []
         self.layers_done: dict[str, bool] = {layer: False for layer in LAYERS}
 
         # The corpus is read once: its bytes give the hash here, and the
-        # documents in layer 1 or the relations at their first read, either
-        # of which drops them.
+        # documents in layer 1 or the relations at their first read. Either
+        # drops them, as does a resume after layer 5.
         self._corpus_files: list[tuple[str, bytes]] | None = \
             read_corpus_dir(self.corpus_dir)
         self.corpus_hash = corpus_fingerprint(self._corpus_files)
@@ -227,14 +237,12 @@ class Run:
     def doc_by_slug(self, slug: str) -> SourceDocument | None:
         return self.docs_by_slug.get(slug) or self.documents.get(slug)
 
-    def _index(self) -> None:
-        """Rebuild the slug table over documents; run after layer 1 and
-        after a reload. Of documents that share a slug, the lowest doc_id
-        wins, so a resumed run resolves slugs as the fresh run did."""
-        self.docs_by_slug = {}
-        for doc_id in sorted(self.documents):
-            doc = self.documents[doc_id]
-            self.docs_by_slug.setdefault(doc.slug, doc)
+    @cached_property
+    def docs_by_slug(self) -> dict[str, SourceDocument]:
+        """The documents by slug, first read after layer 1; of documents
+        that share a slug, the lowest doc_id wins (it is written last)."""
+        return {doc.slug: doc
+                for _, doc in sorted(self.documents.items(), reverse=True)}
 
     def write_manifest(self) -> None:
         write_json(self.manifest_path, {
@@ -264,33 +272,48 @@ class Run:
                 rows = sorted(rows, key=entry.key)
             write_records(path, map(to_record, rows) if entry.record else rows)
 
-    def _flush_layer(self, layer: str) -> None:
+    def _flush_layer(self, layer: str, done: bool = True) -> None:
+        """Write the layer's store files, its transcript and the manifest;
+        `done=False` keeps the layer to be run again (a budget stop)."""
         self._persist(layer)
-        self.layers_done[layer] = True
+        self.layers_done[layer] = done
         batch = self.transcript.drain()
         write_records(self.run_dir / "transcript" / f"{layer}.jsonl", batch)
         self.write_manifest()
 
-    # --- store views: Run attributes that STORE names but that live elsewhere
+    # --- views built at their first read, as the `STORE` tables are --------
+
+    @cached_property
+    def store(self) -> EmbeddingStore:
+        """The embedding store; once layer 1 is committed, its records come
+        back with their vectors, from the layer-1 transcript."""
+        store = EmbeddingStore(self.cfg.corpus.embedding_dim,
+                               self.cfg.corpus.embedding_model_tag)
+        if self.layers_done["layer1"]:
+            records = _TABLES["embeddings"].read(self.store_dir)
+            for record, vector in zip(records, _transcript_vectors(
+                    self.run_dir / "transcript" / "layer1.jsonl", records)):
+                store.add(record, vector)
+        return store
+
+    @cached_property
+    def registry(self) -> EntityRegistry:
+        """The entity registry; once layer 2 is committed, its entities are
+        registered again in stored order."""
+        registry = EntityRegistry(self.cfg.knowledge)
+        if self.layers_done["layer2"]:
+            for entity in _TABLES["entities"].read(self.store_dir):
+                registry.register(entity.name, entity.kind, entity.aliases,
+                                  entity.first_seen_doc)
+        return registry
 
     @property
     def embeddings(self) -> list[EmbeddingRecord]:
         return self.store.records()
 
-    @embeddings.setter
-    def embeddings(self, records: list[EmbeddingRecord]) -> None:
-        for record in records:
-            self.store.add(record)  # the store looks the vector up
-
     @property
     def entities(self) -> list[Entity]:
         return self.registry.entities()
-
-    @entities.setter
-    def entities(self, entities: list[Entity]) -> None:
-        for entity in entities:
-            self.registry.register(entity.name, entity.kind, entity.aliases,
-                                   entity.first_seen_doc)
 
     # --- layer 1: corpus ------------------------------------------------------
 
@@ -306,7 +329,6 @@ class Run:
                 raise type(exc)(f"corpus file {name}: {exc}") from exc
             self.documents[doc.doc_id] = doc
         del files  # no raw corpus bytes past ingest
-        self._index()
         docs = [self.documents[doc_id] for doc_id in sorted(self.documents)]
         jobs: list[Job] = []
         for doc in docs:
@@ -327,10 +349,9 @@ class Run:
     @cached_property
     def relations(self) -> RelationSet:
         """The corpus relation rows, parsed at their first read from the
-        bytes that `__init__` hashed; layer 1 sets them as it loads the
-        documents. A resume whose layers read no relation (layer 6 alone)
-        parses no corpus file. Read on the calling thread only, never in a
-        wave item."""
+        bytes that `__init__` hashed. Layer 1 sets them as it loads the
+        documents; a resume after layer 5, whose layer 6 reads none, drops
+        the bytes unparsed."""
         _, relations = load_corpus_dir(self._corpus_files)
         self._corpus_files = None
         return relations
@@ -376,16 +397,17 @@ class Run:
         return build_graph(self.registry.entities(), claims,
                            self.relation_edges)
 
-    def _index_orgs(self) -> None:
-        """Fill `doc_orgs`: for each document, the organization entities
-        whose name appears in one of its author affiliations. Run once the
-        registry is final for the layer."""
+    @cached_property
+    def doc_orgs(self) -> dict[str, set[str]]:
+        """For each document, the organization entities named in one of its
+        author affiliations. First read in layer 4 after `_process_queue`;
+        layers 5 and 6 register no entity, so the registry is final then."""
         docs_by_affiliation: dict[str, list[str]] = {}
         for doc_id, doc in self.documents.items():
             for _, affiliation in doc.metadata.authors:
                 docs_by_affiliation.setdefault(affiliation.lower(),
                                                []).append(doc_id)
-        self.doc_orgs = {doc_id: set() for doc_id in self.documents}
+        doc_orgs = {doc_id: set() for doc_id in self.documents}
         for entity in self.registry.entities():
             if entity.kind != "organization":
                 continue
@@ -393,7 +415,8 @@ class Run:
             for affiliation, doc_ids in docs_by_affiliation.items():
                 if name in affiliation:
                     for doc_id in doc_ids:
-                        self.doc_orgs[doc_id].add(entity.entity_id)
+                        doc_orgs[doc_id].add(entity.entity_id)
+        return doc_orgs
 
     def corpus_view(self, citations: set[tuple[str, str]]) -> cross.CorpusView:
         competitor_pairs: set[frozenset[str]] = set()
@@ -552,14 +575,12 @@ class Run:
                              if d not in self.docs_processed])
 
         if self.gaps:
-            self._persist("layer4")
-            self.write_manifest()
+            self._flush_layer("layer4", done=False)
             raise BudgetExceeded(
                 f"document budget {self.cfg.document_budget} exceeded; "
                 f"{len(self.gaps)} documents left unprocessed",
                 queued=sorted(self.gaps))
 
-        self._index_orgs()
         self._compare_claims(focus_claims, self.corpus_view(citations))
         self._evaluate_rubrics()
         self._flush_layer("layer4")
@@ -793,7 +814,6 @@ class Run:
         return events
 
     def layer5(self) -> None:
-        self._index_orgs()
         graph = self.graph()
         financial_events = sig.financial_events(self.relations.rows,
                                                 self.registry)
@@ -878,7 +898,6 @@ class Run:
         return False
 
     def layer6(self) -> None:
-        self._index_orgs()
         rubric_by_claim = {r.claim_id: r.summary for r in self.rubrics}
         for claim_id in sorted(self.consensus):
             claim = self.claims[claim_id]
@@ -967,13 +986,18 @@ class Run:
         return self.run_dir
 
 
+for _entry in STORE:  # each table that no view holds is a `Run` attribute
+    if _entry.attr not in vars(Run):
+        setattr(Run, _entry.attr, _entry)
+
+
 def _transcript_vectors(path: Path, records: list[EmbeddingRecord]
                         ) -> list[np.ndarray]:
     """The vectors of reloaded embedding records, as float64 rows: the
     outputs of their `embed` calls in the layer-1 transcript at `path`. The
-    store asks at its first search, so a resume that runs only layers 5 and
-    6 never reads it. The file is read line by line, and only the vectors of
-    `records` are kept, each converted as its line is read."""
+    store view reads it as it is built, so a resume that runs only layers 5
+    and 6 never reads it. The file is read line by line, and only the
+    vectors of `records` are kept, each converted as its line is read."""
     vectors: dict[str, np.ndarray | None] = dict.fromkeys(
         record.fingerprint for record in records)
     for row in read_records(path):
@@ -1005,8 +1029,9 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
            stop_after: str | None = None) -> Run:
     """Continue a run from its first incomplete layer.
 
-    Completed layers are never recomputed; their outputs are reloaded from
-    the store. The config snapshot must match the current config.
+    Completed layers are never recomputed: the remaining layers read their
+    outputs from the store, each table at its first read. The config
+    snapshot must match the current config.
     """
     manifest_path = Path(run_dir) / "manifest.json"
     try:
@@ -1020,6 +1045,14 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
                 "provider", "layers"):
         if key not in manifest:
             raise CorruptManifest(f"manifest {manifest_path} has no {key!r}")
+    try:
+        check_record(ProviderSpec, manifest["provider"], "manifest",
+                     "provider.")
+        check_type(dict[str, bool], manifest["layers"], "manifest", "layers")
+        for name in _MANIFEST_LISTS:
+            check_type(list[str], manifest.get(name, []), "manifest", name)
+    except ClaimcheckError as exc:
+        raise CorruptManifest(f"{exc} in {manifest_path}") from exc
 
     if cfg is None:
         cfg = PipelineConfig.from_dict(manifest["config"])
@@ -1038,16 +1071,7 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
                          for layer in LAYERS}
     for name in _MANIFEST_LISTS:
         setattr(state, name, list(manifest.get(name, [])))
-    for entry in (e for e in STORE if state.layers_done[e.layer]):
-        path = state.store_dir / entry.name
-        if entry.name.endswith(".json"):
-            setattr(state, entry.attr, read_json(path))
-            continue
-        rows = read_records(path)  # each record is built as its line is read
-        if entry.record is not None:
-            rows = (from_record(entry.record, row) for row in rows)
-        setattr(state, entry.attr, {entry.key(row): row for row in rows}
-                if entry.table is dict else list(rows))
-    state._index()
+    if state.layers_done["layer5"]:
+        state._corpus_files = None  # layer 6 reads no relation
     state.execute(stop_after=stop_after)
     return state

@@ -11,8 +11,9 @@ A class whose stored form is not just its fields defines `to_record(self)`
 and the classmethod `from_record(cls, data)`, which the codec calls instead;
 they can use `encode_fields`/`decode_fields` for the plain-field part.
 
-`from_record` trusts the JSON types of its input: `check_record` checks input
-from outside the program (a config file, a metadata sidecar) first.
+`from_record` trusts the JSON types of its input: `check_record` and
+`check_type` check input from outside the program (a config file, a metadata
+sidecar, a run manifest) first.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def check_record(cls: type, data: Any, what: str, prefix: str = "") -> None:
         if dataclasses.is_dataclass(hints[key]):
             check_record(hints[key], value, what, f"{prefix}{key}.")
         else:
-            _check_type(hints[key], value, what, f"{prefix}{key}")
+            check_type(hints[key], value, what, f"{prefix}{key}")
 
 
 @functools.cache
@@ -150,7 +151,7 @@ def _shape(hint: Any) -> tuple[Any, tuple[Any, ...]]:
     return typing.get_origin(hint) or hint, typing.get_args(hint)
 
 
-def _check_type(hint: Any, value: Any, what: str, key: str) -> None:
+def check_type(hint: Any, value: Any, what: str, key: str) -> None:
     """`value` must have the JSON type of `hint` (an integer passes as a
     number, and null as `X | None`), and so must each member of a list,
     fixed-length tuple or dict."""
@@ -158,7 +159,7 @@ def _check_type(hint: Any, value: Any, what: str, key: str) -> None:
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is not None:
             (arm,) = set(args) - {type(None)}
-            _check_type(arm, value, what, key)
+            check_type(arm, value, what, key)
         return
     want = _JSON_TYPES[origin]
     got = _JSON_TYPES.get(type(value), "null")
@@ -166,11 +167,11 @@ def _check_type(hint: Any, value: Any, what: str, key: str) -> None:
         raise ClaimcheckError(f"{what} {key} must be a JSON {want}, not {got}")
     if origin is dict:
         for name, item in value.items():
-            _check_type(args[1], item, what, f"{key}.{name}")
+            check_type(args[1], item, what, f"{key}.{name}")
     elif origin is tuple and len(value) != len(args):
         raise ClaimcheckError(f"{what} {key} must be a JSON array of "
                               f"{len(args)} items, not {len(value)}")
     elif origin in (list, tuple):
         for i, item in enumerate(value):
             member = args[i] if origin is tuple else args[0]
-            _check_type(member, item, what, f"{key}[{i}]")
+            check_type(member, item, what, f"{key}[{i}]")

@@ -9,13 +9,17 @@ import json
 import random
 import threading
 import time
+from functools import cached_property
 
 import pytest
 
+from claimcheck import pipeline
+from claimcheck.pipeline import LAYERS, STORE, Run, StoreFile, resume
 from claimcheck.provider import LiveProvider
+from claimcheck.provider.spec import build_router
 
 from conftest import (TranscriptBackend, dir_digest, golden_state,
-                      live_golden_state)
+                      live_golden_state, run_golden)
 from test_golden_digest import DIGESTS, PINNED_DIRS
 
 # Task kinds that layers 1-4 and 6 send only in waves of `router.map`.
@@ -114,3 +118,62 @@ def test_replay_waves_run_on_the_calling_thread(tmp_path, started_threads):
     assert len(recorder.calls) == 1283
     caller = threading.get_ident()
     assert {thread for _, thread in recorder.calls} == {caller}
+
+
+# The views of `Run` that are built at their first read, as the tables are.
+VIEWS = ("docs_by_slug", "doc_orgs", "registry", "store", "relations",
+         "relation_edges")
+
+
+def test_a_live_resume_builds_every_table_and_view_on_the_calling_thread(
+        golden, tmp_path, monkeypatch):
+    """A live golden run resumed from each of layers 1 to 5 in turn: its
+    waves run on the pool, and every table and view it builds is built on
+    the thread that runs the layers."""
+    recorders = []
+
+    def live_router(spec, cfg, transcript):
+        router = build_router(spec, cfg, transcript)
+        router.backend = ThreadRecorder(LiveProvider(TranscriptBackend()))
+        recorders.append(router.backend)
+        return router
+
+    built: list[tuple[str, int]] = []
+    load_table = StoreFile.__get__
+
+    def recording_get(entry, state, owner=None):
+        if state is not None:
+            built.append((entry.attr, threading.get_ident()))
+        return load_table(entry, state, owner)
+
+    monkeypatch.setattr(pipeline, "build_router", live_router)
+    monkeypatch.setattr(StoreFile, "__get__", recording_get)
+    for name in VIEWS:
+        def recording(state, name=name, build=vars(Run)[name].func):
+            built.append((name, threading.get_ident()))
+            return build(state)
+        view = cached_property(recording)
+        view.__set_name__(Run, name)
+        monkeypatch.setattr(Run, name, view)
+
+    run_golden(tmp_path / "run", stop_after="layer1")
+    caller = threading.get_ident()
+    seen = set()
+    for stop in LAYERS[1:]:
+        built.clear()
+        state = resume(tmp_path / "run", stop_after=stop)
+        assert state.layers_done[stop]
+        off_caller = sorted({name for name, thread in built
+                             if thread != caller})
+        assert not off_caller, f"built off the calling thread: {off_caller}"
+        if stop != "layer5":  # layer 5 makes no provider call
+            assert any(thread != caller
+                       for _, thread in recorders[-1].calls), stop
+        seen |= {name for name, _ in built}
+    monkeypatch.undo()
+    # `embeddings` and `entities` are read through `store` and `registry`;
+    # layers 4 to 6 assign three tables whole before any read.
+    assert seen == {entry.attr for entry in STORE} - {
+        "embeddings", "entities", "agreements", "correlations",
+        "matrix"} | set(VIEWS)
+    assert dir_digest(tmp_path / "run") == dir_digest(golden.run_dir)

@@ -264,39 +264,30 @@ def test_search_with_a_query_of_another_dim_names_the_query():
 
 
 def test_looked_up_vector_of_another_dim_names_its_owner():
-    def lookup(records):
-        return [[0.5, 0.5, 0.5, 0.5] if r.owner == "p1" else [1.0, 0.0, 0.0]
-                for r in records]
-
-    store = EmbeddingStore(dim=4, model_tag="m1", lookup=lookup)
-    store.add(EmbeddingRecord("p1", "fp1", "m1"))
-    store.add(EmbeddingRecord("p2", "fp2", "m1"))
+    """A vector looked up in the layer-1 transcript is checked as `add`
+    takes it, and a refused one leaves the store as it was."""
+    store = EmbeddingStore(dim=4, model_tag="m1")
+    store.add(EmbeddingRecord("p1", "fp1", "m1"), [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(DimensionMismatch,
                        match=r"^record p2 has dim 3, store expects 4$"):
-        store.search([1.0, 0.0, 0.0, 0.0], 1)
+        store.add(EmbeddingRecord("p2", "fp2", "m1"), [1.0, 0.0, 0.0])
+    assert "p2" not in store and len(store) == 1
 
 
 def test_a_second_matrix_build_keeps_the_rows_of_the_first():
     """Records added after a search join the rows already built: each
-    earlier row is copied as it was, never looked up again, and an owner
-    added again takes its new vector."""
-    looked_up = []
-
-    def lookup(records):
-        looked_up.extend(r.owner for r in records)
-        return [np.full(3, 9.0) for _ in records]
-
-    store = EmbeddingStore(dim=3, model_tag="m", lookup=lookup)
+    earlier row is copied as it was, and an owner added again takes its new
+    vector."""
+    store = EmbeddingStore(dim=3, model_tag="m")
     store.add(EmbeddingRecord("p2", "fp2", "m"), (0.0, 2.0, 0.0))
-    store.add(EmbeddingRecord("p4", "fp4", "m"))
+    store.add(EmbeddingRecord("p4", "fp4", "m"), np.full(3, 9.0))
     assert store.search([0.0, 1.0, 0.0], 1) == [("p2", 1.0)]
     first = store._matrix.copy()
     store.add(EmbeddingRecord("p1", "fp1", "m"), (1.0, 0.0, 0.0))
     store.add(EmbeddingRecord("p3", "fp3", "m"), (0.0, 0.0, 3.0))
-    store.add(EmbeddingRecord("p5", "fp5", "m"))
+    store.add(EmbeddingRecord("p5", "fp5", "m"), np.full(3, 9.0))
     assert store.search([0.0, 1.0, 0.0], 1) == [("p2", 1.0)]
     assert store._owners == ["p1", "p2", "p3", "p4", "p5"]
-    assert looked_up == ["p4", "p5"]
     assert np.array_equal(store._matrix[[1, 3]], first)
     assert store._matrix.tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
                                       [0.0, 0.0, 3.0], [9.0, 9.0, 9.0],
@@ -307,7 +298,6 @@ def test_a_second_matrix_build_keeps_the_rows_of_the_first():
     store.add(EmbeddingRecord("p2", "fp2b", "m"), (0.0, 0.0, -1.0))
     assert store.search([0.0, 0.0, -1.0], 1) == [("p2", 1.0)]
     assert store._matrix[1].tolist() == [0.0, 0.0, -1.0]
-    assert looked_up == ["p4", "p5"]
 
 
 def search(query, k, store, router):

@@ -44,6 +44,15 @@ def test_normalize_unit_conversion():
     assert normalize_metric("3 min").quantity == pytest.approx(180.0)
 
 
+@pytest.mark.parametrize("text, seconds", [
+    ("500 ns", 5e-7), ("250 us", 2.5e-4), ("250 \u00b5s", 2.5e-4)],
+    ids=["ns", "us", "micro-sign-s"])
+def test_normalize_converts_sub_millisecond_units(text, seconds):
+    metric = normalize_metric(text)
+    assert metric.unit == "s"
+    assert metric.quantity == pytest.approx(seconds, rel=1e-12)
+
+
 def test_normalize_factor_is_extreme_value_tagged():
     metric = normalize_metric("up to a factor of 80")
     assert metric.quantity == pytest.approx(80.0)

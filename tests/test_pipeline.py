@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -26,9 +27,11 @@ from claimcheck.corpus.ingest import ingest_document
 from claimcheck.errors import (BudgetExceeded, ClaimcheckError, ConfigDrift,
                                CorruptManifest, EmptyCorpus, ProviderFailure)
 from claimcheck.jsonl import read_all, read_json, write_records
-from claimcheck.pipeline import (LAYERS, ProviderSpec, load_corpus_dir,
-                                 read_corpus_dir, resume, run)
-from claimcheck.provider import InferenceRouter, ReplayProvider, replay
+from claimcheck.pipeline import (LAYERS, STORE, ProviderSpec,
+                                 load_corpus_dir, read_corpus_dir, resume,
+                                 run)
+from claimcheck.provider import (InferenceRouter, ReplayProvider,
+                                 Transcript, replay)
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, TRANSCRIPT,
                       dir_digest, golden_state, live_golden_state, run_golden,
@@ -90,6 +93,35 @@ def test_resume_after_budget_stop_keeps_the_gaps_once(tmp_path):
     assert again.value.queued == first.value.queued
     manifest = read_json(tmp_path / "run" / "manifest.json")
     assert manifest["gaps"] == first.value.queued
+
+
+def test_a_budget_stop_keeps_the_calls_layer4_paid_for(tmp_path,
+                                                       monkeypatch):
+    cfg = PipelineConfig()
+    cfg.document_budget = 5
+    recorded = []
+    record = Transcript.record
+
+    def recording(transcript, *args):
+        recorded.append(1)
+        record(transcript, *args)
+
+    monkeypatch.setattr(Transcript, "record", recording)
+    with pytest.raises(BudgetExceeded):
+        run_golden(tmp_path / "run", cfg=cfg)
+    transcript = tmp_path / "run" / "transcript"
+    assert sorted(p.name for p in transcript.iterdir()) == [
+        f"layer{i}.jsonl" for i in range(1, 5)]
+    layer4 = (transcript / "layer4.jsonl").read_bytes()
+    assert layer4 and sum(len(read_all(p)) for p in transcript.iterdir()) \
+        == len(recorded)
+    assert not read_json(tmp_path / "run" / "manifest.json")["layers"][
+        "layer4"]
+    recorded.clear()
+    with pytest.raises(BudgetExceeded):  # the admitted documents are kept
+        resume(tmp_path / "run")
+    assert 0 < len(read_all(transcript / "layer4.jsonl")) == len(recorded) \
+        < len(layer4.splitlines())
 
 
 def doc_orgs_by_scan(state, doc_id: str) -> set[str]:
@@ -343,6 +375,8 @@ def test_golden_store_keeps_each_fact_once(golden, tmp_path, monkeypatch):
 
     shutil.copytree(run_dir, tmp_path / "run")
     state = resume(tmp_path / "run")
+    for entry in STORE:  # read first: the registry hashes as it loads
+        getattr(state, entry.attr)
     counts: dict[str, int] = {}
     original = ids.content_hash
     for module in list(sys.modules.values()):
@@ -400,6 +434,40 @@ def test_resume_after_layer5_parses_no_corpus_file(golden, tmp_path,
     monkeypatch.setattr(pipeline, "load_corpus_dir", refuse)
     state = resume(tmp_path / "a")
     assert state.layers_done["layer6"]
+    assert state._corpus_files is None  # dropped unparsed
+    assert dir_digest(tmp_path / "a") == dir_digest(golden.run_dir)
+
+
+# The store files of layers 1 to 5 that layer 6 never reads.
+NOT_READ_BY_LAYER6 = ("embeddings.jsonl", "doc_claims.json",
+                      "doc_entities.json", "evidence_links.jsonl",
+                      "overclaims.jsonl", "agreements.jsonl", "fidelity.jsonl",
+                      "financial.jsonl", "conflict_webs.jsonl",
+                      "supply_chains.jsonl", "correlations.jsonl")
+
+
+def test_resume_after_layer5_opens_only_the_store_files_layer6_reads(
+        golden, tmp_path, monkeypatch):
+    run_golden(tmp_path / "a", stop_after="layer5")
+    store = tmp_path / "a" / "store"
+    read: list[str] = []
+    original = io.open
+
+    def recording(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and \
+                Path(file).parent == store and "r" in mode:
+            read.append(Path(file).name)
+        return original(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording)
+    monkeypatch.setattr(builtins, "open", recording)
+    state = resume(tmp_path / "a")
+    monkeypatch.undo()
+    assert state.layers_done["layer6"]
+    before_layer6 = [e.name for e in STORE if e.layer != "layer6"]
+    assert set(NOT_READ_BY_LAYER6) <= set(before_layer6)
+    assert sorted(read) == sorted(set(before_layer6) -
+                                  set(NOT_READ_BY_LAYER6))
     assert dir_digest(tmp_path / "a") == dir_digest(golden.run_dir)
 
 
@@ -775,6 +843,50 @@ def test_cli_layer_command_checks_a_given_config_against_the_run(tmp_path,
     assert read_json(run_dir / "manifest.json")["layers"]["layer2"] is True
 
 
+def test_cli_layer_command_without_config_flags_continues_the_run_snapshot(
+        tmp_path, capsys):
+    """A per-layer command given no config flag continues a run made with
+    a non-default config with the run's own snapshot."""
+    run_dir = tmp_path / "run"
+    assert cli("ingest", "--corpus-dir", CORPUS_DIR, "--out", run_dir,
+               "--provider", "scripted", "--playbook", PLAYBOOK,
+               "--target-doc", "s1-target", "--budget", "7") == 0
+    snapshot = read_json(run_dir / "manifest.json")["config_hash"]
+    assert snapshot != PipelineConfig().snapshot_hash()
+    assert cli("extract", "--out", run_dir) == 0
+    manifest = read_json(run_dir / "manifest.json")
+    assert manifest["layers"]["layer2"] is True
+    assert manifest["config_hash"] == snapshot
+
+
+@pytest.mark.parametrize("stored", ["as-met", "reversed"])
+def test_self_corrected_through_an_alignment_stored_either_way(stored):
+    """A claimant's reframing event counts when its source document holds
+    a claim aligned with the claim, whichever claim the alignment names
+    first; an alignment that does not name the claim does not count."""
+    ns = SimpleNamespace
+    claims = {"c1": ns(claim_id="c1", doc_id="d1"),
+              "c2": ns(claim_id="c2", doc_id="d2"),
+              "c3": ns(claim_id="c3", doc_id="d3")}
+    docs = {"s2": ns(doc_id="d2"), "s3": ns(doc_id="d3")}
+
+    def corrected(a, b, relation="matched", source="doc:s2"):
+        state = ns(doc_orgs={"d1": {"org-1"}}, claims=claims,
+                   alignments={(a, b): ns(claim_a=a, claim_b=b,
+                                          relation=relation)},
+                   timeline=[ns(kind="reframing", parties=["org-1"],
+                                source=source)],
+                   doc_by_slug=docs.get)
+        return pipeline.Run._self_corrected(state, claims["c1"])
+
+    a, b = ("c1", "c2") if stored == "as-met" else ("c2", "c1")
+    assert corrected(a, b)
+    assert corrected(a, b, relation="partially-overlapping")
+    assert not corrected(a, b, relation="unrelated")
+    assert not corrected(a, b, source="doc:s3")
+    assert not corrected("c3", "c2", source="doc:s3")
+
+
 @pytest.mark.parametrize("data, message", [
     ({"document_budgett": 1}, "unknown config key: document_budgett"),
     ({"corpus": {"quality_priorr": 0.5}},
@@ -930,6 +1042,31 @@ def test_resume_of_a_manifest_without_a_key_names_the_key(tmp_path, key):
     del manifest[key]
     path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(CorruptManifest, match=f"has no '{key}'"):
+        resume(tmp_path / "a")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("layers", [], "manifest layers must be a JSON object, not array"),
+    ("layers", {"layer1": 1},
+     "manifest layers.layer1 must be a JSON boolean, not integer"),
+    ("seeds", 5, "manifest seeds must be a JSON array, not integer"),
+    ("gaps", None, "manifest gaps must be a JSON array, not null"),
+    ("seeds", [5], r"manifest seeds\[0\] must be a JSON string, not integer"),
+    ("provider", {"mode": "replay", "fixtures": 7},
+     "manifest provider.fixtures must be a JSON string, not integer"),
+    ("provider", ["replay"], "manifest provider must be a JSON object"),
+    ("provider", {"mode": "replay", "fixture": "x"},
+     "unknown manifest key: provider.fixture")])
+def test_cli_resume_of_a_manifest_value_of_the_wrong_type_exits_2_naming_it(
+        tmp_path, capsys, key, value, message):
+    run_golden(tmp_path / "a", stop_after="layer3")
+    path = tmp_path / "a" / "manifest.json"
+    path.write_text(json.dumps({**read_json(path), key: value}),
+                    encoding="utf-8")
+    assert cli("resume", "--run-dir", tmp_path / "a") == 2
+    err = capsys.readouterr().err
+    assert re.match(f"error: {message} in ", err) and str(path) in err
+    with pytest.raises(CorruptManifest):
         resume(tmp_path / "a")
 
 

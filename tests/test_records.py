@@ -156,6 +156,8 @@ def test_reload_and_persist_reproduces_every_reloaded_file(golden, tmp_path):
     run_dir = tmp_path / "run"
     shutil.copytree(golden.run_dir, run_dir)
     state = resume(run_dir)
+    for entry in STORE:  # each table is read from its file at its first read
+        getattr(state, entry.attr)
     for entry in STORE:
         (run_dir / "store" / entry.name).unlink()
     for layer in LAYERS:
