@@ -16,8 +16,10 @@ from ..config import KnowledgeConfig
 from ..errors import UnitFamilyMismatch, UnparseableMetric
 from .model import ComparabilityVerdict, MetricValue, OverheadEntry
 
+# "µs" is spelled with the micro sign (U+00B5) or the Greek small letter mu
+# (U+03BC), which NFKC normalization makes of the micro sign.
 _TIME_UNITS = {
-    "ns": 1e-9, "us": 1e-6, "µs": 1e-6, "ms": 1e-3,
+    "ns": 1e-9, "us": 1e-6, "\u00b5s": 1e-6, "\u03bcs": 1e-6, "ms": 1e-3,
     "s": 1.0, "sec": 1.0, "secs": 1.0, "second": 1.0, "seconds": 1.0,
     "min": 60.0, "minute": 60.0, "minutes": 60.0,
     "h": 3600.0, "hr": 3600.0, "hour": 3600.0, "hours": 3600.0,
@@ -28,7 +30,7 @@ _COUNT_UNITS = {"count", "counts", "instances", "qubits", "iterations",
                 "threads", "samples", "sweeps", "variables", "shots"}
 
 _NUM = r"(\d+(?:\.\d+)?(?:e-?\d+)?)"
-_UNIT = r"([a-zµ×]+)"
+_UNIT = r"([a-z\u00b5\u03bc×]+)"
 _RANGE = re.compile(rf"{_NUM}\s*[-–—]\s*{_NUM}\s*{_UNIT}", re.IGNORECASE)
 _FACTOR = re.compile(rf"factor\s+of\s+{_NUM}", re.IGNORECASE)
 _SINGLE = re.compile(rf"{_NUM}\s*{_UNIT}", re.IGNORECASE)

@@ -63,7 +63,7 @@ from .knowledge.extraction import (EntityRegistry, classify_provenance,
                                    extract_docs)
 from .knowledge.graph import Edge, KnowledgeGraph, build_graph, relation_edge
 from .knowledge.model import ClaimTriple, Entity
-from .provider import Transcript
+from .provider import ReplayProvider, Transcript
 from .provider.spec import ProviderSpec, build_router
 from .records import check_record, check_type, from_record, to_record
 from .report import machine_report, narrative_report
@@ -272,13 +272,17 @@ class Run:
                 rows = sorted(rows, key=entry.key)
             write_records(path, map(to_record, rows) if entry.record else rows)
 
-    def _flush_layer(self, layer: str, done: bool = True) -> None:
+    def _flush_layer(self, layer: str, done: bool = True,
+                     merge: bool = False) -> None:
         """Write the layer's store files, its transcript and the manifest;
-        `done=False` keeps the layer to be run again (a budget stop)."""
+        `done=False` keeps the layer to be run again (a budget stop), and
+        `merge` keeps the lines its transcript file holds from such a stop,
+        merged with the new ones by key."""
         self._persist(layer)
         self.layers_done[layer] = done
-        batch = self.transcript.drain()
-        write_records(self.run_dir / "transcript" / f"{layer}.jsonl", batch)
+        path = self.run_dir / "transcript" / f"{layer}.jsonl"
+        earlier = ReplayProvider.from_path(path).lines() if merge else None
+        write_records(path, self.transcript.drain(earlier))
         self.write_manifest()
 
     # --- views built at their first read, as the `STORE` tables are --------
@@ -565,6 +569,7 @@ class Run:
         self.docs_processed += batch
 
     def layer4(self) -> None:
+        stopped = bool(self.gaps)  # an earlier run of layer 4 hit the budget
         citations = self.citation_edges()
         focus_claims = [self.claims[c] for d in sorted(self.seeds)
                         for c in self.doc_claims.get(d, [])]
@@ -575,7 +580,7 @@ class Run:
                              if d not in self.docs_processed])
 
         if self.gaps:
-            self._flush_layer("layer4", done=False)
+            self._flush_layer("layer4", done=False, merge=stopped)
             raise BudgetExceeded(
                 f"document budget {self.cfg.document_budget} exceeded; "
                 f"{len(self.gaps)} documents left unprocessed",

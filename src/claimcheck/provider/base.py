@@ -33,6 +33,9 @@ from .tasks import InferenceResponse, InferenceTask
 
 logger = logging.getLogger(__name__)
 
+# A transcript line's key: (fingerprint, provider_tag, sample_index).
+Key = tuple[str, str, int]
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -81,7 +84,7 @@ class Transcript:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._pending: list[tuple[tuple[str, str, int], str]] = []
+        self._pending: list[tuple[Key, str]] = []
 
     def record(self, response: InferenceResponse, line: str) -> None:
         key = (response.fingerprint, response.provider_tag,
@@ -89,9 +92,14 @@ class Transcript:
         with self._lock:
             self._pending.append((key, line))
 
-    def drain(self) -> list[str]:
+    def drain(self, earlier: dict[Key, str] | None = None) -> list[str]:
+        """The recorded lines, sorted by key. Given the lines of an earlier
+        drain by key, the batch is merged into them, a recorded line taking
+        the place of the earlier one of its key, so no key is kept twice."""
         with self._lock:
             batch, self._pending = self._pending, []
+        if earlier is not None:
+            batch = list({**earlier, **dict(batch)}.items())
         batch.sort(key=itemgetter(0))
         return [line for _, line in batch]
 

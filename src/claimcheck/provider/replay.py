@@ -32,11 +32,9 @@ from typing import Any, Iterator, NamedTuple
 
 from ..errors import ClaimcheckError, ProviderFailure
 from ..records import from_record
-from .base import line_of
+from .base import Key, line_of
 from .schemas import SCHEMA_VERSION
 from .tasks import InferenceResponse, InferenceTask
-
-Key = tuple[str, str, int]
 
 # The transcript line layout. The greedy `.*` takes the whole output: the
 # fixed tail after it holds no quote, so it is the last match in the line.
@@ -117,6 +115,10 @@ class ReplayProvider:
 
     def __len__(self) -> int:
         return len(self._lines)
+
+    def lines(self) -> dict[Key, str]:
+        """Each key's line, as `served_line` gives it."""
+        return {key: line.text for key, line in self._lines.items()}
 
     def complete(self, task: InferenceTask, provider_tag: str,
                  sample_index: int) -> dict[str, Any]:

@@ -45,8 +45,11 @@ def test_normalize_unit_conversion():
 
 
 @pytest.mark.parametrize("text, seconds", [
-    ("500 ns", 5e-7), ("250 us", 2.5e-4), ("250 \u00b5s", 2.5e-4)],
-    ids=["ns", "us", "micro-sign-s"])
+    ("500 ns", 5e-7), ("250 us", 2.5e-4), ("250 \u00b5s", 2.5e-4),
+    ("250 \u03bcs", 2.5e-4), ("1\u20133 \u03bcs", (1e-6, 3e-6)),
+    ("1\u20133 \u00b5s", (1e-6, 3e-6))],
+    ids=["ns", "us", "micro-sign-s", "greek-mu-s", "greek-mu-range",
+         "micro-sign-range"])
 def test_normalize_converts_sub_millisecond_units(text, seconds):
     metric = normalize_metric(text)
     assert metric.unit == "s"

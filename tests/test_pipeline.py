@@ -102,9 +102,9 @@ def test_a_budget_stop_keeps_the_calls_layer4_paid_for(tmp_path,
     recorded = []
     record = Transcript.record
 
-    def recording(transcript, *args):
-        recorded.append(1)
-        record(transcript, *args)
+    def recording(transcript, response, line):
+        recorded.append((response, line))
+        record(transcript, response, line)
 
     monkeypatch.setattr(Transcript, "record", recording)
     with pytest.raises(BudgetExceeded):
@@ -117,11 +117,20 @@ def test_a_budget_stop_keeps_the_calls_layer4_paid_for(tmp_path,
         == len(recorded)
     assert not read_json(tmp_path / "run" / "manifest.json")["layers"][
         "layer4"]
-    recorded.clear()
-    with pytest.raises(BudgetExceeded):  # the admitted documents are kept
-        resume(tmp_path / "run")
-    assert 0 < len(read_all(transcript / "layer4.jsonl")) == len(recorded) \
-        < len(layer4.splitlines())
+    # A resume stops again, since the admitted documents are kept; each
+    # stop keeps the lines of the last, one per key, sorted by key.
+    expected = set(layer4.decode("utf-8").splitlines())
+    for _ in range(2):
+        recorded.clear()
+        with pytest.raises(BudgetExceeded):
+            resume(tmp_path / "run")
+        assert recorded
+        expected |= {line for _, line in recorded}
+        lines = (transcript / "layer4.jsonl").read_text("utf-8").splitlines()
+        keys = [(row["fingerprint"], row["provider_tag"], row["sample_index"])
+                for row in map(json.loads, lines)]
+        assert keys == sorted(set(keys))
+        assert set(lines) == expected
 
 
 def doc_orgs_by_scan(state, doc_id: str) -> set[str]:

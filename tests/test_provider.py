@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -28,7 +29,7 @@ from claimcheck.provider import (InferenceResponse, InferenceRouter,
                                  InferenceTask, ReplayProvider,
                                  ScriptedProvider, Transcript, replay)
 from claimcheck.provider.base import line_of
-from claimcheck.provider.embedder import embed_text
+from claimcheck.provider.embedder import embed_text, tokenize
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
 from claimcheck.provider.spec import ProviderSpec
 from claimcheck.provider.tasks import SCHEMA_VERSION
@@ -520,6 +521,87 @@ def test_embedder_deterministic_and_normalized():
     assert a == b
     norm = sum(x * x for x in a) ** 0.5
     assert abs(norm - 1.0) < 1e-6
+
+
+def _numpy_slot(feature: str, dim: int) -> tuple[int, float]:
+    digest = hashlib.sha256(feature.encode("utf-8")).digest()
+    return (int.from_bytes(digest[:4], "big") % dim,
+            1.0 if digest[4] % 2 == 0 else -1.0)
+
+
+def _numpy_embed_text(text: str, dim: int) -> list[float]:
+    """The NumPy embedder that `embed_text` replaced: the reference."""
+    tokens = tokenize(text)
+    vec = np.zeros(dim, dtype=np.float64)
+    features = list(tokens)
+    features.extend(f"{a}__{b}" for a, b in zip(tokens, tokens[1:]))
+    for feature in features:
+        index, sign = _numpy_slot(feature, dim)
+        vec[index] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return [round(float(x), 9) for x in vec]
+
+
+def _bits(vector: list[float]) -> list[str]:
+    """Each component's exact value, so 0.0 and -0.0 differ."""
+    assert all(type(x) is float for x in vector)
+    return [x.hex() for x in vector]
+
+
+_WORDS = ["qubit", "anneal", "runtime", "x", "2.5", "gpu-a100", "a_b", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(_WORDS)).map(" ".join) | st.text(),
+       dim=st.sampled_from([1, 7, 256]) | st.integers(1, 64))
+def test_embed_text_is_bit_identical_to_the_numpy_embedder(text, dim):
+    assert _bits(embed_text(text, dim)) == _bits(_numpy_embed_text(text, dim))
+
+
+def _cancelling_text(dim: int) -> tuple[str, int]:
+    """Two words and the slot where two of their features' signs cancel."""
+    for i in range(100):
+        for j in range(100):
+            features = [f"w{i}", f"w{j}", f"w{i}__w{j}"]
+            slots = [_numpy_slot(f, dim) for f in features]
+            for index in {index for index, _ in slots}:
+                if sorted(s for k, s in slots if k == index) == [-1.0, 1.0]:
+                    return f"w{i} w{j}", index
+    raise AssertionError("no cancelling pair")
+
+
+@pytest.mark.parametrize("text, dim", [
+    ("", 1), ("", 7), ("", 256), ("...", 256), ("qubit", 1), ("qubit", 7),
+    ("qubit " * 40, 256), ("a b a b a b", 7), ("a b c d", 1),
+])
+def test_embed_text_named_cases(text, dim):
+    vector = embed_text(text, dim)
+    assert len(vector) == dim
+    assert _bits(vector) == _bits(_numpy_embed_text(text, dim))
+    if not tokenize(text):
+        assert _bits(vector) == [(0.0).hex()] * dim
+
+
+@pytest.mark.parametrize("dim", [7, 256])
+def test_embed_text_of_cancelling_signs_keeps_a_positive_zero(dim):
+    text, index = _cancelling_text(dim)
+    vector = embed_text(text, dim)
+    assert vector[index].hex() == (0.0).hex()
+    assert _bits(vector) == _bits(_numpy_embed_text(text, dim))
+
+
+@pytest.mark.parametrize("module", ["claimcheck.provider",
+                                    "claimcheck.provider.tasks"])
+def test_the_provider_package_imports_no_numpy(module):
+    # A fresh interpreter, so nothing this test process imported counts.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}\n"
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 # --- output schema validation against jsonschema.validate as the oracle ------
