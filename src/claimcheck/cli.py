@@ -123,7 +123,11 @@ def main(argv: list[str] | None = None) -> int:
             payload = read_json(args.run_dir / "report" / "assessment.json")
             text = render_report(payload, args.format)
             if args.out:
-                args.out.write_text(text, encoding="utf-8")
+                try:
+                    args.out.write_text(text, encoding="utf-8")
+                except OSError as exc:
+                    raise ClaimcheckError(
+                        f"cannot write {args.out}: {exc}") from exc
                 print(f"report written: {args.out}")
             else:
                 sys.stdout.write(text)

@@ -17,9 +17,8 @@ from .corpus.embedding import EmbeddingStore, semantic_searches
 from .corpus.model import DocumentMetadata, SourceDocument
 from .errors import (MissingConsistency, MissingRating, RubricNotEnumerable,
                      SchemaViolation, UnitFamilyMismatch)
-from .knowledge.graph import KnowledgeGraph
 from .knowledge.metrics import compare_metric_definitions
-from .knowledge.model import ClaimTriple
+from .knowledge.model import ClaimTriple, Entity
 from .provider import InferenceRouter, InferenceTask, claim_key
 
 
@@ -108,13 +107,15 @@ def citation_neighbors(citations: set[tuple[str, str]],
     return related
 
 
-def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
+def discover_related(claims: list[ClaimTriple], entities: dict[str, Entity],
                      store: EmbeddingStore, router: InferenceRouter,
                      citations: set[tuple[str, str]],
                      documents: dict[str, SourceDocument],
                      cfg: CrossSourceConfig) -> list[str]:
     """Union, over the focus claims, of citation-hop, semantic-search and
-    entity-sharing hits. The claims' query embeddings go out as one wave.
+    entity-sharing hits. An entity-sharing hit names a claim endpoint that
+    is one of `entities` (the registry's, by id) or one of its aliases.
+    The claims' query embeddings go out as one wave.
 
     The claims' own sources are excluded. Callers must push every newly
     discovered document through Layers 1-3 before comparing claims.
@@ -132,8 +133,8 @@ def discover_related(claims: list[ClaimTriple], graph: KnowledgeGraph,
 
     names: set[str] = set()
     for entity_id in set().union(*(claim.endpoints for claim in claims)):
-        if entity_id in graph.nodes:
-            entity = graph.nodes[entity_id]
+        if entity_id in entities:
+            entity = entities[entity_id]
             names.add(entity.name.lower())
             names.update(a.lower() for a in entity.aliases)
     for doc_id, doc in documents.items():

@@ -21,11 +21,16 @@ from .ids import encode_sorted as dumps_record
 
 @contextmanager
 def _atomic(path: Path) -> Iterator[TextIO]:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """A file to write `path` through. A directory or file that cannot be
+    made is a `ClaimcheckError` naming the path."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ClaimcheckError(f"cannot write {path}: {exc}") from exc
 
 
 def write_records(path: Path, records: Iterable[dict[str, Any] | str]) -> None:

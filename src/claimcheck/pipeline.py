@@ -35,7 +35,7 @@ directory does not depend on it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
@@ -63,9 +63,8 @@ from .knowledge.extraction import (EntityRegistry, classify_provenance,
                                    extract_docs)
 from .knowledge.graph import Edge, KnowledgeGraph, build_graph, relation_edge
 from .knowledge.model import ClaimTriple, Entity
-from .provider import ReplayProvider, Transcript
 from .provider.spec import ProviderSpec, build_router
-from .records import check_record, check_type, from_record, to_record
+from .records import check_record, from_record, to_record
 from .report import machine_report, narrative_report
 
 logger = logging.getLogger(__name__)
@@ -176,6 +175,28 @@ Job = tuple[dict | list, Any, Callable[[], Any]]
 # Run state kept in the manifest rather than the store.
 _MANIFEST_LISTS = ("seeds", "docs_processed", "gaps", "citation_gaps")
 
+
+@dataclass
+class RunManifest:
+    """`manifest.json`: what `resume` needs to rebuild the run, the layers
+    it has committed, and the run state of `_MANIFEST_LISTS`. A field
+    without a default is one that `resume` requires."""
+
+    run_id: str
+    query: str
+    corpus_dir: str
+    corpus_hash: str
+    config_hash: str
+    config: dict[str, Any]
+    provider: ProviderSpec
+    layers: dict[str, bool]
+    schema: str = "run-manifest@1"
+    target_doc: str | None = None
+    seeds: list[str] = field(default_factory=list)
+    docs_processed: list[str] = field(default_factory=list)
+    gaps: list[str] = field(default_factory=list)
+    citation_gaps: list[str] = field(default_factory=list)
+
 # Layer 4 extracts and verifies the documents it discovers, so it rewrites
 # the knowledge and intradoc stores along with its own.
 _REWRITES = {"layer4": ("layer2", "layer3", "layer4")}
@@ -186,7 +207,7 @@ class Run:
 
     Construction reads and hashes the corpus; the layers build the rest,
     each table and view at its first read, and the knowledge graph in the
-    layers that walk it (4 and 5)."""
+    layer that walks it (5)."""
 
     def __init__(self, run_dir: Path, corpus_dir: Path, query: str,
                  cfg: PipelineConfig, provider_spec: ProviderSpec,
@@ -197,8 +218,7 @@ class Run:
         self.cfg = cfg
         self.provider_spec = provider_spec
         self.target_doc = target_doc
-        self.transcript = Transcript()
-        self.router = build_router(provider_spec, cfg, self.transcript)
+        self.router = build_router(provider_spec, cfg)
 
         for name in _MANIFEST_LISTS:
             setattr(self, name, [])
@@ -212,11 +232,10 @@ class Run:
         self._corpus_files: list[tuple[str, bytes]] | None = \
             read_corpus_dir(self.corpus_dir)
         self.corpus_hash = corpus_fingerprint(self._corpus_files)
-        # The config and provider spec are fixed for the run: their manifest
-        # fields are built once, not at each of the run's manifest writes.
+        # The config is fixed for the run: its manifest fields are built
+        # once, not at each of the run's manifest writes.
         self._config = cfg.to_dict()
         self._config_hash = cfg.snapshot_hash()
-        self._provider_record = to_record(provider_spec)
         self.run_id = make_id("run", query, self.corpus_hash,
                               self._config_hash)
 
@@ -245,19 +264,12 @@ class Run:
                 for _, doc in sorted(self.documents.items(), reverse=True)}
 
     def write_manifest(self) -> None:
-        write_json(self.manifest_path, {
-            "schema": "run-manifest@1",
-            "run_id": self.run_id,
-            "query": self.query,
-            "target_doc": self.target_doc,
-            "corpus_dir": str(self.corpus_dir),
-            "corpus_hash": self.corpus_hash,
-            "config_hash": self._config_hash,
-            "config": self._config,
-            "provider": self._provider_record,
-            "layers": self.layers_done,
-            **{name: sorted(getattr(self, name)) for name in _MANIFEST_LISTS},
-        })
+        write_json(self.manifest_path, to_record(RunManifest(
+            run_id=self.run_id, query=self.query, target_doc=self.target_doc,
+            corpus_dir=str(self.corpus_dir), corpus_hash=self.corpus_hash,
+            config_hash=self._config_hash, config=self._config,
+            provider=self.provider_spec, layers=self.layers_done,
+            **{name: sorted(getattr(self, name)) for name in _MANIFEST_LISTS})))
 
     def _persist(self, layer: str) -> None:
         layers = _REWRITES.get(layer, (layer,))
@@ -272,17 +284,13 @@ class Run:
                 rows = sorted(rows, key=entry.key)
             write_records(path, map(to_record, rows) if entry.record else rows)
 
-    def _flush_layer(self, layer: str, done: bool = True,
-                     merge: bool = False) -> None:
+    def _flush_layer(self, layer: str, done: bool = True) -> None:
         """Write the layer's store files, its transcript and the manifest;
-        `done=False` keeps the layer to be run again (a budget stop), and
-        `merge` keeps the lines its transcript file holds from such a stop,
-        merged with the new ones by key."""
+        `done=False` leaves the layer uncommitted (a budget stop)."""
         self._persist(layer)
         self.layers_done[layer] = done
-        path = self.run_dir / "transcript" / f"{layer}.jsonl"
-        earlier = ReplayProvider.from_path(path).lines() if merge else None
-        write_records(path, self.transcript.drain(earlier))
+        write_records(self.run_dir / "transcript" / f"{layer}.jsonl",
+                      self.router.drain())
         self.write_manifest()
 
     # --- views built at their first read, as the `STORE` tables are --------
@@ -404,8 +412,9 @@ class Run:
     @cached_property
     def doc_orgs(self) -> dict[str, set[str]]:
         """For each document, the organization entities named in one of its
-        author affiliations. First read in layer 4 after `_process_queue`;
-        layers 5 and 6 register no entity, so the registry is final then."""
+        author affiliations. First read in layer 4 after the discovered
+        documents are extracted; layers 5 and 6 register no entity, so the
+        registry is final then."""
         docs_by_affiliation: dict[str, list[str]] = {}
         for doc_id, doc in self.documents.items():
             for _, affiliation in doc.metadata.authors:
@@ -558,37 +567,42 @@ class Run:
 
     # --- layer 4: cross-source -------------------------------------------------
 
-    def _process_queue(self, queue: list[str]) -> None:
-        """Extract, then verify, the queued documents that the budget admits
-        as one batch, in queue order; the rest become gaps."""
-        room = max(0, self.cfg.document_budget - len(self.docs_processed))
-        batch = queue[:room]
-        self.gaps = queue[room:]
-        self._extract_docs(batch)
-        self._verify_docs(batch)
-        self.docs_processed += batch
-
     def layer4(self) -> None:
-        stopped = bool(self.gaps)  # an earlier run of layer 4 hit the budget
+        """Discover the documents related to the seeds' claims, extract and
+        verify those the budget admits as one batch, in discovery order,
+        then compare claims. Discovered documents that do not fit become
+        gaps, and the layer stops uncommitted with `BudgetExceeded`. The
+        stop is final: the budget is part of the config snapshot, so a
+        resume could admit nothing more, and it raises the same stop before
+        any call or write."""
+        if self.gaps:
+            raise self._budget_exceeded()
         citations = self.citation_edges()
         focus_claims = [self.claims[c] for d in sorted(self.seeds)
                         for c in self.doc_claims.get(d, [])]
         discovered = cross.discover_related(
-            focus_claims, self.graph(), self.store, self.router, citations,
-            self.documents, self.cfg.crosssource)
-        self._process_queue([d for d in discovered
-                             if d not in self.docs_processed])
-
+            focus_claims, {e.entity_id: e for e in self.entities},
+            self.store, self.router, citations, self.documents,
+            self.cfg.crosssource)
+        queue = [d for d in discovered if d not in self.docs_processed]
+        room = max(0, self.cfg.document_budget - len(self.docs_processed))
+        batch, self.gaps = queue[:room], queue[room:]
+        self._extract_docs(batch)
+        self._verify_docs(batch)
+        self.docs_processed += batch
         if self.gaps:
-            self._flush_layer("layer4", done=False, merge=stopped)
-            raise BudgetExceeded(
-                f"document budget {self.cfg.document_budget} exceeded; "
-                f"{len(self.gaps)} documents left unprocessed",
-                queued=sorted(self.gaps))
+            self._flush_layer("layer4", done=False)
+            raise self._budget_exceeded()
 
         self._compare_claims(focus_claims, self.corpus_view(citations))
         self._evaluate_rubrics()
         self._flush_layer("layer4")
+
+    def _budget_exceeded(self) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"document budget {self.cfg.document_budget} exceeded; "
+            f"{len(self.gaps)} documents left unprocessed",
+            queued=sorted(self.gaps))
 
     def _rating_for(self, a: str, b: str,
                     view: cross.CorpusView) -> cross.IndependenceRating:
@@ -980,8 +994,8 @@ class Run:
     }
 
     def execute(self, stop_after: str | None = None) -> Path:
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.write_manifest()
+        if not any(self.layers_done.values()):  # a resume has its manifest
+            self.write_manifest()
         for layer in LAYERS:
             if self.layers_done[layer]:
                 continue
@@ -1040,42 +1054,31 @@ def resume(run_dir: Path, cfg: PipelineConfig | None = None,
     """
     manifest_path = Path(run_dir) / "manifest.json"
     try:
-        manifest = read_json(manifest_path)
+        data = read_json(manifest_path)
     except ClaimcheckError as exc:
         raise CorruptManifest(str(exc)) from exc
-    if not isinstance(manifest, dict) \
-            or manifest.get("schema") != "run-manifest@1":
+    if not isinstance(data, dict) or data.get("schema") != "run-manifest@1":
         raise CorruptManifest(f"unexpected manifest schema in {manifest_path}")
-    for key in ("config", "config_hash", "query", "corpus_dir", "corpus_hash",
-                "provider", "layers"):
-        if key not in manifest:
-            raise CorruptManifest(f"manifest {manifest_path} has no {key!r}")
+    data.pop("queue", None)  # always empty, in the manifests of older runs
     try:
-        check_record(ProviderSpec, manifest["provider"], "manifest",
-                     "provider.")
-        check_type(dict[str, bool], manifest["layers"], "manifest", "layers")
-        for name in _MANIFEST_LISTS:
-            check_type(list[str], manifest.get(name, []), "manifest", name)
+        check_record(RunManifest, data, "manifest")
     except ClaimcheckError as exc:
         raise CorruptManifest(f"{exc} in {manifest_path}") from exc
+    manifest = from_record(RunManifest, data)
 
     if cfg is None:
-        cfg = PipelineConfig.from_dict(manifest["config"])
-    if cfg.snapshot_hash() != manifest["config_hash"]:
+        cfg = PipelineConfig.from_dict(manifest.config)
+    if cfg.snapshot_hash() != manifest.config_hash:
         raise ConfigDrift(
             "config differs from the run snapshot; refusing to resume")
-    if provider_spec is None:
-        provider_spec = from_record(ProviderSpec, manifest["provider"])
-
-    state = Run(Path(run_dir), Path(manifest["corpus_dir"]),
-                manifest["query"], cfg, provider_spec,
-                manifest.get("target_doc"))
-    if state.corpus_hash != manifest["corpus_hash"]:
+    state = Run(Path(run_dir), Path(manifest.corpus_dir), manifest.query, cfg,
+                provider_spec or manifest.provider, manifest.target_doc)
+    if state.corpus_hash != manifest.corpus_hash:
         raise ConfigDrift("corpus changed since the run was started")
-    state.layers_done = {layer: bool(manifest["layers"].get(layer))
+    state.layers_done = {layer: manifest.layers.get(layer, False)
                          for layer in LAYERS}
     for name in _MANIFEST_LISTS:
-        setattr(state, name, list(manifest.get(name, [])))
+        setattr(state, name, getattr(manifest, name))
     if state.layers_done["layer5"]:
         state._corpus_files = None  # layer 6 reads no relation
     state.execute(stop_after=stop_after)

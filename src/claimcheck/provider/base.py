@@ -6,7 +6,8 @@ records every served response, as its transcript line, so a completed live
 run doubles as a replay fixture for future offline runs. The router makes
 that line once, as the call returns: `line_of(response)`, or, from a backend
 that serves recorded transcript lines, the line it served (`served_line`),
-written as it is. So a transcript holds text, never a response's output.
+written as it is. The router keeps those lines, as text, never a
+response's output, until `drain` hands them over sorted by key.
 Concurrent calls go through `map`, which runs one wave of them and collates
 results in input order, so pipeline outputs do not depend on worker
 completion order. A live wave runs on the router's one bounded pool; a wave
@@ -73,40 +74,10 @@ def line_of(response: InferenceResponse) -> str:
                           "schema_version": SCHEMA_VERSION})
 
 
-class Transcript:
-    """Collects the lines of served responses; flushed in sorted batches by
-    the caller.
-
-    Appends are serialized; ordering inside a batch is canonical
-    (fingerprint, provider_tag, sample_index) so transcript files are
-    reproducible regardless of worker completion order.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pending: list[tuple[Key, str]] = []
-
-    def record(self, response: InferenceResponse, line: str) -> None:
-        key = (response.fingerprint, response.provider_tag,
-               response.sample_index)
-        with self._lock:
-            self._pending.append((key, line))
-
-    def drain(self, earlier: dict[Key, str] | None = None) -> list[str]:
-        """The recorded lines, sorted by key. Given the lines of an earlier
-        drain by key, the batch is merged into them, a recorded line taking
-        the place of the earlier one of its key, so no key is kept twice."""
-        with self._lock:
-            batch, self._pending = self._pending, []
-        if earlier is not None:
-            batch = list({**earlier, **dict(batch)}.items())
-        batch.sort(key=itemgetter(0))
-        return [line for _, line in batch]
-
-
 class InferenceRouter:
-    """Serves every task from one backend, applies the retry policy, and
-    bounds how many calls of a live wave run at once.
+    """Serves every task from one backend, applies the retry policy, bounds
+    how many calls of a live wave run at once, and keeps the transcript line
+    of each response it serves until `drain` takes them.
 
     The pool serves only waves on a non-deterministic backend. It starts its
     threads on first use, so a replay or scripted run starts none, and ends
@@ -114,11 +85,11 @@ class InferenceRouter:
     """
 
     def __init__(self, backend: Provider, cfg: ProviderConfig, *,
-                 transcript: Transcript | None = None,
                  max_parallelism: int = 4):
         self.backend = backend
         self.cfg = cfg
-        self.transcript = transcript
+        self._lines: list[tuple[Key, str]] = []
+        self._lines_lock = threading.Lock()
         self._workers = max_parallelism
         self._pool = ThreadPoolExecutor(max_workers=max_parallelism,
                                         initializer=_mark_pool_thread)
@@ -174,6 +145,15 @@ class InferenceRouter:
             raise failures[min(failures)]
         return results
 
+    def drain(self) -> list[str]:
+        """The lines of the responses served since the last drain, sorted
+        by key (fingerprint, provider_tag, sample_index), so a transcript
+        file does not depend on the order in which calls finished."""
+        with self._lines_lock:
+            batch, self._lines = self._lines, []
+        batch.sort(key=itemgetter(0))
+        return [line for _, line in batch]
+
     def invoke(self, task: InferenceTask, provider_tag: str | None = None,
                sample_index: int = 0) -> InferenceResponse:
         cfg = self.cfg
@@ -186,12 +166,13 @@ class InferenceRouter:
                 response = InferenceResponse(
                     fingerprint=task.fingerprint, kind=task.kind,
                     output=output, provider_tag=tag, sample_index=sample_index)
-                if self.transcript is not None:
-                    # Looked up on each call: `backend` may be swapped.
-                    served = getattr(self.backend, "served_line", None)
-                    self.transcript.record(
-                        response, served(task, tag, sample_index) if served
-                        else line_of(response))
+                # Looked up on each call: `backend` may be swapped.
+                served = getattr(self.backend, "served_line", None)
+                line = served(task, tag, sample_index) if served \
+                    else line_of(response)
+                with self._lines_lock:
+                    self._lines.append(((task.fingerprint, tag, sample_index),
+                                        line))
                 return response
             except ProviderFailure as exc:
                 last_error = exc

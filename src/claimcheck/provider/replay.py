@@ -116,10 +116,6 @@ class ReplayProvider:
     def __len__(self) -> int:
         return len(self._lines)
 
-    def lines(self) -> dict[Key, str]:
-        """Each key's line, as `served_line` gives it."""
-        return {key: line.text for key, line in self._lines.items()}
-
     def complete(self, task: InferenceTask, provider_tag: str,
                  sample_index: int) -> dict[str, Any]:
         key = (task.fingerprint, provider_tag, sample_index)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from ..config import PipelineConfig
 from ..errors import ClaimcheckError
-from .base import InferenceRouter, Transcript
+from .base import InferenceRouter
 from .live import LiveProvider
 from .replay import ReplayProvider
 from .scripted import ScriptedProvider
@@ -25,8 +25,7 @@ class ProviderSpec:
     backend: str | None = None     # live backend "module:function"
 
 
-def build_router(spec: ProviderSpec, cfg: PipelineConfig,
-                 transcript: Transcript) -> InferenceRouter:
+def build_router(spec: ProviderSpec, cfg: PipelineConfig) -> InferenceRouter:
     if spec.mode == "replay":
         if not spec.fixtures:
             raise ClaimcheckError("replay provider needs --fixtures")
@@ -42,5 +41,5 @@ def build_router(spec: ProviderSpec, cfg: PipelineConfig,
         backend = LiveProvider.from_spec(spec.backend)
     else:
         raise ClaimcheckError(f"unknown provider mode {spec.mode!r}")
-    return InferenceRouter(backend, cfg.provider, transcript=transcript,
+    return InferenceRouter(backend, cfg.provider,
                            max_parallelism=cfg.max_parallelism)

@@ -130,20 +130,22 @@ _JSON_TYPES = {bool: "boolean", int: "integer", float: "number",
 
 def check_record(cls: type, data: Any, what: str, prefix: str = "") -> None:
     """Raise ClaimcheckError unless `data` is a JSON object whose keys are
-    fields of dataclass `cls` and whose values have the JSON types of their
-    fields' annotations. Each message names the input, `what` ("config",
-    say), and the key."""
+    fields of dataclass `cls`, with a key for each field without a default,
+    and whose values have the JSON types of their fields' annotations
+    (`check_type`). Each message names the input, `what` ("config", say),
+    and the key."""
     if not isinstance(data, dict):
         raise ClaimcheckError(
             f"{what} {prefix.rstrip('.') or 'file'} must be a JSON object")
     fields, hints = _plan(cls), _hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name not in data and f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
+            raise ClaimcheckError(f"{what} has no '{prefix}{f.name}'")
     for key, value in data.items():
         if key not in fields:
             raise ClaimcheckError(f"unknown {what} key: {prefix}{key}")
-        if dataclasses.is_dataclass(hints[key]):
-            check_record(hints[key], value, what, f"{prefix}{key}.")
-        else:
-            check_type(hints[key], value, what, f"{prefix}{key}")
+        check_type(hints[key], value, what, f"{prefix}{key}")
 
 
 @functools.cache
@@ -153,9 +155,15 @@ def _shape(hint: Any) -> tuple[Any, tuple[Any, ...]]:
 
 def check_type(hint: Any, value: Any, what: str, key: str) -> None:
     """`value` must have the JSON type of `hint` (an integer passes as a
-    number, and null as `X | None`), and so must each member of a list,
-    fixed-length tuple or dict."""
+    number, null as `X | None`, and anything as `Any`), and so must each
+    member of a list, fixed-length tuple or dict; a dataclass hint's value
+    goes through `check_record`."""
     origin, args = _shape(hint)
+    if origin is Any:
+        return
+    if dataclasses.is_dataclass(origin):
+        check_record(origin, value, what, f"{key}.")
+        return
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is not None:
             (arm,) = set(args) - {type(None)}

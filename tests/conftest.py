@@ -12,8 +12,7 @@ import pytest
 from claimcheck.config import PipelineConfig, ProviderConfig
 from claimcheck.jsonl import read_records
 from claimcheck.pipeline import ProviderSpec, Run, run
-from claimcheck.provider import (InferenceRouter, InferenceTask, LiveProvider,
-                                 Transcript)
+from claimcheck.provider import InferenceRouter, InferenceTask, LiveProvider
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = ROOT / "fixtures" / "corpus"
@@ -37,10 +36,9 @@ class StubProvider:
         return self._fn(task, provider_tag, sample_index)
 
 
-def make_router(backend, transcript: Transcript | None = None,
-                retries: int = 3) -> InferenceRouter:
+def make_router(backend, retries: int = 3) -> InferenceRouter:
     cfg = ProviderConfig(retries=retries, backoff_base=0.0, routing={})
-    return InferenceRouter(backend, cfg, transcript=transcript)
+    return InferenceRouter(backend, cfg)
 
 
 def replay_spec() -> ProviderSpec:

@@ -132,8 +132,8 @@ def test_a_live_resume_builds_every_table_and_view_on_the_calling_thread(
     the thread that runs the layers."""
     recorders = []
 
-    def live_router(spec, cfg, transcript):
-        router = build_router(spec, cfg, transcript)
+    def live_router(spec, cfg):
+        router = build_router(spec, cfg)
         router.backend = ThreadRecorder(LiveProvider(TranscriptBackend()))
         recorders.append(router.backend)
         return router

@@ -20,7 +20,7 @@ from claimcheck.corpus import (DocumentMetadata, EmbeddingRecord,
 from claimcheck.errors import (DimensionMismatch, EmptyInput, EmptyStore,
                                ModelTagMismatch, ProviderFailure,
                                UnsupportedFormat)
-from claimcheck.provider import ReplayProvider, ScriptedProvider, Transcript
+from claimcheck.provider import ReplayProvider, ScriptedProvider
 from claimcheck.provider.embedder import embed_text
 
 from conftest import CORPUS_DIR, PLAYBOOK, make_router, run_golden
@@ -39,9 +39,8 @@ def manifest_bytes(slug="mini", sections=None, assets=None):
     }).encode()
 
 
-def scripted_router(transcript=None):
-    return make_router(ScriptedProvider.from_path(PLAYBOOK),
-                       transcript=transcript)
+def scripted_router():
+    return make_router(ScriptedProvider.from_path(PLAYBOOK))
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -483,8 +482,7 @@ def test_describe_asset_replay_determinism():
                                 "simulated annealing pre-processing, quantum "
                                 "counterdiabatic evolution, and classical "
                                 "post-processing refinement.")
-    transcript = Transcript()
-    router = scripted_router(transcript)
+    router = scripted_router()
     first = describe_visual_asset(asset, "s1-target", router)
     second = describe_visual_asset(asset, "s1-target", router)
     assert first.description == second.description

@@ -24,7 +24,6 @@ from claimcheck.crosssource import (AgreementRecord, CorpusView,
 from claimcheck.crosssource import analyze_contradiction, discover_related
 from claimcheck.errors import (MissingConsistency, MissingRating,
                                RubricNotEnumerable, SchemaViolation)
-from claimcheck.knowledge.graph import KnowledgeGraph
 from claimcheck.knowledge.model import ProvenanceLevel
 from claimcheck.pipeline import Run
 from claimcheck.provider import ReplayProvider, ScriptedProvider
@@ -379,12 +378,17 @@ def test_rubric_response_must_cover_criteria():
 
 # --- discovery (golden) --------------------------------------------------------------------
 
+def entities_by_id(state):
+    """The run's entities by id, as layer 4 passes them to discovery."""
+    return {entity.entity_id: entity for entity in state.entities}
+
+
 def test_golden_discovery_includes_both_direct_rebuttals(golden,
                                                          golden_claims):
     from claimcheck.crosssource import discover_related
     claim = golden_claims["s1-target:BF-DCQO|achieves"]
     related = discover_related(
-        [claim], golden.graph(), golden.store, golden.router,
+        [claim], entities_by_id(golden), golden.store, golden.router,
         golden.citation_edges(), golden.documents, CrossSourceConfig())
     slugs = {golden.slug_of(d) for d in related}
     assert "r1-wallclock-rebuttal" in slugs
@@ -396,7 +400,7 @@ def test_golden_entity_scan_discovers_mention_docs(golden, golden_claims):
     from claimcheck.crosssource import discover_related
     claim = golden_claims["s1-target:BF-DCQO|executed-on"]
     related = discover_related(
-        [claim], golden.graph(), golden.store, golden.router,
+        [claim], entities_by_id(golden), golden.store, golden.router,
         golden.citation_edges(), golden.documents, CrossSourceConfig())
     mention_docs = {
         d for d, doc in golden.documents.items()
@@ -406,7 +410,7 @@ def test_golden_entity_scan_discovers_mention_docs(golden, golden_claims):
 
 # --- discovery over every focus claim at once ------------------------------------------------
 
-def _discover_one(claim, graph, store, router, citations, documents,
+def _discover_one(claim, entities, store, router, citations, documents,
                   owner_to_doc, cfg):
     """Discovery for a single claim, written out as it stood before
     discovery took all focus claims at once: the reference for the batch."""
@@ -421,8 +425,8 @@ def _discover_one(claim, graph, store, router, citations, documents,
     names = set()
     for entity_id in (claim.subject,
                       claim.object if claim.object_is_entity else None):
-        if entity_id and entity_id in graph.nodes:
-            entity = graph.nodes[entity_id]
+        if entity_id and entity_id in entities:
+            entity = entities[entity_id]
             names.add(entity.name.lower())
             names.update(a.lower() for a in entity.aliases)
     for doc_id, doc in documents.items():
@@ -458,8 +462,7 @@ def test_batched_discovery_equals_union_of_per_claim_discovery(
     documents = {d: golden.documents[d] for d in sorted(doc_ids)}
     citations = data.draw(st.sets(st.sampled_from(
         sorted(golden.citation_edges()))))
-    graph = golden.graph() if data.draw(st.booleans()) \
-        else KnowledgeGraph()
+    entities = entities_by_id(golden) if data.draw(st.booleans()) else {}
     owner_to_doc = {}
     for doc_id, doc in documents.items():
         for pid, _ in doc.passages():
@@ -469,10 +472,10 @@ def test_batched_discovery_equals_union_of_per_claim_discovery(
     expected = set()
     for claim in claims:
         expected.update(_discover_one(
-            claim, graph, golden.store, local_embedder, citations,
+            claim, entities, golden.store, local_embedder, citations,
             documents, owner_to_doc, cfg))
     expected -= {claim.doc_id for claim in claims}
-    assert discover_related(claims, graph, golden.store, local_embedder,
+    assert discover_related(claims, entities, golden.store, local_embedder,
                             citations, documents, cfg) == sorted(expected)
 
 
@@ -486,8 +489,8 @@ def test_discovery_reads_each_document_text_once(golden, local_embedder,
         return full_text(doc)
     monkeypatch.setattr(SourceDocument, "full_text", counted)
     claims = [golden.claims[c] for c in sorted(golden.claims)]
-    discover_related(claims, golden.graph(), golden.store, local_embedder,
-                     golden.citation_edges(), golden.documents,
+    discover_related(claims, entities_by_id(golden), golden.store,
+                     local_embedder, golden.citation_edges(), golden.documents,
                      CrossSourceConfig())
     assert len(claims) > 1
     assert set(reads) == set(golden.documents)

@@ -30,8 +30,7 @@ from claimcheck.jsonl import read_all, read_json, write_records
 from claimcheck.pipeline import (LAYERS, STORE, ProviderSpec,
                                  load_corpus_dir, read_corpus_dir, resume,
                                  run)
-from claimcheck.provider import (InferenceRouter, ReplayProvider,
-                                 Transcript, replay)
+from claimcheck.provider import InferenceRouter, ReplayProvider, replay
 
 from conftest import (CORPUS_DIR, GOLDEN_QUERY, PLAYBOOK, TRANSCRIPT,
                       dir_digest, golden_state, live_golden_state, run_golden,
@@ -95,42 +94,74 @@ def test_resume_after_budget_stop_keeps_the_gaps_once(tmp_path):
     assert manifest["gaps"] == first.value.queued
 
 
+def counted_calls(monkeypatch) -> list[str]:
+    """The kind of each task the router serves while the test runs."""
+    served = []
+    invoke = InferenceRouter.invoke
+
+    def counting(router, task, *args, **kwargs):
+        served.append(task.kind)
+        return invoke(router, task, *args, **kwargs)
+
+    monkeypatch.setattr(InferenceRouter, "invoke", counting)
+    return served
+
+
+def file_states(root: Path) -> dict[str, tuple[bytes, int]]:
+    """Each file under `root`: its bytes and its modification time."""
+    return {str(path.relative_to(root)): (path.read_bytes(),
+                                          path.stat().st_mtime_ns)
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def assert_resumes_stop_at_once(run_dir: Path, queued: list[str],
+                                served: list[str]) -> None:
+    """Two resumes of a run stopped at the budget: each raises the same
+    stop, serves no call and writes no file."""
+    before = file_states(run_dir)
+    for _ in range(2):
+        served.clear()
+        with pytest.raises(BudgetExceeded) as again:
+            resume(run_dir)
+        assert again.value.queued == queued
+        assert served == []
+        assert file_states(run_dir) == before
+
+
 def test_a_budget_stop_keeps_the_calls_layer4_paid_for(tmp_path,
                                                        monkeypatch):
     cfg = PipelineConfig()
     cfg.document_budget = 5
-    recorded = []
-    record = Transcript.record
-
-    def recording(transcript, response, line):
-        recorded.append((response, line))
-        record(transcript, response, line)
-
-    monkeypatch.setattr(Transcript, "record", recording)
-    with pytest.raises(BudgetExceeded):
+    served = counted_calls(monkeypatch)
+    with pytest.raises(BudgetExceeded) as stop:
         run_golden(tmp_path / "run", cfg=cfg)
     transcript = tmp_path / "run" / "transcript"
     assert sorted(p.name for p in transcript.iterdir()) == [
         f"layer{i}.jsonl" for i in range(1, 5)]
-    layer4 = (transcript / "layer4.jsonl").read_bytes()
-    assert layer4 and sum(len(read_all(p)) for p in transcript.iterdir()) \
-        == len(recorded)
+    assert read_all(transcript / "layer4.jsonl")
+    assert sum(len(read_all(p)) for p in transcript.iterdir()) == len(served)
     assert not read_json(tmp_path / "run" / "manifest.json")["layers"][
         "layer4"]
-    # A resume stops again, since the admitted documents are kept; each
-    # stop keeps the lines of the last, one per key, sorted by key.
-    expected = set(layer4.decode("utf-8").splitlines())
-    for _ in range(2):
-        recorded.clear()
-        with pytest.raises(BudgetExceeded):
-            resume(tmp_path / "run")
-        assert recorded
-        expected |= {line for _, line in recorded}
-        lines = (transcript / "layer4.jsonl").read_text("utf-8").splitlines()
-        keys = [(row["fingerprint"], row["provider_tag"], row["sample_index"])
-                for row in map(json.loads, lines)]
-        assert keys == sorted(set(keys))
-        assert set(lines) == expected
+    # The stop is final: the budget is in the config snapshot, so a resume
+    # could admit no more documents, and it stops before discovery.
+    assert_resumes_stop_at_once(tmp_path / "run", stop.value.queued, served)
+
+
+@settings(max_examples=10, deadline=None)
+@given(budget=st.integers(1, 10))
+def test_every_budget_stop_is_final(budget):
+    """Golden discovers 10 documents besides its seed, so each budget of 1
+    to 10 stops it in layer 4; each stop's resume stops again at once."""
+    cfg = PipelineConfig()
+    cfg.document_budget = budget
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        served = counted_calls(monkeypatch)
+        with pytest.raises(BudgetExceeded) as stop:
+            run_golden(Path(tmp) / "run", cfg=cfg)
+        assert len(stop.value.queued) == 11 - budget
+        assert_resumes_stop_at_once(Path(tmp) / "run", stop.value.queued,
+                                    served)
 
 
 def doc_orgs_by_scan(state, doc_id: str) -> set[str]:
@@ -493,7 +524,7 @@ def test_resume_parses_the_corpus_once_at_the_first_relation_read(
     assert dir_digest(tmp_path / "a") == dir_digest(golden.run_dir)
 
 
-def test_a_full_run_builds_the_knowledge_graph_in_layers_4_and_5(
+def test_a_full_run_builds_the_knowledge_graph_in_layer5_only(
         tmp_path, monkeypatch):
     layer: list[str] = []
     built: list[str] = []
@@ -510,7 +541,7 @@ def test_a_full_run_builds_the_knowledge_graph_in_layers_4_and_5(
 
     monkeypatch.setattr(pipeline, "build_graph", recording)
     run_golden(tmp_path / "run")
-    assert built == ["layer4", "layer5"]
+    assert built == ["layer5"]
 
 
 def test_golden_resume_after_layer5_decodes_only_the_lines_it_serves(
@@ -1003,6 +1034,40 @@ def test_cli_report_on_a_run_stopped_before_layer6_exits_2_naming_the_file(
         f"error: cannot read JSON file {path}: ")
 
 
+def test_cli_run_with_out_a_regular_file_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    code = cli("run", "--query", GOLDEN_QUERY, "--corpus-dir", CORPUS_DIR,
+               "--out", out, "--provider", "replay", "--fixtures", TRANSCRIPT,
+               "--target-doc", "s1-target")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out / 'manifest.json'}: ")
+    assert out.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_cli_run_that_cannot_write_a_store_file_exits_2_naming_it(tmp_path,
+                                                                  capsys):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "store").write_text("", encoding="utf-8")
+    code = cli("run", "--query", GOLDEN_QUERY, "--corpus-dir", CORPUS_DIR,
+               "--out", tmp_path / "run", "--provider", "replay",
+               "--fixtures", TRANSCRIPT, "--target-doc", "s1-target")
+    assert code == 2
+    path = tmp_path / "run" / "store" / "documents.jsonl"
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+
+def test_cli_report_out_in_a_missing_directory_exits_2_naming_it(golden,
+                                                                 tmp_path,
+                                                                 capsys):
+    out = tmp_path / "missing" / "report.txt"
+    code = cli("report", "--run-dir", golden.run_dir, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
+
+
 def test_cli_resume_with_a_damaged_store_line_exits_2_naming_it(tmp_path,
                                                                 capsys):
     run_golden(tmp_path / "run", stop_after="layer2")
@@ -1043,7 +1108,7 @@ def test_cli_run_with_a_playbook_not_an_object_exits_2_naming_it(
 
 @pytest.mark.parametrize("key", ["config", "config_hash", "query",
                                  "corpus_dir", "corpus_hash", "provider",
-                                 "layers"])
+                                 "layers", "run_id"])
 def test_resume_of_a_manifest_without_a_key_names_the_key(tmp_path, key):
     run_golden(tmp_path / "a", stop_after="layer1")
     path = tmp_path / "a" / "manifest.json"
@@ -1065,7 +1130,13 @@ def test_resume_of_a_manifest_without_a_key_names_the_key(tmp_path, key):
      "manifest provider.fixtures must be a JSON string, not integer"),
     ("provider", ["replay"], "manifest provider must be a JSON object"),
     ("provider", {"mode": "replay", "fixture": "x"},
-     "unknown manifest key: provider.fixture")])
+     "unknown manifest key: provider.fixture"),
+    ("provider", {}, "manifest has no 'provider.mode'"),
+    ("corpus_dir", 5, "manifest corpus_dir must be a JSON string, not integer"),
+    ("query", 5, "manifest query must be a JSON string, not integer"),
+    ("target_doc", 5,
+     "manifest target_doc must be a JSON string, not integer"),
+    ("gap", [], "unknown manifest key: gap")])
 def test_cli_resume_of_a_manifest_value_of_the_wrong_type_exits_2_naming_it(
         tmp_path, capsys, key, value, message):
     run_golden(tmp_path / "a", stop_after="layer3")

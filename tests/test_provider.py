@@ -27,7 +27,7 @@ from claimcheck.ids import content_hash
 from claimcheck.jsonl import dumps_record, read_json, read_records, write_records
 from claimcheck.provider import (InferenceResponse, InferenceRouter,
                                  InferenceTask, ReplayProvider,
-                                 ScriptedProvider, Transcript, replay)
+                                 ScriptedProvider, replay)
 from claimcheck.provider.base import line_of
 from claimcheck.provider.embedder import embed_text, tokenize
 from claimcheck.provider.schemas import OUTPUT_SCHEMAS, validate_output
@@ -493,15 +493,14 @@ def test_pool_threads_exit_once_the_run_is_dropped(tmp_path):
 
 def test_transcript_round_trips_through_replay(tmp_path):
     playbook = ScriptedProvider.from_path(PLAYBOOK)
-    transcript = Transcript()
-    router = make_router(playbook, transcript=transcript)
+    router = make_router(playbook)
     task = InferenceTask("align-claims", {
         "a": {"slug": "d1", "subject": "X", "predicate": "p", "object": "o"},
         "b": {"slug": "d2", "subject": "X", "predicate": "q", "object": "o"},
     })
     first = router.invoke(task)
     path = tmp_path / "transcript.jsonl"
-    path.write_text("\n".join(transcript.drain()), encoding="utf-8")
+    path.write_text("\n".join(router.drain()), encoding="utf-8")
     replay_router = make_router(ReplayProvider.from_path(path))
     assert replay_router.invoke(task).output == first.output
 
@@ -924,9 +923,9 @@ def test_transcript_record_round_trips_through_replay(tmp_path):
         fingerprint=task.fingerprint, kind=task.kind,
         output={"statement": "s", "conclusion": None},
         provider_tag="analyst-b", sample_index=2)
-    transcript = Transcript()
-    transcript.record(response, line_of(response))
-    [line] = transcript.drain()
+    router = make_router(StubProvider(lambda *_: response.output))
+    router.invoke(task, "analyst-b", 2)
+    [line] = router.drain()
     record = {"fingerprint": task.fingerprint, "kind": "hypothesize",
               "output": {"statement": "s", "conclusion": None},
               "provider_tag": "analyst-b", "sample_index": 2,
@@ -963,7 +962,7 @@ def _transcript_text(router, calls, folder, name):
     """The transcript file `router` writes for one wave of `calls`."""
     router.map(lambda call: router.invoke(*call), calls)
     path = folder / name
-    write_records(path, router.transcript.drain())
+    write_records(path, router.drain())
     return path.read_text(encoding="utf-8")
 
 
@@ -986,10 +985,10 @@ def test_replayed_transcript_is_the_recorded_transcript(calls):
                         outputs[task.fingerprint, tag, index])
     with tempfile.TemporaryDirectory() as tmp:
         folder = Path(tmp)
-        recorded = _transcript_text(make_router(stub, Transcript()), wave,
+        recorded = _transcript_text(make_router(stub), wave,
                                     folder, "recorded.jsonl")
         replay_provider = ReplayProvider.from_path(folder / "recorded.jsonl")
-        replayed = _transcript_text(make_router(replay_provider, Transcript()),
+        replayed = _transcript_text(make_router(replay_provider),
                                     wave, folder, "replayed.jsonl")
     assert replayed == recorded
 
@@ -1013,10 +1012,10 @@ _NLI_RECORD = {"fingerprint": _NLI_TASK.fingerprint, "kind": "nli-verdict",
 def test_replay_writes_back_the_line_it_would_encode(tmp_path, line, written):
     path = tmp_path / "fixtures.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
-    router = make_router(ReplayProvider.from_path(path), Transcript())
+    router = make_router(ReplayProvider.from_path(path))
     assert router.invoke(_NLI_TASK, "analyst-a").output == \
         _NLI_RECORD["output"]
-    write_records(tmp_path / "t.jsonl", router.transcript.drain())
+    write_records(tmp_path / "t.jsonl", router.drain())
     assert (tmp_path / "t.jsonl").read_text(encoding="utf-8") == \
         (written or line) + "\n"
 
@@ -1024,11 +1023,11 @@ def test_replay_writes_back_the_line_it_would_encode(tmp_path, line, written):
 def test_a_swapped_in_backend_is_recorded_by_its_own_output(tmp_path):
     path = tmp_path / "fixtures.jsonl"
     write_records(path, [_NLI_RECORD])
-    router = make_router(ReplayProvider.from_path(path), Transcript())
+    router = make_router(ReplayProvider.from_path(path))
     output = {"label": "contradicts", "rationale": "live"}
     router.backend = StubProvider(lambda task, tag, index: output)
     router.invoke(_NLI_TASK, "analyst-a")
-    assert router.transcript.drain() == [dumps_record(to_record(
+    assert router.drain() == [dumps_record(to_record(
         InferenceResponse(fingerprint=_NLI_TASK.fingerprint,
                           kind=_NLI_TASK.kind, output=output,
                           provider_tag="analyst-a")))]
